@@ -3,7 +3,8 @@
 Subcommands mirror the pipeline stages: ``gen`` writes a synthetic model and
 calibration data, ``quantize`` runs the quantization pipeline, ``eval``
 compares attention outputs on held-out data, ``flops`` prints the analytic
-cost model, and ``check`` runs the brute-force oracle suite.
+cost model, and ``check`` runs the brute-force oracle checks shared with the
+acceptance suite.
 
 Exit codes: 0 success, 2 usage error, 3 bad input data, 4 numerical failure.
 """
@@ -110,7 +111,6 @@ def _merge_config(config_path, overrides: dict) -> dict:
 @click.option("--iterations", type=int, default=None)
 @click.option("--learning-rate", type=float, default=None)
 @click.option("--rounding-weight", "lam", type=float, default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--trace-prefix", type=str, default=None, help="Write per-projection loss traces as CSV.")
 @click.option(
     "--stats-cache",
@@ -127,7 +127,6 @@ def quantize(model, calib, output, report_out, config_path, trace_prefix, stats_
         iterations=int(opts.get("iterations", 2000)),
         learning_rate=float(opts.get("learning_rate", 0.015)),
         lam=float(opts.get("lam", 1.5)),
-        seed=int(opts.get("seed", 0)),
     )
     cfg = PipelineConfig(
         bits=int(opts.get("bits", 4)),
@@ -208,10 +207,11 @@ def flops(d, d_h, length, batch, presets, csv_out):
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_surface_errors
 def check(seed):
-    """Run the brute-force oracle suite and print one line per check."""
+    """Run the brute-force oracle checks of acceptance criteria 2, 3, 4, 5, 7
+    and 10 and print one line per check; seed 0 draws the suite's instances."""
     click.echo(f"oracle suite (seed {seed}; logits scaled by 1/sqrt(d_h), matching the forward pass)")
     results = run_all_checks(seed)
     width = max(len(r.name) for r in results)

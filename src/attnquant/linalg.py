@@ -16,9 +16,7 @@ __all__ = [
     "softmax_rows",
     "softmax_jacobian_row",
     "kron",
-    "sym_factor",
     "vec",
-    "trace_quad",
 ]
 
 DEFAULT_KRON_BUDGET = 4_000_000  # elements (~32 MB of float64)
@@ -80,36 +78,8 @@ def kron(a: np.ndarray, b: np.ndarray, max_elements: int = DEFAULT_KRON_BUDGET) 
     return np.kron(a, b)
 
 
-def sym_factor(m: np.ndarray, sym_tol: float = 1e-9, eig_tol: float = 1e-9) -> np.ndarray:
-    """Symmetric factor G of a PSD matrix, with G @ G.T == m.
-
-    Uses the symmetric eigendecomposition and clamps slightly negative
-    eigenvalues to zero, so rank-deficient calibration statistics factor
-    cleanly (Cholesky would fail on them). Raises on asymmetric input or
-    eigenvalues below -``eig_tol`` relative to the spectral scale.
-    """
-    m = as_matrix(m, "sym_factor input")
-    if m.shape[0] != m.shape[1]:
-        raise DataError(f"sym_factor: matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > sym_tol * scale:
-        raise NumericalError("sym_factor: input is not symmetric within tolerance")
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    if w.min() < -eig_tol * max(1.0, float(w.max())):
-        raise NumericalError(
-            f"sym_factor: eigenvalue {w.min():.3e} below PSD tolerance"
-        )
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
-
-
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-major vectorization, the convention under which
     vec(A B C) = (C^T kron A) vec(B)."""
     return np.asarray(m, dtype=np.float64).ravel(order="F")
 
-
-def trace_quad(w: np.ndarray, m: np.ndarray) -> float:
-    """tr(W M W^T) evaluated as sum((W @ M) * W) without forming the product
-    W M W^T; the two expressions are mathematically identical."""
-    return float(np.sum((w @ m) * w))

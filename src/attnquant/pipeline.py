@@ -175,7 +175,7 @@ def quantize_head(
             if letter not in cfg.projections
         },
     }
-    quantized = dequantized_head(doc)
+    calib_err, _ = _attention_error_sums(head, dequantized_head(doc), sequences)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "quantize",
@@ -185,7 +185,7 @@ def quantize_head(
         "value_kind": cfg.value_kind,
         "n_calibration_sequences": len(sequences),
         "projections": report_rows,
-        "calibration_attention_error": _mean_attention_error(head, quantized, sequences),
+        "calibration_attention_error": calib_err / len(sequences),
     }
     return doc, report
 
@@ -210,15 +210,19 @@ def dequantized_head(doc: dict) -> AttentionHead:
     return AttentionHead(d=d, d_h=d_h, w_q=weights["W_Q"], w_k=weights["W_K"], w_v=weights["W_V"])
 
 
-def _mean_attention_error(
+def _attention_error_sums(
     reference: AttentionHead, quantized: AttentionHead, sequences: list[CalibSequence]
-) -> float:
-    total = 0.0
+) -> tuple[float, float]:
+    """Summed squared attention-output error and summed squared reference
+    output over ``sequences``."""
+    err = 0.0
+    ref_norm = 0.0
     for seq in sequences:
         sa_ref = attention_forward(reference, seq).sa
         sa_q = attention_forward(quantized, seq).sa
-        total += float(np.sum((sa_q - sa_ref) ** 2))
-    return total / len(sequences)
+        err += float(np.sum((sa_q - sa_ref) ** 2))
+        ref_norm += float(np.sum(sa_ref**2))
+    return err, ref_norm
 
 
 def evaluate_quantized(
@@ -229,13 +233,7 @@ def evaluate_quantized(
         raise DataError("evaluation needs at least one sequence")
     if (reference.d, reference.d_h) != (quantized.d, quantized.d_h):
         raise DataError("reference and quantized heads disagree on dimensions")
-    err = 0.0
-    ref_norm = 0.0
-    for seq in sequences:
-        sa_ref = attention_forward(reference, seq).sa
-        sa_q = attention_forward(quantized, seq).sa
-        err += float(np.sum((sa_q - sa_ref) ** 2))
-        ref_norm += float(np.sum(sa_ref**2))
+    err, ref_norm = _attention_error_sums(reference, quantized, sequences)
     mean_err = err / len(sequences)
     relative = float(np.sqrt(err / ref_norm)) if ref_norm > 0 else 0.0
     return {

@@ -19,7 +19,6 @@ __all__ = [
     "QuantSpec",
     "QuantizedWeight",
     "round_half_away",
-    "quantize_value",
     "rtn_quantize",
     "dequantize",
     "fit_step_size",
@@ -86,14 +85,6 @@ class QuantizedWeight:
             raise DataError("w_int row count must match the spec's row count")
         if np.any((self.w_int < 0) | (self.w_int > self.spec.grid_max)):
             raise DataError("integer weight outside the grid")
-
-
-def quantize_value(x: float, s: float, z: int, n: int) -> float:
-    """Quantize-dequantize a single value on the grid (s, z, n bits)."""
-    if s <= 0:
-        raise DataError("scale must be positive")
-    g = np.clip(round_half_away(x / s) + z, 0, (1 << n) - 1)
-    return float(s * (g - z))
 
 
 def _rtn_int(w: np.ndarray, spec: QuantSpec) -> np.ndarray:

@@ -59,7 +59,6 @@ class SoftQuantConfig:
     beta_anneal_frac: float = 0.8
     zeta: float = 1.1
     gamma: float = -0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 0:

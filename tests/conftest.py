@@ -2,15 +2,14 @@
 
 import numpy as np
 
+from attnquant.checks import random_psd, rel_gap  # noqa: F401  (re-exported for the tests)
+
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
-    r = rng.standard_normal((n, rank or n))
-    return r @ r.T
-
-
-def rel_gap(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+def trace_quad(w: np.ndarray, m: np.ndarray) -> float:
+    """tr(W M W^T) evaluated as sum((W @ M) * W) without forming the product
+    W M W^T; the two expressions are mathematically identical."""
+    return float(np.sum((w @ m) * w))

@@ -9,21 +9,26 @@ separate covariance-weighted objectives).
 """
 
 import time
-from itertools import product
 
 import numpy as np
-import pytest
 
-from attnquant.flops import CostParams, FlopCounter, cost_table, flops_existing, flops_refined
-from attnquant.linalg import kron, vec
+from attnquant.checks import (
+    check_column_compensation,
+    check_constant_cost_contract,
+    check_kronecker_identities,
+    check_taylor_convergence,
+    check_upper_bound_inequality,
+    check_value_objective_exactness,
+)
+from attnquant.flops import cost_table
 from attnquant.model import generate_synthetic
-from attnquant.objectives import LossContext, ProjectionKind, context_for, loss, loss_gradient, row_hessian
-from attnquant.oracle import exact_error, joint_qk_cost_demo, kron_exact_query_loss, taylor_error, upper_bound_check
+from attnquant.objectives import LossContext, ProjectionKind, loss, loss_gradient
+from attnquant.oracle import exact_error
 from attnquant.pipeline import PipelineConfig, quantize_head
-from attnquant.quantizer import dequantize, fit_step_size, optq_quantize, rtn_quantize
-from attnquant.rounding import RoundingState, SoftQuantConfig, optimize_rounding, rounding_regularizer
+from attnquant.quantizer import dequantize, fit_step_size, rtn_quantize
+from attnquant.rounding import RoundingState, rounding_regularizer
 from attnquant.stats import accumulate_stats
-from conftest import random_psd, rel_gap, rng_for
+from conftest import random_psd, rng_for
 
 PUBLISHED_CELLS = {
     "125M": ("6.7", "0.24"),
@@ -40,6 +45,13 @@ def report(number: int, name: str, passed: bool, detail: str, elapsed: float, li
     print(f"[{status}] criterion {number:2d} ({name}): {detail} [{elapsed:.2f}s < {limit:.0f}s]")
     assert passed, f"criterion {number}: {detail}"
     assert elapsed < limit, f"criterion {number}: runtime {elapsed:.2f}s exceeded {limit}s"
+
+
+def report_check(number: int, check, limit: float):
+    """Run a shared oracle check on the suite's instances (seed 0), timed."""
+    t0 = time.perf_counter()
+    result = check(0)
+    report(number, result.name, result.passed, result.detail, time.perf_counter() - t0, limit)
 
 
 def test_criterion_01_flop_table():
@@ -64,117 +76,19 @@ def test_criterion_01_flop_table():
 
 
 def test_criterion_02_value_objective_exactness():
-    t0 = time.perf_counter()
-    rng = rng_for(2)
-    worst = 0.0
-    for trial in range(50):
-        d = int(rng.integers(4, 17))
-        d_h = int(rng.integers(2, 5))
-        length = int(rng.integers(2, 9))
-        n = int(rng.integers(1, 9))
-        head, seqs = generate_synthetic(1000 + trial, d, d_h, length, n)
-        stats = accumulate_stats(head, seqs)
-        ctx = context_for(ProjectionKind.VALUE, stats)
-        delta = rng.standard_normal((d_h, d)) * float(rng.uniform(0.01, 0.5))
-        worst = max(worst, rel_gap(loss(ctx, delta), exact_error(head, seqs, ProjectionKind.VALUE, delta)))
-    report(
-        2,
-        "value objective exactness",
-        worst <= 1e-9,
-        f"worst relative gap {worst:.2e} over 50 instances (tol 1e-9)",
-        time.perf_counter() - t0,
-        10.0,
-    )
+    report_check(2, check_value_objective_exactness, 10.0)
 
 
 def test_criterion_03_kronecker_identity_suite():
-    t0 = time.perf_counter()
-    rng = rng_for(3)
-    worst_quad = worst_vec = 0.0
-    for _ in range(100):
-        d = int(rng.integers(2, 7))
-        d_h = int(rng.integers(2, 5))
-        mx, mk = random_psd(rng, d), random_psd(rng, d_h)
-        dw = rng.standard_normal((d_h, d))
-        quad = float(vec(dw) @ kron(mx, mk) @ vec(dw))
-        tr = loss(LossContext(ProjectionKind.QUERY, mk, mx), dw)
-        worst_quad = max(worst_quad, rel_gap(quad, tr))
-
-        a = rng.standard_normal((int(rng.integers(2, 5)), int(rng.integers(2, 5))))
-        b = rng.standard_normal((a.shape[1], int(rng.integers(2, 5))))
-        c = rng.standard_normal((b.shape[1], int(rng.integers(2, 5))))
-        lhs = vec(a @ b @ c)
-        rhs = kron(c.T, a) @ vec(b)
-        denom = max(float(np.abs(lhs).max()), 1e-300)
-        worst_vec = max(worst_vec, float(np.abs(lhs - rhs).max()) / denom)
-
-    worst_factored = 0.0
-    for trial in range(10):
-        head, seqs = generate_synthetic(3000 + trial, 10, 4, 6, 1)
-        stats = accumulate_stats(head, seqs)
-        ctx = context_for(ProjectionKind.QUERY, stats)
-        delta = rng.standard_normal((4, 10)) * 0.2
-        worst_factored = max(
-            worst_factored,
-            rel_gap(loss(ctx, delta), kron_exact_query_loss(head, seqs, delta)),
-        )
-    ok = worst_quad <= 1e-12 and worst_vec <= 1e-12 and worst_factored <= 1e-9
-    report(
-        3,
-        "Kronecker identities",
-        ok,
-        f"quad-form gap {worst_quad:.2e} (tol 1e-12), vec gap {worst_vec:.2e} (tol 1e-12), "
-        f"single-sequence factored gap {worst_factored:.2e} (tol 1e-9)",
-        time.perf_counter() - t0,
-        10.0,
-    )
+    report_check(3, check_kronecker_identities, 10.0)
 
 
 def test_criterion_04_taylor_convergence():
-    t0 = time.perf_counter()
-    ok = True
-    details = []
-    for kind, seed in ((ProjectionKind.QUERY, 42), (ProjectionKind.KEY, 43)):
-        head, seqs = generate_synthetic(seed, 10, 4, 6, 4)
-        base = rng_for(7).standard_normal((4, 10)) / np.sqrt(10)
-        gaps = []
-        for eps in (0.1, 0.05, 0.025):
-            e = exact_error(head, seqs, kind, eps * base)
-            t = taylor_error(head, seqs, kind, eps * base)
-            gaps.append(abs(e - t) / e)
-        ok = ok and gaps[0] >= gaps[1] >= gaps[2] and gaps[2] <= 0.5
-        details.append(f"{kind.value}: {gaps[0]:.4f}/{gaps[1]:.4f}/{gaps[2]:.4f}")
-    report(
-        4,
-        "Taylor convergence",
-        ok,
-        "relative gaps at eps 0.1/0.05/0.025 " + "; ".join(details),
-        time.perf_counter() - t0,
-        10.0,
-    )
+    report_check(4, check_taylor_convergence, 10.0)
 
 
 def test_criterion_05_upper_bound_inequality():
-    t0 = time.perf_counter()
-    rng = rng_for(5)
-    violations = 0
-    worst = 0.0
-    for trial in range(200):
-        head, seqs = generate_synthetic(5000 + trial, 8, 3, 5, 1)
-        delta = rng.standard_normal((3, 8)) * float(rng.uniform(0.01, 2.0))
-        rep = upper_bound_check(head, seqs[0], delta)
-        worst = max(worst, rep.relative_gap)
-        if rep.relative_gap > 1.0 + 1e-9:
-            violations += 1
-    report(
-        5,
-        "upper-bound inequality",
-        violations == 0,
-        f"0 violations in 200 instances (largest lhs/rhs {worst:.4f})" if violations == 0
-        else f"{violations} violations",
-        time.perf_counter() - t0,
-        10.0,
-    )
+    report_check(5, check_upper_bound_inequality, 10.0)
 
 
 def test_criterion_06_gradient_checks():
@@ -219,44 +133,7 @@ def test_criterion_06_gradient_checks():
 
 
 def test_criterion_07_optq_sanity():
-    t0 = time.perf_counter()
-    rng = rng_for(0)
-    identity_ok = True
-    for _ in range(20):
-        w = rng.standard_normal((4, 8))
-        spec = fit_step_size(w, np.eye(8), 2)
-        identity_ok = identity_ok and np.array_equal(
-            optq_quantize(w, np.eye(8), spec).w_int, rtn_quantize(w, spec).w_int
-        )
-
-    rng = rng_for(3)
-    hits = 0
-    for _ in range(100):
-        w = rng.standard_normal((1, 2)) * 2.0
-        rho = rng.uniform(0.3, 0.9)
-        dg = rng.uniform(0.5, 2.0, size=2)
-        off = rho * np.sqrt(dg[0] * dg[1])
-        h = np.array([[dg[0], off], [off, dg[1]]])
-        spec = fit_step_size(w, h, 2)
-        o = (dequantize(optq_quantize(w, h, spec)) - w)[0]
-        achieved = float(o @ h @ o)
-        s, z = spec.scale[0], spec.zero_point[0]
-        best = min(
-            float(e @ h @ e)
-            for g1, g2 in product(range(4), repeat=2)
-            for e in [s * (np.array([g1, g2], dtype=float) - z) - w[0]]
-        )
-        hits += achieved <= best * (1 + 1e-9)
-    ok = identity_ok and hits >= 95
-    report(
-        7,
-        "column-compensation sanity",
-        ok,
-        f"identity-curvature == nearest rounding: {identity_ok}; "
-        f"exhaustive optimum attained {hits}/100 (need >= 95)",
-        time.perf_counter() - t0,
-        30.0,
-    )
+    report_check(7, check_column_compensation, 30.0)
 
 
 def test_criterion_08_end_to_end_ordering():
@@ -267,7 +144,7 @@ def test_criterion_08_end_to_end_ordering():
         head, seqs = generate_synthetic(seed, 16, 4, 8, 64)
         calib = seqs[:32]  # 32 held-out sequences remain for the eval surface
         for m in methods:
-            cfg = PipelineConfig(bits=2, method=m, soft=SoftQuantConfig(seed=0))
+            cfg = PipelineConfig(bits=2, method=m)
             _, rep = quantize_head(head, calib, cfg)
             errors[m].append(
                 sum(row["exact_attention_error"] for row in rep["projections"].values())
@@ -312,29 +189,4 @@ def test_criterion_09_hessian_ablation():
 
 
 def test_criterion_10_constant_cost_contract():
-    t0 = time.perf_counter()
-    head, seqs = generate_synthetic(10, 16, 4, 8, 64)
-    counts = {}
-    for n in (8, 64):
-        stats = accumulate_stats(head, seqs[:n])
-        ctx = context_for(ProjectionKind.QUERY, stats)
-        w = head.projection("W_Q")
-        spec = fit_step_size(w, row_hessian(ctx), 2)
-        counter = FlopCounter()
-        optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=1), counter=counter)
-        counts[n] = counter.count
-    rng = rng_for(10)
-    dwq = rng.standard_normal((4, 16)) * 0.1
-    dwk = rng.standard_normal((4, 16)) * 0.1
-    _, ops8 = joint_qk_cost_demo(head, seqs[:8], dwq, dwk)
-    _, ops16 = joint_qk_cost_demo(head, seqs[:16], dwq, dwk)
-    ok = counts[8] == counts[64] and ops16 == 2 * ops8
-    report(
-        10,
-        "constant-cost contract",
-        ok,
-        f"rounding-iteration ops {counts[8]} == {counts[64]} for 8 vs 64 sequences; "
-        f"joint recompute ops {ops8} -> {ops16} (doubles)",
-        time.perf_counter() - t0,
-        60.0,
-    )
+    report_check(10, check_constant_cost_contract, 60.0)

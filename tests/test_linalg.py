@@ -7,11 +7,9 @@ from attnquant.linalg import (
     kron,
     softmax_jacobian_row,
     softmax_rows,
-    sym_factor,
-    trace_quad,
     vec,
 )
-from conftest import random_psd, rng_for
+from conftest import rng_for, trace_quad
 
 
 class TestSoftmaxRows:
@@ -102,35 +100,6 @@ class TestKron:
         a = np.ones((100, 100))
         with pytest.raises(SizeBudgetError):
             kron(a, a, max_elements=10_000)
-
-
-class TestSymFactor:
-    def test_identity(self):
-        g = sym_factor(np.eye(3))
-        np.testing.assert_allclose(g @ g.T, np.eye(3), atol=1e-12)
-
-    def test_diagonal_hand_case(self):
-        g = sym_factor(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(g, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_construct_and_verify(self):
-        m = random_psd(rng_for(4), 4)
-        g = sym_factor(m)
-        err = np.linalg.norm(g @ g.T - m) / np.linalg.norm(m)
-        assert err <= 1e-8
-
-    def test_rank_deficient(self):
-        m = random_psd(rng_for(5), 5, rank=2)
-        g = sym_factor(m)
-        np.testing.assert_allclose(g @ g.T, m, atol=1e-10)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NumericalError):
-            sym_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NumericalError):
-            sym_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 class TestCarrierAndTrace:

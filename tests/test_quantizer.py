@@ -3,20 +3,26 @@ import pytest
 from itertools import product
 
 from attnquant.errors import DataError
-from attnquant.linalg import trace_quad
 from attnquant.quantizer import (
     QuantSpec,
     dequantize,
     fit_step_size,
     optq_compensate,
     optq_quantize,
-    quantize_value,
     quantized_from_json,
     quantized_to_json,
     round_half_away,
     rtn_quantize,
 )
-from conftest import rng_for
+from conftest import rng_for, trace_quad
+
+
+def quantize_value(x: float, s: float, z: int, n: int) -> float:
+    """Scalar reference: quantize-dequantize one value on the grid (s, z, n bits)."""
+    if s <= 0:
+        raise DataError("scale must be positive")
+    g = np.clip(round_half_away(x / s) + z, 0, (1 << n) - 1)
+    return float(s * (g - z))
 
 
 def minmax_spec(w, bits):

@@ -143,7 +143,7 @@ class TestOptimizeRounding:
 
     def test_huge_rounding_weight_saturates_h(self):
         _, _, ctx, w, spec = value_setup(seed=0)
-        cfg = SoftQuantConfig(lam=1e6, seed=0)
+        cfg = SoftQuantConfig(lam=1e6)
         _, state = optimize_rounding_with_state(w, spec, ctx, cfg, w_reference=w)
         h = rectified_sigmoid(state.b, state.zeta, state.gamma)
         assert float(np.minimum(h, 1 - h).max()) <= 1e-3
@@ -198,7 +198,7 @@ class TestOptimizeRounding:
             w = head.projection("W_V")
             spec = fit_step_size(w, row_hessian(ctx), 2)
             warm, comp = optq_compensate(w, row_hessian(ctx), spec)
-            ada = optimize_rounding(comp, spec, ctx, SoftQuantConfig(seed=seed), w_reference=w)
+            ada = optimize_rounding(comp, spec, ctx, SoftQuantConfig(), w_reference=w)
             e_ada = exact_error(head, seqs, ProjectionKind.VALUE, dequantize(ada) - w)
             e_rtn = exact_error(head, seqs, ProjectionKind.VALUE, dequantize(rtn_quantize(w, spec)) - w)
             wins += e_ada <= e_rtn
