@@ -20,7 +20,7 @@ from .linalg import kron, vec
 from .model import generate_synthetic
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
 from .oracle import exact_error, joint_qk_cost_demo, kron_exact_query_loss, taylor_error, upper_bound_check
-from .quantizer import dequantize, fit_step_size, optq_quantize, rtn_quantize
+from .quantizer import dequantize, fit_step_size, optq_compensate, rtn_quantize
 from .rounding import SoftQuantConfig, optimize_rounding
 from .stats import accumulate_stats
 
@@ -176,7 +176,7 @@ def check_column_compensation(seed: int = 0) -> CheckResult:
         w = rng.standard_normal((4, 8))
         spec = fit_step_size(w, np.eye(8), 2)
         identity_ok = identity_ok and np.array_equal(
-            optq_quantize(w, np.eye(8), spec).w_int, rtn_quantize(w, spec).w_int
+            optq_compensate(w, np.eye(8), spec)[0].w_int, rtn_quantize(w, spec).w_int
         )
 
     rng = _rng(seed, 3)
@@ -188,7 +188,7 @@ def check_column_compensation(seed: int = 0) -> CheckResult:
         off = rho * np.sqrt(dg[0] * dg[1])
         h = np.array([[dg[0], off], [off, dg[1]]])
         spec = fit_step_size(w, h, 2)
-        o = (dequantize(optq_quantize(w, h, spec)) - w)[0]
+        o = (dequantize(optq_compensate(w, h, spec)[0]) - w)[0]
         achieved = float(o @ h @ o)
         s, z = spec.scale[0], spec.zero_point[0]
         best = min(

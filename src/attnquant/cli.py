@@ -84,11 +84,27 @@ def gen(seed, d, d_h, length, n_sequences, model_out, calib_out, n_eval, eval_ou
     click.echo(f"wrote {model_out} and {calib_out}" + (f" and {eval_out}" if n_eval else ""))
 
 
+# Keys a ``quantize --config`` file may set (the flag names), with their JSON types.
+_CONFIG_KEYS = {
+    "bits": "integer", "method": "string", "order": "string", "projections": "string",
+    "value_kind": "string", "iterations": "integer", "learning_rate": "number", "lam": "number",
+}
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
+
+
 def _merge_config(config_path, overrides: dict) -> dict:
-    """Start from the optional JSON config, then apply explicit CLI flags."""
+    """Start from the optional JSON config, then apply explicit CLI flags.
+
+    A config key that is not a flag name, or has the wrong JSON type, is a DataError."""
     merged = {}
     if config_path is not None:
-        merged.update(load_json(config_path, "config file"))
+        for key, value in load_json(config_path, "config file").items():
+            want = _CONFIG_KEYS.get(key)
+            if want is None:
+                raise DataError(f"config file: unknown key '{key}' (allowed: {', '.join(_CONFIG_KEYS)})")
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[want]):
+                raise DataError(f"config file: '{key}' must be a JSON {want}, got {json.dumps(value)}")
+            merged[key] = value
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return merged
 

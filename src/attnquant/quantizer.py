@@ -22,7 +22,6 @@ __all__ = [
     "rtn_quantize",
     "dequantize",
     "fit_step_size",
-    "optq_quantize",
     "optq_compensate",
     "quantized_to_json",
     "quantized_from_json",
@@ -171,7 +170,8 @@ def optq_compensate(
     Cholesky factor of the damped inverse Hessian. Returns the integer
     assignment together with the compensated full-precision weights (the
     state each column had when it was quantized), which later stages use
-    as a warm start. A singular factorization falls back to plain nearest
+    as a warm start. With an identity Hessian the integers equal nearest
+    rounding exactly. A singular factorization falls back to plain nearest
     rounding with ``fallback_rtn`` set.
     """
     w = np.asarray(w, dtype=np.float64)
@@ -204,13 +204,6 @@ def optq_compensate(
         if j + 1 < n_cols:
             work[:, j + 1 :] -= np.outer(err, upper[j, j + 1 :])
     return QuantizedWeight(w_int=w_int, spec=spec), compensated
-
-
-def optq_quantize(w: np.ndarray, hessian: np.ndarray, spec: QuantSpec) -> QuantizedWeight:
-    """Column-compensated quantization (see ``optq_compensate``); with an
-    identity Hessian the result equals nearest rounding exactly."""
-    qw, _ = optq_compensate(w, hessian, spec)
-    return qw
 
 
 def quantized_to_json(qw: QuantizedWeight) -> dict:

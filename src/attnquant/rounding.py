@@ -15,7 +15,7 @@ were used.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +27,23 @@ from .quantizer import QuantSpec, QuantizedWeight, rtn_quantize
 
 __all__ = [
     "SoftQuantConfig",
-    "RoundingState",
     "rectified_sigmoid",
-    "init_rounding_state",
-    "soft_quantize",
     "rounding_regularizer",
-    "reconstruction_and_gradient",
+    "rounding_objective",
     "optimize_rounding",
-    "optimize_rounding_with_state",
 ]
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Sigmoid stretch: h = clamp(sigmoid(b) * (ZETA - GAMMA) + GAMMA, 0, 1).
+ZETA = 1.1
+GAMMA = -0.1
+# Regularizer exponent: linear anneal from BETA_START to BETA_END over the
+# first BETA_ANNEAL_FRAC of the iterations, then held.
+BETA_START = 20.0
+BETA_END = 2.0
+BETA_ANNEAL_FRAC = 0.8
 
 
 @dataclass
@@ -47,18 +51,13 @@ class SoftQuantConfig:
     """Hyperparameters of the rounding optimization.
 
     Defaults: 2000 iterations, learning rate 0.015, rounding-loss weight
-    1.5. The sigmoid stretch constants and the annealed regularizer
-    exponent follow the usual learned-rounding recipe.
+    1.5. The sigmoid stretch and the annealed regularizer exponent are the
+    module constants above (the usual learned-rounding recipe).
     """
 
     iterations: int = 2000
     learning_rate: float = 0.015
     lam: float = 1.5
-    beta_start: float = 20.0
-    beta_end: float = 2.0
-    beta_anneal_frac: float = 0.8
-    zeta: float = 1.1
-    gamma: float = -0.1
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -67,102 +66,52 @@ class SoftQuantConfig:
             raise DataError("learning_rate must be positive")
 
     def beta_at(self, iteration: int) -> float:
-        """Linear anneal from beta_start to beta_end over the first
-        ``beta_anneal_frac`` of iterations, then held."""
-        if self.iterations == 0:
-            return self.beta_end
-        ramp = max(1.0, self.beta_anneal_frac * self.iterations)
+        """Regularizer exponent at ``iteration`` of this schedule."""
+        ramp = max(1.0, BETA_ANNEAL_FRAC * self.iterations)
         t = min(1.0, iteration / ramp)
-        return self.beta_start + t * (self.beta_end - self.beta_start)
+        return BETA_START + t * (BETA_END - BETA_START)
 
 
-@dataclass
-class RoundingState:
-    """Continuous rounding logits plus schedule bookkeeping."""
-
-    b: np.ndarray
-    lam: float
-    beta: float
-    zeta: float = 1.1
-    gamma: float = -0.1
-    iteration: int = 0
-    loss_trace: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=np.float64)
-
-
-def rectified_sigmoid(b: np.ndarray, zeta: float = 1.1, gamma: float = -0.1) -> np.ndarray:
-    """h(B) = clamp(sigmoid(B)(zeta - gamma) + gamma, 0, 1), in [0, 1]."""
+def rectified_sigmoid(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h(B) = clamp(sigmoid(B)(ZETA - GAMMA) + GAMMA, 0, 1), in [0, 1], and
+    its derivative dh/dB (zero where the clamp is active)."""
     sig = 1.0 / (1.0 + np.exp(-np.asarray(b, dtype=np.float64)))
-    return np.clip(sig * (zeta - gamma) + gamma, 0.0, 1.0)
-
-
-def _rectified_sigmoid_grad(b: np.ndarray, zeta: float, gamma: float) -> np.ndarray:
-    sig = 1.0 / (1.0 + np.exp(-b))
-    raw = sig * (zeta - gamma) + gamma
+    raw = sig * (ZETA - GAMMA) + GAMMA
     inside = (raw > 0.0) & (raw < 1.0)
-    return inside * (zeta - gamma) * sig * (1.0 - sig)
+    return np.clip(raw, 0.0, 1.0), inside * (ZETA - GAMMA) * sig * (1.0 - sig)
 
 
-def init_rounding_state(w: np.ndarray, spec: QuantSpec, cfg: SoftQuantConfig) -> RoundingState:
-    """Logits initialized so the soft assignment starts at each weight's own
-    fractional grid position (clamped away from the sigmoid's saturation)."""
-    w = np.asarray(w, dtype=np.float64)
-    frac = w / spec.scale[:, None]
-    frac = frac - np.floor(frac)
-    frac = np.clip(frac, 0.01, 0.99)
-    inner = np.clip((frac - cfg.gamma) / (cfg.zeta - cfg.gamma), 1e-4, 1 - 1e-4)
-    b = np.log(inner / (1.0 - inner))
-    return RoundingState(
-        b=b, lam=cfg.lam, beta=cfg.beta_start, zeta=cfg.zeta, gamma=cfg.gamma
-    )
-
-
-def _grid_parts(w: np.ndarray, spec: QuantSpec):
-    s = spec.scale[:, None]
-    z = spec.zero_point[:, None]
-    return s, z, np.floor(w / s)
-
-
-def soft_quantize(w: np.ndarray, spec: QuantSpec, state: RoundingState) -> np.ndarray:
-    """Soft-quantized weights; lands exactly on the grid wherever h is 0 or 1."""
-    w = np.asarray(w, dtype=np.float64)
-    s, z, floor_grid = _grid_parts(w, spec)
-    h = rectified_sigmoid(state.b, state.zeta, state.gamma)
-    g = np.clip(floor_grid + z + h, 0, spec.grid_max)
-    return s * (g - z)
-
-
-def rounding_regularizer(state: RoundingState) -> tuple[float, np.ndarray]:
+def rounding_regularizer(
+    h: np.ndarray, dh_db: np.ndarray, lam: float, beta: float
+) -> tuple[float, np.ndarray]:
     """lam * sum(1 - |2h - 1|^beta) and its gradient with respect to b.
 
     Zero exactly when every h sits at 0 or 1; the gradient vanishes on the
     clamped (saturated) entries.
     """
-    if state.beta <= 0:
+    if beta <= 0:
         raise DataError("regularizer exponent beta must be positive")
-    h = rectified_sigmoid(state.b, state.zeta, state.gamma)
     t = 2.0 * h - 1.0
     abs_t = np.abs(t)
-    value = state.lam * float(np.sum(1.0 - abs_t**state.beta))
+    value = lam * float(np.sum(1.0 - abs_t**beta))
     # d/dh [1 - |2h-1|^beta] = -2 beta |2h-1|^(beta-1) sign(2h-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        power = np.where(abs_t > 0, abs_t ** (state.beta - 1.0), 0.0)
-    grad_h = -2.0 * state.beta * power * np.sign(t)
-    grad_b = state.lam * grad_h * _rectified_sigmoid_grad(state.b, state.zeta, state.gamma)
-    return value, grad_b
+        power = np.where(abs_t > 0, abs_t ** (beta - 1.0), 0.0)
+    grad_h = -2.0 * beta * power * np.sign(t)
+    return value, lam * grad_h * dh_db
 
 
-def reconstruction_and_gradient(
+def rounding_objective(
+    b: np.ndarray,
     w: np.ndarray,
     spec: QuantSpec,
     ctx: LossContext,
-    state: RoundingState,
+    lam: float,
+    beta: float,
     w_reference: np.ndarray | None = None,
     counter: FlopCounter | None = None,
-) -> tuple[float, np.ndarray]:
-    """Reconstruction loss at the current logits and its gradient wrt b.
+) -> tuple[float, float, np.ndarray]:
+    """One rounding step: (reconstruction, regularizer, gradient wrt b).
 
     The soft assignment is built on ``w``'s grid cells while the loss
     measures the deviation from ``w_reference`` (defaults to ``w``), so a
@@ -170,27 +119,17 @@ def reconstruction_and_gradient(
     """
     w = np.asarray(w, dtype=np.float64)
     ref = w if w_reference is None else np.asarray(w_reference, dtype=np.float64)
-    s, z, floor_grid = _grid_parts(w, spec)
-    h = rectified_sigmoid(state.b, state.zeta, state.gamma)
-    g_raw = floor_grid + z + h
+    s, z = spec.scale[:, None], spec.zero_point[:, None]
+    h, dh_db = rectified_sigmoid(b)
+    g_raw = np.floor(w / s) + z + h
     inside = (g_raw > 0.0) & (g_raw < spec.grid_max)
-    w_tilde = s * (np.clip(g_raw, 0, spec.grid_max) - z)
-    delta = ref - w_tilde
-    value = loss(ctx, delta, counter)
-    dloss_dtilde = -loss_gradient(ctx, delta, counter)
-    grad_b = dloss_dtilde * s * inside * _rectified_sigmoid_grad(
-        state.b, state.zeta, state.gamma
-    )
+    delta = ref - s * (np.clip(g_raw, 0, spec.grid_max) - z)
+    reconstruction = loss(ctx, delta, counter)
+    grad_recon = -loss_gradient(ctx, delta, counter) * s * inside * dh_db
     if counter is not None:
         counter.add(6 * w.size)  # soft-assignment and chain-rule elementwise work
-    return value, grad_b
-
-
-def _hard_assignment(w: np.ndarray, spec: QuantSpec, state: RoundingState) -> QuantizedWeight:
-    s, z, floor_grid = _grid_parts(w, spec)
-    h = rectified_sigmoid(state.b, state.zeta, state.gamma)
-    g = np.clip(floor_grid + z + (h >= 0.5), 0, spec.grid_max).astype(np.int64)
-    return QuantizedWeight(w_int=g, spec=spec)
+    regularizer, grad_reg = rounding_regularizer(h, dh_db, lam, beta)
+    return reconstruction, regularizer, grad_recon + grad_reg
 
 
 def optimize_rounding(
@@ -209,57 +148,38 @@ def optimize_rounding(
     statistics with no sampling, so identical inputs give identical integer
     weights. ``iterations == 0`` returns the plain nearest-rounding result.
     """
-    qw, _ = optimize_rounding_with_state(
-        w, spec, ctx, cfg, w_reference=w_reference, counter=counter, trace_csv=trace_csv
-    )
-    return qw
-
-
-def optimize_rounding_with_state(
-    w: np.ndarray,
-    spec: QuantSpec,
-    ctx: LossContext,
-    cfg: SoftQuantConfig,
-    w_reference: np.ndarray | None = None,
-    counter: FlopCounter | None = None,
-    trace_csv: str | Path | None = None,
-) -> tuple[QuantizedWeight, RoundingState]:
-    """``optimize_rounding`` plus the final logit state, for diagnostics."""
     w = np.asarray(w, dtype=np.float64)
     if cfg.iterations == 0:
-        return rtn_quantize(w, spec), init_rounding_state(w, spec, cfg)
-
-    state = init_rounding_state(w, spec, cfg)
-    m = np.zeros_like(state.b)
-    v = np.zeros_like(state.b)
+        return rtn_quantize(w, spec)
+    # Logits start where the soft assignment equals each weight's own
+    # fractional grid position, clamped away from the sigmoid's saturation.
+    floor_grid = np.floor(w / spec.scale[:, None])
+    frac = np.clip(w / spec.scale[:, None] - floor_grid, 0.01, 0.99)
+    inner = np.clip((frac - GAMMA) / (ZETA - GAMMA), 1e-4, 1 - 1e-4)
+    b = np.log(inner / (1.0 - inner))
+    m = np.zeros_like(b)
+    v = np.zeros_like(b)
+    trace = []
     for it in range(cfg.iterations):
-        state.iteration = it
-        state.beta = cfg.beta_at(it)
-        recon, grad_recon = reconstruction_and_gradient(
-            w, spec, ctx, state, w_reference=w_reference, counter=counter
+        recon, reg, grad = rounding_objective(
+            b, w, spec, ctx, cfg.lam, cfg.beta_at(it), w_reference, counter
         )
-        reg, grad_reg = rounding_regularizer(state)
-        grad = grad_recon + grad_reg
-        state.loss_trace.append((recon + reg, recon, reg))
-
+        trace.append((recon + reg, recon, reg))
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - ADAM_BETA1 ** (it + 1))
         v_hat = v / (1.0 - ADAM_BETA2 ** (it + 1))
-        state.b = state.b - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        b = b - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if counter is not None:
-            counter.add(10 * state.b.size)  # optimizer update elementwise work
+            counter.add(10 * b.size)  # optimizer update elementwise work
 
     if trace_csv is not None:
-        _write_trace(state, trace_csv)
-    return _hard_assignment(w, spec, state), state
-
-
-def _write_trace(state: RoundingState, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "total", "reconstruction", "regularizer"])
-        for i, (total, recon, reg) in enumerate(state.loss_trace):
-            writer.writerow([i, repr(total), repr(recon), repr(reg)])
+        path = Path(trace_csv)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "total", "reconstruction", "regularizer"])
+            writer.writerows((i, *map(repr, row)) for i, row in enumerate(trace))
+    h, _ = rectified_sigmoid(b)
+    g = np.clip(floor_grid + spec.zero_point[:, None] + (h >= 0.5), 0, spec.grid_max)
+    return QuantizedWeight(w_int=g.astype(np.int64), spec=spec)

@@ -228,6 +228,32 @@ class TestCli:
         assert doc["n_bits"] == 4  # flag overrides config
         assert set(doc["projections"]) == {"W_V"}  # config supplies the rest
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"iteratons": 5}, "iteratons"),
+            ({"bits": 3.7}, "bits"),
+            ({"iterations": "abc"}, "iterations"),
+            ({"iterations": None}, "iterations"),
+        ],
+        ids=["unknown-key", "float-bits", "string-iterations", "null-iterations"],
+    )
+    def test_config_file_rejects_unknown_keys_and_wrong_types(self, tmp_path, config, key):
+        _, _, model, calib = make_files(tmp_path, seed=12)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "q.json"
+        res = CliRunner().invoke(
+            main,
+            [
+                "quantize", "--model", str(model), "--calib", str(calib),
+                "--output", str(out), "--config", str(cfg_path),
+            ],
+        )
+        assert res.exit_code == 3, res.output
+        assert f"'{key}'" in res.output
+        assert not out.exists()
+
     def test_flops_single_point_and_itemization(self):
         res = CliRunner().invoke(
             main, ["flops", "--d", "768", "--dh", "64", "--L", "2048", "--B", "4"]

@@ -8,7 +8,6 @@ from attnquant.quantizer import (
     dequantize,
     fit_step_size,
     optq_compensate,
-    optq_quantize,
     quantized_from_json,
     quantized_to_json,
     round_half_away,
@@ -172,7 +171,7 @@ class TestOptq:
         for _ in range(10):
             w = rng.standard_normal((4, 6))
             spec = fit_step_size(w, np.eye(6), 3)
-            qw = optq_quantize(w, np.eye(6), spec)
+            qw = optq_compensate(w, np.eye(6), spec)[0]
             np.testing.assert_array_equal(qw.w_int, rtn_quantize(w, spec).w_int)
             assert not qw.fallback_rtn
 
@@ -182,14 +181,14 @@ class TestOptq:
         h = np.array([[2.0]])
         spec = fit_step_size(w, h, 2)
         np.testing.assert_array_equal(
-            optq_quantize(w, h, spec).w_int, rtn_quantize(w, spec).w_int
+            optq_compensate(w, h, spec)[0].w_int, rtn_quantize(w, spec).w_int
         )
 
     def test_pair_attains_exhaustive_optimum(self):
         w = np.array([[1.3, -0.8]])
         h = np.array([[2.0, 1.0], [1.0, 2.0]])
         spec = fit_step_size(w, h, 2)
-        qw = optq_quantize(w, h, spec)
+        qw = optq_compensate(w, h, spec)[0]
         achieved = trace_quad(dequantize(qw) - w, h)
         s, z = spec.scale[0], spec.zero_point[0]
         best = min(
@@ -202,7 +201,7 @@ class TestOptq:
         w = rng_for(7).standard_normal((2, 3))
         h = -np.eye(3)  # indefinite: damped factorization must fail
         spec = fit_step_size(w, np.eye(3), 2)
-        qw = optq_quantize(w, h, spec)
+        qw = optq_compensate(w, h, spec)[0]
         assert qw.fallback_rtn
         np.testing.assert_array_equal(qw.w_int, rtn_quantize(w, spec).w_int)
 
@@ -226,7 +225,7 @@ class TestOptq:
             h = x @ x.T / 128
             spec = fit_step_size(w, h, 2)
             r = dequantize(rtn_quantize(w, spec)) - w
-            o = dequantize(optq_quantize(w, h, spec)) - w
+            o = dequantize(optq_compensate(w, h, spec)[0]) - w
             wins += trace_quad(o, h) <= trace_quad(r, h) * (1 + 1e-12)
         assert wins >= 190
 
@@ -242,7 +241,7 @@ class TestOptq:
             h = x @ x.T / 128
             spec = minmax_spec(w, 4)
             lr = trace_quad(dequantize(rtn_quantize(w, spec)) - w, h)
-            lo = trace_quad(dequantize(optq_quantize(w, h, spec)) - w, h)
+            lo = trace_quad(dequantize(optq_compensate(w, h, spec)[0]) - w, h)
             wins += lo <= lr * (1 + 1e-12)
             changes.append((lo - lr) / lr)
         assert wins >= 176  # 88%

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from attnquant.errors import DataError
-from attnquant.flops import FlopCounter
+from attnquant.flops import FlopCounter, matmul_flops
 from attnquant.model import generate_synthetic
 from attnquant.objectives import ProjectionKind, context_for, loss, row_hessian
 from attnquant.oracle import exact_error
 from attnquant.quantizer import dequantize, fit_step_size, optq_compensate, rtn_quantize
 from attnquant.rounding import (
-    RoundingState,
     SoftQuantConfig,
-    init_rounding_state,
     optimize_rounding,
-    optimize_rounding_with_state,
-    reconstruction_and_gradient,
     rectified_sigmoid,
+    rounding_objective,
     rounding_regularizer,
-    soft_quantize,
 )
 from attnquant.stats import accumulate_stats
 from conftest import rng_for
@@ -33,106 +29,96 @@ def value_setup(seed=0, d=12, d_h=4, length=6, n=8, bits=2):
     return head, seqs, ctx, w, spec
 
 
-class TestSoftQuantize:
-    def test_saturated_low_is_floor_grid(self):
-        _, _, _, w, spec = value_setup()
-        state = RoundingState(b=np.full(w.shape, -50.0), lam=1.5, beta=2.0)
-        out = soft_quantize(w, spec, state)
+class TestRoundingObjective:
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("b_val, offset", [(-50.0, 0.0), (0.0, 0.5), (50.0, 1.0)])
+    def test_reconstruction_at_floor_midpoint_and_ceil(self, seed, b_val, offset):
+        # h(-50) = 0 and h(50) = 1 exactly: the soft assignment is the floor
+        # or ceil grid point; h(0) = sigmoid(0) * 1.2 - 0.1 = 0.5 up to one
+        # rounding step, the cell midpoint
+        _, _, ctx, w, spec = value_setup(seed=seed)
+        b = np.full(w.shape, b_val)
+        assert abs(rectified_sigmoid(b)[0] - offset).max() < 1e-15
+        recon, reg, _ = rounding_objective(b, w, spec, ctx, 1.5, 2.0)
         s, z = spec.scale[:, None], spec.zero_point[:, None]
-        expected = s * (np.clip(np.floor(w / s) + z, 0, spec.grid_max) - z)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_saturated_high_is_ceil_grid(self):
-        _, _, _, w, spec = value_setup()
-        state = RoundingState(b=np.full(w.shape, 50.0), lam=1.5, beta=2.0)
-        out = soft_quantize(w, spec, state)
-        s, z = spec.scale[:, None], spec.zero_point[:, None]
-        expected = s * (np.clip(np.floor(w / s) + 1 + z, 0, spec.grid_max) - z)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_zero_logit_is_grid_midpoint(self):
-        # h(0) = sigmoid(0) * 1.2 - 0.1 = 0.5 up to one rounding step
-        assert abs(rectified_sigmoid(np.array([[0.0]]))[0, 0] - 0.5) < 1e-15
-        w = np.array([[0.3]])
-        spec_like = fit_step_size(np.array([[0.0, 1.0]]), np.eye(2), 2)
-        state = RoundingState(b=np.zeros((1, 1)), lam=1.5, beta=2.0)
-        out = soft_quantize(w, spec_like, state)
-        s = spec_like.scale[0]
-        expected = s * (np.floor(w / s) + 0.5)
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    def test_hard_ends_lie_on_grid(self):
-        _, _, _, w, spec = value_setup(seed=3)
-        for b_val in (-50.0, 50.0):
-            state = RoundingState(b=np.full(w.shape, b_val), lam=1.5, beta=2.0)
-            out = soft_quantize(w, spec, state)
-            g = out / spec.scale[:, None] + spec.zero_point[:, None]
-            np.testing.assert_allclose(g, np.round(g), atol=1e-9)
+        expected = loss(ctx, w - s * (np.clip(np.floor(w / s) + z + offset, 0, spec.grid_max) - z))
+        if offset == 0.5:
+            np.testing.assert_allclose(recon, expected, rtol=1e-12)
+        else:
+            assert recon == expected and reg == 0.0
 
 
 class TestRegularizer:
     def test_zero_at_hard_assignments(self):
-        state = RoundingState(b=np.array([[-50.0, 50.0]]), lam=1.5, beta=4.0)
-        value, grad = rounding_regularizer(state)
+        value, grad = rounding_regularizer(*rectified_sigmoid(np.array([[-50.0, 50.0]])), 1.5, 4.0)
         assert value == 0.0
         np.testing.assert_array_equal(grad, np.zeros((1, 2)))
 
     def test_single_midpoint_entry(self):
-        state = RoundingState(b=np.array([[0.0]]), lam=1.5, beta=7.0)
-        value, _ = rounding_regularizer(state)
+        value, _ = rounding_regularizer(*rectified_sigmoid(np.array([[0.0]])), 1.5, 7.0)
         assert value == 1.5
 
     def test_gradient_matches_finite_differences(self):
         rng = rng_for(1)
         b = rng.uniform(-1.5, 1.5, size=(3, 4))
-        state = RoundingState(b=b, lam=1.5, beta=2.0)
-        _, grad = rounding_regularizer(state)
+        _, grad = rounding_regularizer(*rectified_sigmoid(b), 1.5, 2.0)
         eps = 1e-6
         for i in range(3):
             for j in range(4):
                 bp, bm = b.copy(), b.copy()
                 bp[i, j] += eps
                 bm[i, j] -= eps
-                vp, _ = rounding_regularizer(RoundingState(b=bp, lam=1.5, beta=2.0))
-                vm, _ = rounding_regularizer(RoundingState(b=bm, lam=1.5, beta=2.0))
+                vp, _ = rounding_regularizer(*rectified_sigmoid(bp), 1.5, 2.0)
+                vm, _ = rounding_regularizer(*rectified_sigmoid(bm), 1.5, 2.0)
                 fd = (vp - vm) / (2 * eps)
                 assert abs(fd - grad[i, j]) <= 1e-5 * max(1.0, abs(fd))
 
     def test_rejects_nonpositive_beta(self):
-        state = RoundingState(b=np.zeros((1, 1)), lam=1.5, beta=0.0)
         with pytest.raises(DataError):
-            rounding_regularizer(state)
+            rounding_regularizer(*rectified_sigmoid(np.zeros((1, 1))), 1.5, 0.0)
 
 
 class TestTotalObjectiveGradient:
-    def test_matches_finite_differences_away_from_clamps(self):
-        _, _, ctx, w, spec = value_setup(seed=2)
-        cfg = SoftQuantConfig()
-        state = init_rounding_state(w, spec, cfg)
-        state.beta = 2.0
-        _, grad_recon = reconstruction_and_gradient(w, spec, ctx, state)
-        _, grad_reg = rounding_regularizer(state)
-        grad = grad_recon + grad_reg
+    def check_against_finite_differences(self, w, spec, ctx, w_reference=None):
         rng = rng_for(3)
+        b = rng.uniform(-2.0, 2.0, size=w.shape)
+
+        def total(b):
+            recon, reg, grad = rounding_objective(b, w, spec, ctx, 1.5, 2.0, w_reference)
+            return recon + reg, grad
+
+        _, grad = total(b)
         eps = 1e-6
         checked = 0
         while checked < 20:
             i = int(rng.integers(0, w.shape[0]))
             j = int(rng.integers(0, w.shape[1]))
-            h = rectified_sigmoid(state.b[i, j])
+            h = rectified_sigmoid(b[i, j])[0]
             if h <= 1e-3 or h >= 1 - 1e-3:
                 continue  # clamped region has a genuine kink
-            b0 = state.b.copy()
-            state.b = b0.copy()
-            state.b[i, j] += eps
-            vp = reconstruction_and_gradient(w, spec, ctx, state)[0] + rounding_regularizer(state)[0]
-            state.b = b0.copy()
-            state.b[i, j] -= eps
-            vm = reconstruction_and_gradient(w, spec, ctx, state)[0] + rounding_regularizer(state)[0]
-            state.b = b0
-            fd = (vp - vm) / (2 * eps)
+            bp, bm = b.copy(), b.copy()
+            bp[i, j] += eps
+            bm[i, j] -= eps
+            fd = (total(bp)[0] - total(bm)[0]) / (2 * eps)
             assert abs(fd - grad[i, j]) / max(abs(fd), 1e-10) <= 1e-4
             checked += 1
+
+    def test_matches_finite_differences_away_from_clamps(self):
+        _, _, ctx, w, spec = value_setup(seed=2)
+        self.check_against_finite_differences(w, spec, ctx)
+
+    def test_matches_finite_differences_with_compensated_warm_start(self):
+        # the pipeline's case: the soft assignment lives on the OPTQ-compensated
+        # weights' grid cells, the loss measures the deviation from the originals
+        _, _, ctx, w, spec = value_setup(seed=2)
+        _, comp = optq_compensate(w, row_hessian(ctx), spec)
+        self.check_against_finite_differences(comp, spec, ctx, w_reference=w)
+
+
+def read_trace(path):
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], [[float(x) for x in row] for row in rows[1:]]
 
 
 class TestOptimizeRounding:
@@ -141,12 +127,16 @@ class TestOptimizeRounding:
         qw = optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=0))
         np.testing.assert_array_equal(qw.w_int, rtn_quantize(w, spec).w_int)
 
-    def test_huge_rounding_weight_saturates_h(self):
+    def test_huge_rounding_weight_saturates_h(self, tmp_path):
+        # every h ends exactly at 0 or 1: the last regularizer is exactly 0
+        # and the last soft reconstruction is the hard assignment's loss
         _, _, ctx, w, spec = value_setup(seed=0)
-        cfg = SoftQuantConfig(lam=1e6)
-        _, state = optimize_rounding_with_state(w, spec, ctx, cfg, w_reference=w)
-        h = rectified_sigmoid(state.b, state.zeta, state.gamma)
-        assert float(np.minimum(h, 1 - h).max()) <= 1e-3
+        path = tmp_path / "trace.csv"
+        qw = optimize_rounding(w, spec, ctx, SoftQuantConfig(lam=1e6), w_reference=w, trace_csv=path)
+        _, rows = read_trace(path)
+        _, _, recon, reg = rows[-1]
+        assert reg == 0.0
+        assert recon == loss(ctx, dequantize(qw) - w)
 
     def test_deterministic(self):
         _, _, ctx, w, spec = value_setup(seed=5)
@@ -155,24 +145,36 @@ class TestOptimizeRounding:
         b = optimize_rounding(w, spec, ctx, cfg)
         np.testing.assert_array_equal(a.w_int, b.w_int)
 
-    def test_loss_trace_length_and_finiteness(self):
-        _, _, ctx, w, spec = value_setup(seed=6)
-        cfg = SoftQuantConfig(iterations=150)
-        qw, state = optimize_rounding_with_state(w, spec, ctx, cfg)
-        assert len(state.loss_trace) == 150
-        total, recon, reg = state.loss_trace[-1]
-        assert np.isfinite(total) and recon >= 0.0
-        final_delta = dequantize(qw) - w
-        assert loss(ctx, final_delta) >= 0.0
-
     def test_trace_csv_schema(self, tmp_path):
-        _, _, ctx, w, spec = value_setup(seed=7)
+        # schema, one finite row per iteration, non-negative reconstruction
+        _, _, ctx, w, spec = value_setup(seed=6)
         path = tmp_path / "trace.csv"
-        optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=20), trace_csv=path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "total", "reconstruction", "regularizer"]
-        assert len(rows) == 21
+        qw = optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=150), trace_csv=path)
+        header, rows = read_trace(path)
+        assert header == ["iteration", "total", "reconstruction", "regularizer"]
+        assert [row[0] for row in rows] == list(range(150))
+        assert np.isfinite(rows).all()
+        assert all(recon >= 0.0 for _, _, recon, _ in rows)
+        assert loss(ctx, dequantize(qw) - w) >= 0.0
+
+    @pytest.mark.parametrize("kind", list(ProjectionKind), ids=lambda k: k.value)
+    def test_per_iteration_flops_match_closed_form(self, kind):
+        # loss + gradient + 6 elementwise ops per weight for the step and 10
+        # for the optimizer update; query/key add one d_h x d_h left product
+        # to each of the loss and the gradient
+        d, d_h = 16, 4
+        head, seqs = generate_synthetic(8, d, d_h, 8, 8)
+        ctx = context_for(kind, accumulate_stats(head, seqs))
+        w = head.projection("W_V")
+        spec = fit_step_size(w, row_hessian(ctx), 2)
+        per_iter = 2 * matmul_flops(d_h, d, d) + 3 * d_h * d - 1 + 16 * d_h * d
+        if kind in (ProjectionKind.QUERY, ProjectionKind.KEY):
+            per_iter += 2 * matmul_flops(d_h, d_h, d)
+        assert per_iter == {"value": 5183, "other": 5183, "query": 6079, "key": 6079}[kind.value]
+        for iterations in (1, 3):
+            counter = FlopCounter()
+            optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=iterations), counter=counter)
+            assert counter.count == iterations * per_iter
 
     def test_per_iteration_cost_independent_of_calibration_size(self):
         head, seqs = generate_synthetic(8, 16, 4, 8, 64)
