@@ -8,7 +8,13 @@ from attnquant.flops import FlopCounter, matmul_flops
 from attnquant.model import generate_synthetic
 from attnquant.objectives import ProjectionKind, context_for, loss, row_hessian
 from attnquant.oracle import exact_error
-from attnquant.quantizer import dequantize, fit_step_size, optq_compensate, rtn_quantize
+from attnquant.quantizer import (
+    QuantizedWeight,
+    dequantize,
+    fit_step_size,
+    optq_compensate,
+    rtn_quantize,
+)
 from attnquant.rounding import (
     SoftQuantConfig,
     optimize_rounding,
@@ -27,6 +33,30 @@ def value_setup(seed=0, d=12, d_h=4, length=6, n=8, bits=2):
     w = head.projection("W_V")
     spec = fit_step_size(w, row_hessian(ctx), bits)
     return head, seqs, ctx, w, spec
+
+
+class TestSoftQuantize:
+    # The soft assignment is read through rounding_objective: with the
+    # expected weights as w_reference the deviation is exactly zero, so the
+    # reconstruction and the gradient are exactly zero.
+    def test_saturated_low_is_floor_grid(self):
+        _, _, ctx, w, spec = value_setup()
+        b = np.full(w.shape, -50.0)
+        s, z = spec.scale[:, None], spec.zero_point[:, None]
+        expected = s * (np.clip(np.floor(w / s) + z, 0, spec.grid_max) - z)
+        recon, reg, grad = rounding_objective(b, w, spec, ctx, 1.5, 2.0, w_reference=expected)
+        assert recon == 0.0 and reg == 0.0
+        np.testing.assert_array_equal(grad, np.zeros(w.shape))
+
+    def test_hard_ends_lie_on_grid(self):
+        _, _, ctx, w, spec = value_setup(seed=3)
+        for b_val in (-50.0, 50.0):
+            b = np.full(w.shape, b_val)
+            g = np.floor(w / spec.scale[:, None]) + spec.zero_point[:, None] + (b_val > 0)
+            on_grid = dequantize(QuantizedWeight(np.clip(g, 0, spec.grid_max).astype(np.int64), spec))
+            recon, reg, grad = rounding_objective(b, w, spec, ctx, 1.5, 2.0, w_reference=on_grid)
+            assert recon == 0.0 and reg == 0.0
+            np.testing.assert_array_equal(grad, np.zeros(w.shape))
 
 
 class TestRoundingObjective:
@@ -145,17 +175,24 @@ class TestOptimizeRounding:
         b = optimize_rounding(w, spec, ctx, cfg)
         np.testing.assert_array_equal(a.w_int, b.w_int)
 
-    def test_trace_csv_schema(self, tmp_path):
-        # schema, one finite row per iteration, non-negative reconstruction
+    def test_loss_trace_length_and_finiteness(self, tmp_path):
+        # one finite row per iteration, non-negative reconstruction
         _, _, ctx, w, spec = value_setup(seed=6)
         path = tmp_path / "trace.csv"
         qw = optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=150), trace_csv=path)
-        header, rows = read_trace(path)
-        assert header == ["iteration", "total", "reconstruction", "regularizer"]
-        assert [row[0] for row in rows] == list(range(150))
+        _, rows = read_trace(path)
+        assert len(rows) == 150
         assert np.isfinite(rows).all()
         assert all(recon >= 0.0 for _, _, recon, _ in rows)
         assert loss(ctx, dequantize(qw) - w) >= 0.0
+
+    def test_trace_csv_schema(self, tmp_path):
+        _, _, ctx, w, spec = value_setup(seed=7)
+        path = tmp_path / "trace.csv"
+        optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=20), trace_csv=path)
+        header, rows = read_trace(path)
+        assert header == ["iteration", "total", "reconstruction", "regularizer"]
+        assert [row[0] for row in rows] == list(range(20))
 
     @pytest.mark.parametrize("kind", list(ProjectionKind), ids=lambda k: k.value)
     def test_per_iteration_flops_match_closed_form(self, kind):
