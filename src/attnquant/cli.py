@@ -90,6 +90,9 @@ _CONFIG_KEYS = {
     "value_kind": "string", "iterations": "integer", "learning_rate": "number", "lam": "number",
 }
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
+_CASTS = {"integer": int, "number": float, "string": str}
+# Keys that configure the rounding loop; the rest are PipelineConfig fields.
+_SOFT_KEYS = ("iterations", "learning_rate", "lam")
 
 
 def _merge_config(config_path, overrides: dict) -> dict:
@@ -139,19 +142,9 @@ def _merge_config(config_path, overrides: dict) -> dict:
 def quantize(model, calib, output, report_out, config_path, trace_prefix, stats_cache, **flags):
     """Quantize a checkpoint against a calibration set."""
     opts = _merge_config(config_path, flags)
-    soft = SoftQuantConfig(
-        iterations=int(opts.get("iterations", 2000)),
-        learning_rate=float(opts.get("learning_rate", 0.015)),
-        lam=float(opts.get("lam", 1.5)),
-    )
-    cfg = PipelineConfig(
-        bits=int(opts.get("bits", 4)),
-        method=str(opts.get("method", "aespa")),
-        order=str(opts.get("order", "VQK")),
-        projections=str(opts.get("projections", "VQK")),
-        value_kind=str(opts.get("value_kind", "value")),
-        soft=soft,
-    )
+    given = {key: _CASTS[_CONFIG_KEYS[key]](value) for key, value in opts.items()}
+    soft = SoftQuantConfig(**{key: given.pop(key) for key in _SOFT_KEYS if key in given})
+    cfg = PipelineConfig(**given, soft=soft)
     head = load_checkpoint(model)
     seqs = load_calibration(calib)
     stats = None

@@ -32,6 +32,10 @@ CLIP_RATIO_LO = 0.4
 CLIP_RATIO_HI = 1.0
 N_CLIP_RATIOS = 128
 OPTQ_DAMPING = 0.01
+# fit_step_size screens rows in blocks whose candidate errors take about this
+# many bytes; u is the float64 unit roundoff of its certification bound.
+_SCREEN_BLOCK_BYTES = 8 << 20
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def round_half_away(x):
@@ -106,32 +110,91 @@ def dequantize(qw: QuantizedWeight) -> np.ndarray:
     return s * (qw.w_int.astype(np.float64) - z)
 
 
-def _candidate_grids(row: np.ndarray, n_bits: int):
-    """Yield (scale, zero_point) for each clip ratio in [0.4, 1.0] * max-abs.
+def _candidate_grids(w: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scales and zero-points, each (rows, N_CLIP_RATIOS), of the grids that
+    clip each row to ratio * max-abs for ratios evenly spaced in [0.4, 1.0].
 
     The clipped range is widened to include zero so that zero is always
-    exactly representable and the derived zero-point lands on the grid.
+    exactly representable and the derived zero-point lands on the grid. A
+    candidate whose scale is not positive (every scale of an all-zero row,
+    or one that underflows) gets zero-point 0 and must be skipped.
     """
     grid_max = (1 << n_bits) - 1
-    max_abs = float(np.abs(row).max())
-    w_min, w_max = float(row.min()), float(row.max())
-    for ratio in np.linspace(CLIP_RATIO_LO, CLIP_RATIO_HI, N_CLIP_RATIOS):
-        bound = ratio * max_abs
-        lo = min(max(w_min, -bound), 0.0)
-        hi = max(min(w_max, bound), 0.0)
-        scale = (hi - lo) / grid_max
-        if scale <= 0:
-            continue
-        zero_point = int(np.clip(round_half_away(-lo / scale), 0, grid_max))
-        yield scale, zero_point
+    ratios = np.linspace(CLIP_RATIO_LO, CLIP_RATIO_HI, N_CLIP_RATIOS)
+    bound = ratios * np.abs(w).max(axis=1, initial=0.0)[:, None]
+    lo = np.minimum(np.maximum(w.min(axis=1, initial=0.0)[:, None], -bound), 0.0)
+    hi = np.maximum(np.minimum(w.max(axis=1, initial=0.0)[:, None], bound), 0.0)
+    scale = (hi - lo) / grid_max
+    valid = scale > 0
+    zero_point = np.clip(round_half_away(-lo / np.where(valid, scale, 1.0)), 0, grid_max)
+    return scale, np.where(valid, zero_point, 0).astype(np.int64)
+
+
+def _candidate_errors(rows: np.ndarray, scale: np.ndarray, zero_point: np.ndarray, grid_max: int) -> np.ndarray:
+    """Nearest-rounding errors s * (g - z) - row, shape (rows, candidates, d),
+    built in place with the same IEEE operations, in the same order, as the
+    single-candidate expression in ``_best_candidate``."""
+    s = scale[:, :, None]
+    z = zero_point[:, :, None]
+    x = rows[:, None, :] / s
+    err = np.abs(x)
+    err += 0.5
+    np.floor(err, out=err)
+    np.copysign(err, x, out=err)
+    del x
+    err += z
+    np.clip(err, 0, grid_max, out=err)
+    err -= z
+    err *= s
+    err -= rows[:, None, :]
+    return err
+
+
+def _best_candidate(row, hessian, scale, zero_point, grid_max):
+    """(scale, zero_point) of the given candidates that wins under the exact
+    per-candidate objective err @ H @ err, taken in ratio order: the lower
+    objective wins, and on an exact tie the larger scale wins."""
+    best = None
+    for s, z in zip(scale, zero_point.tolist()):
+        g = np.clip(round_half_away(row / s) + z, 0, grid_max)
+        err = s * (g - z) - row
+        obj = float(err @ hessian @ err)
+        if best is None or obj < best[0] or (obj == best[0] and s > best[1]):
+            best = (obj, s, z)
+    return best[1], best[2]
 
 
 def fit_step_size(w: np.ndarray, hessian: np.ndarray, n_bits: int) -> QuantSpec:
     """Per-row grid search over clip ratios minimizing dw @ H @ dw^T under
     nearest rounding, with dw the row's dequantization error.
 
-    Ties break toward the larger scale. All-zero rows get a tiny fixed
-    scale and a mid-grid zero-point; their loss contribution is zero.
+    Ties break toward the larger scale. A row with no candidate of positive
+    scale (all zeros, or so small that every scale underflows) gets a tiny
+    fixed scale and a mid-grid zero-point; its loss contribution is zero.
+
+    The search screens, then certifies. Rows are taken in blocks of about
+    ``_SCREEN_BLOCK_BYTES`` of candidate errors. One GEMM per block gives
+    every candidate k a screen value O_k = sum((E @ H) * E) of its error
+    e_k. Only the candidates that the screen cannot rule out are scored
+    again with the exact per-candidate expression ``err @ H @ err`` (R_k),
+    and the tie rule above is applied to those in ratio order.
+
+    Why the result equals scoring every candidate exactly: O_k and R_k both
+    evaluate e_k^T H e_k with d-term dot products, then one more d-term
+    sum. Whatever the summation order, each is within
+    gamma_{2d+1} |e_k|^T |H| |e_k| <= gamma_{2d+1} ||H|| ||e_k||^2 of the
+    exact value, where gamma_n = n u / (1 - n u), u = 2^-53 and
+    ||H|| = max(||H||_1, ||H||_inf) >= || |H| ||_2. So |O_k - R_k| <= m_k
+    with m_k = 4 gamma_{2d+2} ||H|| ||e_k||^2 (the factor 4 over 2 covers
+    the rounding of m_k itself) plus an absolute term for underflow of at
+    most 2^-1075 per product. If candidate j attains the minimum of R, then
+    for every i, O_j - m_j <= R_j <= R_i <= O_i + m_i, and rounding is
+    monotone, so fl(O_j - m_j) <= min_i fl(O_i + m_i): j survives the
+    screen. Every candidate tied with the minimum survives the same way,
+    and the non-minimal survivors cannot win, so the tie rule over the
+    survivors picks what it picks over all candidates. The bound assumes no
+    overflow, so a row with a screen value that is not finite keeps every
+    candidate.
     """
     w = np.asarray(w, dtype=np.float64)
     hessian = np.asarray(hessian, dtype=np.float64)
@@ -141,22 +204,43 @@ def fit_step_size(w: np.ndarray, hessian: np.ndarray, n_bits: int) -> QuantSpec:
         raise DataError(
             f"hessian is {hessian.shape}, expected {w.shape[1]}x{w.shape[1]}"
         )
+    if not (np.isfinite(w).all() and np.isfinite(hessian).all()):
+        raise DataError("fit_step_size needs finite weights and curvature")
+    n_rows, d = w.shape
     grid_max = (1 << n_bits) - 1
-    scales = np.empty(w.shape[0])
-    zero_points = np.empty(w.shape[0], dtype=np.int64)
-    for i, row in enumerate(w):
-        if not np.any(row):
-            scales[i] = ZERO_ROW_SCALE
-            zero_points[i] = 1 << (n_bits - 1)
-            continue
-        best = None
-        for s, z in _candidate_grids(row, n_bits):
-            g = np.clip(round_half_away(row / s) + z, 0, grid_max)
-            err = s * (g - z) - row
-            obj = float(err @ hessian @ err)
-            if best is None or obj < best[0] or (obj == best[0] and s > best[1]):
-                best = (obj, s, z)
-        scales[i], zero_points[i] = best[1], best[2]
+    scales = np.full(n_rows, ZERO_ROW_SCALE)
+    zero_points = np.full(n_rows, 1 << (n_bits - 1), dtype=np.int64)
+    cand_scale, cand_zero = _candidate_grids(w, n_bits)
+    valid = cand_scale > 0
+    fitted = np.flatnonzero(valid.any(axis=1))
+
+    n = 2 * d + 2
+    gamma = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+    abs_h = np.abs(hessian)
+    h_norm = max(abs_h.sum(axis=0).max(initial=0.0), abs_h.sum(axis=1).max(initial=0.0))
+    underflow = 4 * (d + 1) ** 2 * np.finfo(np.float64).smallest_subnormal
+    block = max(1, _SCREEN_BLOCK_BYTES // (N_CLIP_RATIOS * max(d, 1) * 8))
+
+    for start in range(0, fitted.size, block):
+        idx = fitted[start : start + block]
+        ok = valid[idx]
+        scale = np.where(ok, cand_scale[idx], 1.0)
+        err = _candidate_errors(w[idx], scale, cand_zero[idx], grid_max).reshape(-1, d)
+        margin = 4 * gamma * h_norm * np.einsum("ij,ij->i", err, err) + underflow
+        weighted = err @ hessian
+        weighted *= err
+        del err
+        screen = weighted.sum(axis=1).reshape(ok.shape)
+        screen[~np.isfinite(screen)] = np.nan  # overflow: the bound does not hold
+        screen[~ok] = np.inf
+        margin = margin.reshape(ok.shape)
+        ceiling = (screen + margin).min(axis=1, keepdims=True)
+        keep = ok & ~(screen - margin > ceiling)
+        for r, i in enumerate(idx):
+            k = np.flatnonzero(keep[r])
+            scales[i], zero_points[i] = _best_candidate(
+                w[i], hessian, cand_scale[i, k], cand_zero[i, k], grid_max
+            )
     return QuantSpec(n_bits=n_bits, scale=scales, zero_point=zero_points)
 
 

@@ -62,8 +62,10 @@ class SoftQuantConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise DataError("iterations must be >= 0")
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise DataError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0 <= self.lam < np.inf:
+            raise DataError(f"lam (rounding weight) must be >= 0 and finite, got {self.lam}")
 
     def beta_at(self, iteration: int) -> float:
         """Regularizer exponent at ``iteration`` of this schedule."""

@@ -77,8 +77,9 @@ def accumulate_stats(head: AttentionHead, sequences: list[CalibSequence]) -> Cal
     """Mean of the per-sequence matrices XX^T, XA^TAX^T, K^TK, Q^TQ, where A
     comes from the full-precision forward pass.
 
-    Each per-sequence term is stacked and reduced with numpy's mean, whose
-    pairwise summation keeps accumulation drift bounded on large sets.
+    Each per-sequence term is stacked and reduced with numpy's mean over the
+    sequence axis. That reduction adds the sequences one after another (it
+    is not pairwise), so it equals a running sum divided by the count.
     """
     if not sequences:
         raise DataError("cannot accumulate statistics from an empty sequence list")

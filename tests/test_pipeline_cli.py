@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from attnquant import checks
+from attnquant import checks, cli
 from attnquant.cli import main
 from attnquant.errors import DataError
 from attnquant.model import attention_forward, generate_synthetic, load_calibration, load_checkpoint, save_calibration, save_checkpoint
@@ -253,6 +253,38 @@ class TestCli:
         assert res.exit_code == 3, res.output
         assert f"'{key}'" in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--learning-rate", "nan"), ("--rounding-weight", "-5")],
+        ids=["nan-learning-rate", "negative-rounding-weight"],
+    )
+    def test_quantize_rejects_bad_rounding_settings(self, tmp_path, flag, value):
+        _, _, model, calib = make_files(tmp_path, seed=12)
+        out = tmp_path / "q.json"
+        res = CliRunner().invoke(
+            main,
+            ["quantize", "--model", str(model), "--calib", str(calib),
+             "--output", str(out), "--iterations", "5", flag, value],
+        )
+        assert res.exit_code == 3, res.output
+        assert not out.exists()
+
+    def test_quantize_defaults_come_from_the_dataclasses(self, tmp_path, monkeypatch):
+        _, _, model, calib = make_files(tmp_path, seed=12)
+        seen = []
+
+        def spy(head, seqs, cfg, **kwargs):
+            seen.append(cfg)
+            raise DataError("stop after the config is built")
+
+        monkeypatch.setattr(cli, "quantize_head", spy)
+        res = CliRunner().invoke(
+            main, ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(tmp_path / "q.json")]
+        )
+        assert res.exit_code == 3, res.output
+        assert seen == [PipelineConfig()]
+        assert seen[0].soft == SoftQuantConfig()
 
     def test_flops_single_point_and_itemization(self):
         res = CliRunner().invoke(

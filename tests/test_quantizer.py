@@ -1,10 +1,19 @@
-import numpy as np
-import pytest
+import tracemalloc
 from itertools import product
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from attnquant.errors import DataError
+from attnquant.pipeline import VALID_BITS
 from attnquant.quantizer import (
+    CLIP_RATIO_HI,
+    CLIP_RATIO_LO,
+    N_CLIP_RATIOS,
+    ZERO_ROW_SCALE,
     QuantSpec,
+    _candidate_grids,
     dequantize,
     fit_step_size,
     optq_compensate,
@@ -22,6 +31,57 @@ def quantize_value(x: float, s: float, z: int, n: int) -> float:
         raise DataError("scale must be positive")
     g = np.clip(round_half_away(x / s) + z, 0, (1 << n) - 1)
     return float(s * (g - z))
+
+
+def reference_fit_step_size(w, hessian, n_bits):
+    """Brute force: every clip ratio, one scalar grid at a time, scored with
+    err @ H @ err; the lower objective wins, on an exact tie the larger
+    scale. A row with no positive-scale candidate gets the zero-row grid."""
+    grid_max = (1 << n_bits) - 1
+    scales, zero_points = [], []
+    for row in w:
+        max_abs = float(np.abs(row).max())
+        w_min, w_max = float(row.min()), float(row.max())
+        best = None
+        for ratio in np.linspace(CLIP_RATIO_LO, CLIP_RATIO_HI, N_CLIP_RATIOS):
+            bound = ratio * max_abs
+            lo = min(max(w_min, -bound), 0.0)
+            hi = max(min(w_max, bound), 0.0)
+            s = (hi - lo) / grid_max
+            if s <= 0:
+                continue
+            z = int(np.clip(round_half_away(-lo / s), 0, grid_max))
+            g = np.clip(round_half_away(row / s) + z, 0, grid_max)
+            err = s * (g - z) - row
+            obj = float(err @ hessian @ err)
+            if best is None or obj < best[0] or (obj == best[0] and s > best[1]):
+                best = (obj, s, z)
+        if best is None:
+            best = (0.0, ZERO_ROW_SCALE, 1 << (n_bits - 1))
+        scales.append(best[1])
+        zero_points.append(best[2])
+    return np.array(scales), np.array(zero_points, dtype=np.int64)
+
+
+def assert_matches_reference(w, h, bits):
+    spec = fit_step_size(w, h, bits)
+    ref_scale, ref_zero = reference_fit_step_size(w, h, bits)
+    np.testing.assert_array_equal(spec.scale, ref_scale)
+    np.testing.assert_array_equal(spec.zero_point, ref_zero)
+    return spec
+
+
+def curvature(kind, d, rng):
+    """Test curvatures: random PSD, rank-1, condition number 1e12, and
+    random PSD scaled by 1e6 and 1e-6."""
+    x = rng.standard_normal((d, d + 2))
+    if kind == "rank1":
+        v = rng.standard_normal(d)
+        return np.outer(v, v)
+    if kind == "ill":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return (q * np.logspace(0, 12, d)) @ q.T
+    return x @ x.T * {"psd": 1.0, "up": 1e6, "down": 1e-6}[kind]
 
 
 def minmax_spec(w, bits):
@@ -98,14 +158,15 @@ class TestFitStepSize:
         assert trace_quad(err, np.eye(4)) == 0.0
 
     def test_identity_hessian_matches_exhaustive_candidate_search(self):
-        from attnquant.quantizer import _candidate_grids
-
         rng = rng_for(2)
         w = rng.standard_normal((1, 8))
         spec = fit_step_size(w, np.eye(8), 2)
         fitted = dequantize(rtn_quantize(w, spec)) - w
+        scale, zero_point = _candidate_grids(w, 2)
+        assert scale.shape == zero_point.shape == (1, N_CLIP_RATIOS)
+        assert np.all(scale > 0)
         best = None
-        for s, z in _candidate_grids(w[0], 2):
+        for s, z in zip(scale[0], zero_point[0]):
             g = np.clip(round_half_away(w[0] / s) + z, 0, 3)
             err = s * (g - z) - w[0]
             obj = float(err @ err)
@@ -163,6 +224,79 @@ class TestFitStepSize:
     def test_shape_validation(self):
         with pytest.raises(DataError):
             fit_step_size(np.zeros((2, 3)), np.eye(4), 2)
+
+    def test_rejects_non_finite_inputs(self):
+        with pytest.raises(DataError):
+            fit_step_size(np.array([[1.0, np.nan]]), np.eye(2), 2)
+        with pytest.raises(DataError):
+            fit_step_size(np.array([[1.0, 2.0]]), np.diag([1.0, np.inf]), 2)
+
+    def test_subnormal_row_whose_scales_underflow_gets_zero_row_grid(self):
+        # every candidate scale of this row rounds to 0
+        w = np.array([[5e-324, 0.0], [1.0, -2.0]])
+        spec = assert_matches_reference(w, np.eye(2), 2)
+        assert spec.scale[0] == ZERO_ROW_SCALE
+        assert spec.zero_point[0] == 2
+
+    def test_tiny_row_with_underflowing_objectives_matches_reference(self):
+        # positive subnormal scales; every objective underflows to 0, so
+        # the screen keeps all candidates and the largest scale wins
+        w = np.array([[1e-310, -3e-311, 0.0, 7e-312]])
+        spec = assert_matches_reference(w, np.eye(4), 3)
+        assert spec.scale[0] == _candidate_grids(w, 3)[0][0, -1]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_row_whose_objectives_overflow_matches_reference(self):
+        # every objective overflows to inf and ties, so the largest scale wins
+        w = rng_for(14).standard_normal((2, 6)) * 1e155
+        spec = assert_matches_reference(w, np.eye(6), 3)
+        np.testing.assert_array_equal(spec.scale, _candidate_grids(w, 3)[0][:, -1])
+
+    def test_zero_hessian_ties_every_candidate_and_the_largest_scale_wins(self):
+        w = rng_for(12).standard_normal((3, 10))
+        w[1] = 0.0
+        spec = assert_matches_reference(w, np.zeros((10, 10)), 3)
+        scale, zero_point = _candidate_grids(w, 3)
+        np.testing.assert_array_equal(spec.scale[[0, 2]], scale[[0, 2], -1])
+        np.testing.assert_array_equal(spec.zero_point[[0, 2]], zero_point[[0, 2], -1])
+        assert spec.scale[1] == ZERO_ROW_SCALE
+
+    def test_near_tie_that_the_gemm_screen_alone_misranks(self):
+        # the two best candidates differ by 1 ulp under err @ H @ err, and
+        # their GEMM screen values rank them the other way round; without
+        # the certification margin the screen drops the exact winner
+        w = np.array([[-2, 5, 0, -1, 5, -3, -6, -6, -4, 6, -6, 6, 2,
+                       -2, 1, 5, -2, 1, -6, 1, -1, 6, -4, -3, -1]], dtype=float)
+        assert_matches_reference(w, np.eye(w.shape[1]), 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        d=st.integers(1, 48),
+        bits=st.sampled_from(VALID_BITS),
+        kind=st.sampled_from(["psd", "rank1", "ill", "up", "down"]),
+        zero_frac=st.sampled_from([0.0, 0.25, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force_reference(self, rows, d, bits, kind, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-3, 3)
+        w[rng.random(rows) < zero_frac] = 0.0
+        assert_matches_reference(w, curvature(kind, d, rng), bits)
+
+    def test_wide_block_memory_is_bounded(self):
+        # one unblocked (64*128, 768) candidate array alone is 50 MB
+        rng = rng_for(13)
+        w = rng.standard_normal((64, 768))
+        x = rng.standard_normal((768, 800))
+        h = x @ x.T / 800
+        tracemalloc.start()
+        try:
+            fit_step_size(w, h, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestOptq:

@@ -258,3 +258,16 @@ class TestConfig:
             SoftQuantConfig(iterations=-1)
         with pytest.raises(DataError):
             SoftQuantConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"learning_rate": -0.1},
+         {"lam": -5.0}, {"lam": float("nan")}, {"lam": float("inf")}],
+        ids=["lr-nan", "lr-inf", "lr-negative", "lam-negative", "lam-nan", "lam-inf"],
+    )
+    def test_rejects_non_finite_or_out_of_range_settings(self, bad):
+        with pytest.raises(DataError):
+            SoftQuantConfig(**bad)
+
+    def test_accepts_zero_rounding_weight(self):
+        assert SoftQuantConfig(lam=0.0).lam == 0.0
