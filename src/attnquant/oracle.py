@@ -69,22 +69,46 @@ def _check_delta(head: AttentionHead, delta_w: np.ndarray) -> np.ndarray:
     return delta_w
 
 
+def _check_reference(
+    head: AttentionHead, sequences: list[CalibSequence], reference: list[np.ndarray]
+) -> None:
+    if len(reference) != len(sequences):
+        raise DataError(
+            f"reference has {len(reference)} outputs for {len(sequences)} sequences"
+        )
+    for i, (seq, sa_ref) in enumerate(zip(sequences, reference)):
+        shape = np.shape(sa_ref)
+        if shape != (seq.length, head.d_h):
+            raise DataError(
+                f"reference[{i}] has shape {shape}, expected {seq.length}x{head.d_h}"
+            )
+
+
 def exact_error(
     head: AttentionHead,
     sequences: list[CalibSequence],
     kind: ProjectionKind,
     delta_w: np.ndarray,
+    reference: list[np.ndarray] | None = None,
 ) -> float:
     """Mean over sequences of ||SA(perturbed) - SA(full precision)||_F^2,
-    recomputing the softmax forward pass with the perturbed projection."""
+    recomputing the softmax forward pass with the perturbed projection.
+
+    ``reference`` may hold the full-precision outputs SA, one L x d_h matrix
+    per sequence, so a caller that already ran those forwards does not
+    repeat them; without it they are recomputed here.
+    """
     if not sequences:
         raise DataError("exact_error needs at least one sequence")
     delta_w = _check_delta(head, delta_w)
+    if reference is None:
+        reference = (attention_forward(head, seq).sa for seq in sequences)
+    else:
+        _check_reference(head, sequences, reference)
     name = _KIND_TO_PROJECTION[kind]
     perturbed = head.replace(name, head.projection(name) + delta_w)
     total = 0.0
-    for seq in sequences:
-        sa_ref = attention_forward(head, seq).sa
+    for seq, sa_ref in zip(sequences, reference):
         sa_pert = attention_forward(perturbed, seq).sa
         total += float(np.sum((sa_pert - sa_ref) ** 2))
     return total / len(sequences)

@@ -2,9 +2,10 @@
 
 Each projection is quantized separately with the others held at full
 precision: statistics are accumulated once from the full-precision forward
-pass, then per projection a grid is fitted against the row curvature, an
-integer warm start is produced by column compensation, and (for the learned
-method) the rounding logits are optimized under the projection's trace loss.
+pass, whose outputs the report's exact errors reuse. Then per projection a
+grid is fitted against the row curvature, an integer warm start is produced
+by column compensation, and (for the learned method) the rounding logits
+are optimized under the projection's trace loss.
 
 Method semantics:
   rtn            naive baseline: grid fitted by plain rounding error
@@ -19,6 +20,7 @@ Method semantics:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,9 +130,22 @@ def quantize_head(
     stats: CalibStats | None = None,
 ) -> tuple[dict, dict]:
     """Quantize the selected projections of ``head`` and return
-    (quantized checkpoint document, report document)."""
+    (quantized checkpoint document, report document).
+
+    Each calibration sequence's full-precision output is computed once,
+    inside the statistics pass (or by one forward per sequence when
+    ``stats`` is given), and every exact attention error of the report
+    reuses it. Quantizing V, Q and K then costs 5 forwards per sequence:
+    that one, one perturbed forward per projection and one with the
+    dequantized head.
+    """
+    # Local to this call and never cached: the outputs belong to this head
+    # and these sequences.
+    sa_refs: list[np.ndarray] = []
     if stats is None:
-        stats = accumulate_stats(head, sequences)
+        stats = accumulate_stats(head, sequences, outputs=sa_refs)
+    else:
+        sa_refs = [attention_forward(head, seq).sa for seq in sequences]
     if stats.d != head.d or stats.d_h != head.d_h:
         raise DataError("statistics dimensions do not match the head")
 
@@ -155,7 +170,7 @@ def quantize_head(
             "kind": kind.value,
             "refined_loss": loss(ctx, delta),
             "exact_attention_error": exact_error(
-                head, sequences, _ATTENTION_KIND[letter], delta
+                head, sequences, _ATTENTION_KIND[letter], delta, reference=sa_refs
             ),
             "fallback_rtn": qw.fallback_rtn,
         }
@@ -175,7 +190,7 @@ def quantize_head(
             if letter not in cfg.projections
         },
     }
-    calib_err, _ = _attention_error_sums(head, dequantized_head(doc), sequences)
+    calib_err, _ = _attention_error_sums(dequantized_head(doc), sequences, sa_refs)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "quantize",
@@ -211,14 +226,13 @@ def dequantized_head(doc: dict) -> AttentionHead:
 
 
 def _attention_error_sums(
-    reference: AttentionHead, quantized: AttentionHead, sequences: list[CalibSequence]
+    quantized: AttentionHead, sequences: list[CalibSequence], sa_refs: Iterable[np.ndarray]
 ) -> tuple[float, float]:
-    """Summed squared attention-output error and summed squared reference
-    output over ``sequences``."""
+    """Summed squared attention-output error against the reference outputs
+    ``sa_refs`` (one per sequence) and their summed squares."""
     err = 0.0
     ref_norm = 0.0
-    for seq in sequences:
-        sa_ref = attention_forward(reference, seq).sa
+    for seq, sa_ref in zip(sequences, sa_refs):
         sa_q = attention_forward(quantized, seq).sa
         err += float(np.sum((sa_q - sa_ref) ** 2))
         ref_norm += float(np.sum(sa_ref**2))
@@ -233,7 +247,8 @@ def evaluate_quantized(
         raise DataError("evaluation needs at least one sequence")
     if (reference.d, reference.d_h) != (quantized.d, quantized.d_h):
         raise DataError("reference and quantized heads disagree on dimensions")
-    err, ref_norm = _attention_error_sums(reference, quantized, sequences)
+    sa_refs = (attention_forward(reference, seq).sa for seq in sequences)
+    err, ref_norm = _attention_error_sums(quantized, sequences, sa_refs)
     mean_err = err / len(sequences)
     relative = float(np.sqrt(err / ref_norm)) if ref_norm > 0 else 0.0
     return {

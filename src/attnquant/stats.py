@@ -73,31 +73,49 @@ class CalibStats:
         return self.ektk.shape[0]
 
 
-def accumulate_stats(head: AttentionHead, sequences: list[CalibSequence]) -> CalibStats:
-    """Mean of the per-sequence matrices XX^T, XA^TAX^T, K^TK, Q^TQ, where A
-    comes from the full-precision forward pass.
+def _sequence_terms(
+    head: AttentionHead, seq: CalibSequence
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """One sequence's XX^T, XA^TAX^T, K^TK, Q^TQ and its output SA, all from
+    one full-precision forward pass."""
+    trace = attention_forward(head, seq)
+    xa = seq.x @ trace.a.T
+    terms = (seq.x @ seq.x.T, xa @ xa.T, trace.k.T @ trace.k, trace.q.T @ trace.q)
+    return terms, trace.sa
 
-    Each per-sequence term is stacked and reduced with numpy's mean over the
-    sequence axis. That reduction adds the sequences one after another (it
-    is not pairwise), so it equals a running sum divided by the count.
+
+def accumulate_stats(
+    head: AttentionHead,
+    sequences: list[CalibSequence],
+    outputs: list[np.ndarray] | None = None,
+) -> CalibStats:
+    """Mean of the per-sequence matrices XX^T, XA^TAX^T, K^TK, Q^TQ, where A
+    comes from the full-precision forward pass. When ``outputs`` is a list,
+    each sequence's reference output SA is appended to it, so callers need
+    no second reference forward.
+
+    The terms go into four running sums that start from zeros and are
+    divided by the count at the end, so memory stays O(d^2) whatever the
+    number of sequences. Starting from zeros, not from the first term, keeps
+    the bits of numpy's mean over a stack of the terms: for matrices larger
+    than 1x1 that reduction adds the sequences one after another, starting
+    from the additive identity (so all-(-0.0) terms give +0.0). A stack of
+    1x1 terms (d_h = 1) numpy sums pairwise, which can differ in the last
+    bits.
     """
     if not sequences:
         raise DataError("cannot accumulate statistics from an empty sequence list")
-    xx, xax, ktk, qtq = [], [], [], []
+    d, d_h = head.d, head.d_h
+    sums = (np.zeros((d, d)), np.zeros((d, d)), np.zeros((d_h, d_h)), np.zeros((d_h, d_h)))
     for seq in sequences:
-        trace = attention_forward(head, seq)
-        xa = seq.x @ trace.a.T
-        xx.append(seq.x @ seq.x.T)
-        xax.append(xa @ xa.T)
-        ktk.append(trace.k.T @ trace.k)
-        qtq.append(trace.q.T @ trace.q)
-    return CalibStats(
-        exx=np.mean(xx, axis=0),
-        exax=np.mean(xax, axis=0),
-        ektk=np.mean(ktk, axis=0),
-        eqtq=np.mean(qtq, axis=0),
-        n_sequences=len(sequences),
-    )
+        terms, sa = _sequence_terms(head, seq)
+        for acc, term in zip(sums, terms):
+            acc += term
+        if outputs is not None:
+            outputs.append(sa)
+    n = len(sequences)
+    exx, exax, ektk, eqtq = (acc / n for acc in sums)
+    return CalibStats(exx=exx, exax=exax, ektk=ektk, eqtq=eqtq, n_sequences=n)
 
 
 def save_stats(stats: CalibStats, path: str | Path) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attnquant.errors import DataError
-from attnquant.model import attention_forward, generate_synthetic
+from attnquant.model import CalibSequence, attention_forward, generate_synthetic
 from attnquant.objectives import ProjectionKind, context_for, loss
 from attnquant.oracle import (
     OracleReport,
@@ -39,6 +39,32 @@ class TestExactError:
         head, seqs = generate_synthetic(0, 8, 4, 6, 1)
         with pytest.raises(DataError):
             exact_error(head, seqs, ProjectionKind.VALUE, np.zeros((3, 8)))
+
+
+    def test_reference_outputs_give_identical_error(self):
+        head, seqs = generate_synthetic(9, 8, 4, 6, 3)
+        reference = [attention_forward(head, s).sa for s in seqs]
+        delta = rng_for(10).standard_normal((4, 8)) * 0.2
+        for kind in ProjectionKind:
+            assert exact_error(head, seqs, kind, delta, reference=reference) == exact_error(
+                head, seqs, kind, delta
+            )
+
+    def test_reference_length_and_shapes_checked(self):
+        head, seqs = generate_synthetic(11, 8, 4, 6, 2)
+        seqs.append(CalibSequence(seqs[0].x[:, :3]))  # lengths 6, 6, 3
+        reference = [attention_forward(head, s).sa for s in seqs]
+        bad = [
+            reference[:-1],
+            reference + [reference[0]],
+            [reference[0], reference[2], reference[1]],
+            [r.T for r in reference],
+            [r[:, :-1] for r in reference],
+            [r.ravel() for r in reference],
+        ]
+        for ref in bad:
+            with pytest.raises(DataError):
+                exact_error(head, seqs, ProjectionKind.VALUE, np.zeros((4, 8)), reference=ref)
 
 
 class TestTaylorError:

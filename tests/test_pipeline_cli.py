@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from attnquant import checks, cli
+from attnquant import checks, cli, oracle, pipeline
+from attnquant import stats as stats_module
 from attnquant.cli import main
 from attnquant.errors import DataError
 from attnquant.model import attention_forward, generate_synthetic, load_calibration, load_checkpoint, save_calibration, save_checkpoint
@@ -16,8 +17,10 @@ from attnquant.pipeline import (
     quantize_head,
     save_quantized,
 )
-from attnquant.quantizer import QuantSpec, quantized_to_json, QuantizedWeight
+from attnquant.objectives import ProjectionKind
+from attnquant.quantizer import QuantSpec, dequantize, quantized_from_json, quantized_to_json, QuantizedWeight
 from attnquant.rounding import SoftQuantConfig
+from attnquant.stats import accumulate_stats
 
 
 def make_files(tmp_path, seed=0, d=8, d_h=4, length=6, n=8):
@@ -85,6 +88,33 @@ class TestPipeline:
             PipelineConfig(method="fancy")
         with pytest.raises(DataError):
             PipelineConfig(order="VVQ")
+
+    @pytest.mark.parametrize("given_stats", [False, True], ids=["stats-pass", "stats-given"])
+    def test_one_reference_forward_per_sequence(self, monkeypatch, given_stats):
+        cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=20))
+        for seed in (12, 13):  # two heads in a row: nothing carries over between calls
+            head, seqs = generate_synthetic(seed, 8, 4, 6, 5)
+            calls = []
+
+            def counting(h, s):
+                calls.append(s)
+                return attention_forward(h, s)
+
+            with monkeypatch.context() as m:
+                for module in (stats_module, oracle, pipeline):
+                    m.setattr(module, "attention_forward", counting)
+                # the caller's own stats pass, as `quantize --stats-cache` makes it
+                stats = accumulate_stats(head, seqs) if given_stats else None
+                doc, report = quantize_head(head, seqs, cfg, stats=stats)
+            # per sequence: the stats pass, then 3 perturbed and 1 quantized
+            # forward; with stats given, quantize_head adds 1 reference forward
+            assert len(calls) == (6 if given_stats else 5) * len(seqs)
+            for letter, kind in (("V", ProjectionKind.VALUE), ("Q", ProjectionKind.QUERY), ("K", ProjectionKind.KEY)):
+                name = f"W_{letter}"
+                delta = dequantize(quantized_from_json(doc["projections"][name])) - head.projection(name)
+                assert report["projections"][name]["exact_attention_error"] == oracle.exact_error(
+                    head, seqs, kind, delta
+                )
 
     def test_eval_identity_quantization_zero_error(self, tmp_path):
         # weights constructed exactly on a quantization grid

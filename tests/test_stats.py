@@ -1,11 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from attnquant import stats as stats_module
 from attnquant.errors import DataError
 from attnquant.model import CalibSequence, attention_forward, generate_synthetic
 from attnquant.objectives import ProjectionKind, context_for, loss
 from attnquant.stats import accumulate_stats, load_stats, save_stats
 from conftest import rng_for
+
+STAT_NAMES = ("exx", "exax", "ektk", "eqtq")
+
+
+def _stacked_means(head, seqs) -> dict:
+    """The four statistics as numpy's mean over a stack of per-sequence
+    terms, each recomputed from its own forward pass."""
+    terms = {name: [] for name in STAT_NAMES}
+    for seq in seqs:
+        trace = attention_forward(head, seq)
+        xa = seq.x @ trace.a.T
+        terms["exx"].append(seq.x @ seq.x.T)
+        terms["exax"].append(xa @ xa.T)
+        terms["ektk"].append(trace.k.T @ trace.k)
+        terms["eqtq"].append(trace.q.T @ trace.q)
+    return {name: np.mean(stack, axis=0) for name, stack in terms.items()}
 
 
 class TestAccumulateStats:
@@ -33,18 +53,74 @@ class TestAccumulateStats:
                 rtol=1e-12,
             )
 
-    def test_double_accumulation_bit_identical(self):
-        head, seqs = generate_synthetic(0, 8, 4, 6, 16)
+    # d_h >= 2: numpy reduces a stack of 1x1 matrices along its only axis
+    # with pairwise summation, so there the running sum may differ in the
+    # last bits (the test below covers that case with a tolerance).
+    @settings(max_examples=40, deadline=None)
+    @example(d_h=4, extra=4, length=6, n=16, seed=0)
+    @example(d_h=16, extra=112, length=8, n=64, seed=0)
+    @example(d_h=8, extra=56, length=32, n=9, seed=1)
+    @given(
+        d_h=st.integers(2, 6),
+        extra=st.integers(0, 10),
+        length=st.integers(1, 9),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_double_accumulation_bit_identical(self, d_h, extra, length, n, seed):
+        head, seqs = generate_synthetic(seed, d_h + extra, d_h, length, n)
         a = accumulate_stats(head, seqs)
         b = accumulate_stats(head, seqs)
         # independent pass: recompute every per-sequence matrix from raw data
-        xax = []
-        for seq in seqs:
-            xa = seq.x @ attention_forward(head, seq).a.T
-            xax.append(xa @ xa.T)
-        c = np.mean(xax, axis=0)
-        np.testing.assert_array_equal(a.exax, b.exax)
-        np.testing.assert_array_equal(a.exax, c)
+        # and reduce the stack with numpy's mean over the sequence axis
+        stacked = _stacked_means(head, seqs)
+        for name in STAT_NAMES:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert getattr(a, name).tobytes() == stacked[name].tobytes(), name
+
+    def test_scalar_statistics_close_to_stacked_mean(self):
+        head, seqs = generate_synthetic(5, 3, 1, 7, 40)
+        stats = accumulate_stats(head, seqs)
+        stacked = _stacked_means(head, seqs)
+        for name in STAT_NAMES:
+            np.testing.assert_allclose(getattr(stats, name), stacked[name], rtol=1e-14)
+
+    def test_negative_zero_terms_average_to_positive_zero(self, monkeypatch):
+        # np.mean starts from the additive identity, so a position that is
+        # -0.0 in every term comes out +0.0; a running sum seeded with the
+        # first term would keep -0.0.
+        head, seqs = generate_synthetic(0, 6, 3, 5, 4)
+        zero = {name: np.full((n, n), -0.0) for name, n in zip(STAT_NAMES, (6, 6, 3, 3))}
+        terms = tuple(zero[name] for name in STAT_NAMES)
+        monkeypatch.setattr(stats_module, "_sequence_terms", lambda h, s: (terms, None))
+        got = accumulate_stats(head, seqs)
+        for name in STAT_NAMES:
+            reference = np.mean([zero[name]] * len(seqs), axis=0)
+            assert not np.signbit(reference).any()
+            assert getattr(got, name).tobytes() == reference.tobytes()
+
+    def test_outputs_collects_reference_outputs_in_order(self):
+        head, seqs = generate_synthetic(9, 8, 4, 6, 5)
+        outputs = []
+        stats = accumulate_stats(head, seqs, outputs=outputs)
+        assert len(outputs) == len(seqs)
+        for seq, sa in zip(seqs, outputs):
+            assert sa.tobytes() == attention_forward(head, seq).sa.tobytes()
+        plain = accumulate_stats(head, seqs)
+        for name in STAT_NAMES:
+            assert getattr(stats, name).tobytes() == getattr(plain, name).tobytes()
+
+    def test_peak_memory_flat_in_sequence_count(self):
+        head, seqs = generate_synthetic(11, 128, 16, 8, 64)
+        peaks = []
+        for n in (16, 64):
+            tracemalloc.start()
+            try:
+                accumulate_stats(head, seqs[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_naive_sequential_accumulation_close(self):
         head, seqs = generate_synthetic(2, 8, 4, 6, 16)
