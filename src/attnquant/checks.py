@@ -216,7 +216,7 @@ def check_constant_cost_contract(seed: int = 0) -> CheckResult:
         w = head.projection("W_Q")
         spec = fit_step_size(w, row_hessian(ctx), 2)
         counter = FlopCounter()
-        optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=1), counter=counter)
+        optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=1), counter=counter)
         counts[n] = counter.count
     rng = _rng(seed, 10)
     dwq = rng.standard_normal((4, 16)) * 0.1

@@ -13,6 +13,7 @@ from .errors import DataError, NumericalError, SizeBudgetError
 
 __all__ = [
     "as_matrix",
+    "frozen",
     "softmax_rows",
     "softmax_jacobian_row",
     "kron",
@@ -29,6 +30,26 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
         raise DataError(f"{name}: expected a 2-D matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise NumericalError(f"{name}: contains NaN or Inf entries")
+    return a
+
+
+def frozen(data) -> np.ndarray:
+    """A read-only float64 array holding ``data``.
+
+    A read-only, contiguous float64 array is returned as it is, so frozen
+    statistics are shared rather than copied; anything else (a writable
+    array, another dtype, a strided view, a list) is copied first, so a
+    caller's later writes cannot reach the result.
+    """
+    if (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.float64
+        and not data.flags.writeable
+        and (data.flags.c_contiguous or data.flags.f_contiguous)
+    ):
+        return data
+    a = np.array(data, dtype=np.float64)
+    a.setflags(write=False)
     return a
 
 

@@ -20,9 +20,19 @@ import numpy as np
 
 from .errors import DataError
 from .flops import FlopCounter, matmul_flops
+from .linalg import frozen
 from .stats import CalibStats
 
-__all__ = ["ProjectionKind", "LossContext", "context_for", "loss", "loss_gradient", "row_hessian"]
+__all__ = [
+    "ProjectionKind",
+    "LossContext",
+    "context_for",
+    "loss",
+    "loss_gradient",
+    "loss_flops",
+    "gradient_flops",
+    "row_hessian",
+]
 
 
 class ProjectionKind(Enum):
@@ -38,7 +48,9 @@ class LossContext:
 
     left is d_h x d_h (key Gram for QUERY, query Gram for KEY, identity
     otherwise); right is d x d (attention-weighted second moment for VALUE,
-    plain input second moment otherwise). Both symmetric PSD.
+    plain input second moment otherwise). Both symmetric PSD, and both
+    held read-only: a read-only contiguous float64 input (such as a
+    CalibStats matrix) is used as it is, anything else is copied.
     """
 
     kind: ProjectionKind
@@ -46,16 +58,14 @@ class LossContext:
     right: np.ndarray
 
     def __post_init__(self):
-        self.left = np.array(self.left, dtype=np.float64)
-        self.right = np.array(self.right, dtype=np.float64)
+        self.left = frozen(self.left)
+        self.right = frozen(self.right)
         for name, m in (("left", self.left), ("right", self.right)):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise DataError(f"LossContext.{name} must be square")
             scale = max(1.0, float(np.abs(m).max()))
             if float(np.abs(m - m.T).max()) > 1e-9 * scale:
                 raise DataError(f"LossContext.{name} must be symmetric")
-        self.left.setflags(write=False)
-        self.right.setflags(write=False)
 
     @property
     def identity_left(self) -> bool:
@@ -84,6 +94,25 @@ def _check_shape(ctx: LossContext, delta_w: np.ndarray) -> np.ndarray:
     return delta_w
 
 
+def _product_flops(ctx: LossContext) -> int:
+    """Flops of left @ DW @ right; the left product is skipped when left = I."""
+    d_h, d = ctx.left.shape[0], ctx.right.shape[0]
+    flops = matmul_flops(d_h, d, d)
+    if not ctx.identity_left:
+        flops += matmul_flops(d_h, d_h, d)
+    return flops
+
+
+def loss_flops(ctx: LossContext) -> int:
+    """Flops of one ``loss`` evaluation: the product plus the multiply-reduce."""
+    return _product_flops(ctx) + 2 * ctx.left.shape[0] * ctx.right.shape[0] - 1
+
+
+def gradient_flops(ctx: LossContext) -> int:
+    """Flops of one ``loss_gradient`` evaluation: the product plus the doubling."""
+    return _product_flops(ctx) + ctx.left.shape[0] * ctx.right.shape[0]
+
+
 def loss(ctx: LossContext, delta_w: np.ndarray, counter: FlopCounter | None = None) -> float:
     """tr(left @ DW @ right @ DW^T), evaluated as sum((left @ DW @ right) * DW).
 
@@ -92,17 +121,12 @@ def loss(ctx: LossContext, delta_w: np.ndarray, counter: FlopCounter | None = No
     two matmuls plus one multiply-reduce.
     """
     delta_w = _check_shape(ctx, delta_w)
-    d_h, d = delta_w.shape
     if ctx.identity_left:
         weighted = delta_w @ ctx.right
-        if counter is not None:
-            counter.add(matmul_flops(d_h, d, d) + 2 * d_h * d - 1)
     else:
         weighted = ctx.left @ delta_w @ ctx.right
-        if counter is not None:
-            counter.add(
-                matmul_flops(d_h, d_h, d) + matmul_flops(d_h, d, d) + 2 * d_h * d - 1
-            )
+    if counter is not None:
+        counter.add(loss_flops(ctx))
     return float(np.sum(weighted * delta_w))
 
 
@@ -111,15 +135,12 @@ def loss_gradient(
 ) -> np.ndarray:
     """Gradient of the trace form with respect to DW: 2 * left @ DW @ right."""
     delta_w = _check_shape(ctx, delta_w)
-    d_h, d = delta_w.shape
     if ctx.identity_left:
         grad = 2.0 * (delta_w @ ctx.right)
-        if counter is not None:
-            counter.add(matmul_flops(d_h, d, d) + d_h * d)
     else:
         grad = 2.0 * (ctx.left @ delta_w @ ctx.right)
-        if counter is not None:
-            counter.add(matmul_flops(d_h, d_h, d) + matmul_flops(d_h, d, d) + d_h * d)
+    if counter is not None:
+        counter.add(gradient_flops(ctx))
     return grad
 
 

@@ -3,9 +3,10 @@
 Each projection is quantized separately with the others held at full
 precision: statistics are accumulated once from the full-precision forward
 pass, whose outputs the report's exact errors reuse. Then per projection a
-grid is fitted against the row curvature, an integer warm start is produced
-by column compensation, and (for the learned method) the rounding logits
-are optimized under the projection's trace loss.
+grid is fitted against the row curvature and an integer warm start is
+produced by column compensation; for the learned method one loop then
+optimizes the rounding logits of all projections together, each under its
+own trace loss.
 
 Method semantics:
   rtn            naive baseline: grid fitted by plain rounding error
@@ -26,13 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AttnQuantError, DataError
+from .errors import AttnQuantError, DataError, NonFiniteRounding, NumericalError
 from .flops import FlopCounter
 from .jsonio import atomic_write_json, load_json, require_field
 from .model import AttentionHead, CalibSequence, attention_forward
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
 from .oracle import exact_error
 from .quantizer import (
+    QuantizedWeight,
     dequantize,
     fit_step_size,
     optq_compensate,
@@ -95,30 +97,23 @@ def _loss_kind(cfg: PipelineConfig, letter: str) -> ProjectionKind:
     return _ATTENTION_KIND[letter]
 
 
-def _quantize_projection(
-    w: np.ndarray,
-    ctx: LossContext,
-    cfg: PipelineConfig,
-    counter: FlopCounter | None,
-    trace_csv: Path | None,
-):
+def _stage(cfg: PipelineConfig, letter: str) -> str:
+    """How errors name a projection's quantization: 'W_V (aespa, value stage)'."""
+    return f"{_LETTER_TO_NAME[letter]} ({cfg.method}, {_loss_kind(cfg, letter).value} stage)"
+
+
+def _warm_start(
+    w: np.ndarray, ctx: LossContext, cfg: PipelineConfig
+) -> tuple[QuantizedWeight, np.ndarray | None]:
+    """Fit the grid and return the warm-start integers, with the
+    column-compensated weights whose grid cells learned rounding starts from
+    (None for rtn)."""
     if cfg.method == "rtn":
         spec = fit_step_size(w, np.eye(w.shape[1]), cfg.bits)
-        return rtn_quantize(w, spec)
+        return rtn_quantize(w, spec), None
     hessian = row_hessian(ctx)
     spec = fit_step_size(w, hessian, cfg.bits)
-    warm, compensated = optq_compensate(w, hessian, spec)
-    if cfg.method in ("optq", "aespa-noround"):
-        return warm
-    return optimize_rounding(
-        compensated,
-        spec,
-        ctx,
-        cfg.soft,
-        w_reference=w,
-        counter=counter,
-        trace_csv=trace_csv,
-    )
+    return optq_compensate(w, hessian, spec)
 
 
 def quantize_head(
@@ -149,26 +144,53 @@ def quantize_head(
     if stats.d != head.d or stats.d_h != head.d_h:
         raise DataError("statistics dimensions do not match the head")
 
+    # Phase 1, per projection: grid fit and column-compensated warm start.
+    letters = [letter for letter in cfg.order if letter in cfg.projections]
+    weights = {letter: head.projection(_LETTER_TO_NAME[letter]) for letter in letters}
+    contexts = {letter: context_for(_loss_kind(cfg, letter), stats) for letter in letters}
+    quantized: dict[str, QuantizedWeight] = {}
+    compensated: dict[str, np.ndarray | None] = {}
+    for letter in letters:
+        try:
+            quantized[letter], compensated[letter] = _warm_start(
+                weights[letter], contexts[letter], cfg
+            )
+        except AttnQuantError as exc:
+            raise type(exc)(f"{_stage(cfg, letter)}: {exc}") from exc
+
+    # Phase 2: one learned-rounding loop for all of them. The problems are
+    # independent (each holds the others at full precision), so stacking
+    # them changes no result.
+    if cfg.method == "aespa":
+        try:
+            learned = optimize_rounding(
+                [compensated[letter] for letter in letters],
+                [quantized[letter].spec for letter in letters],
+                [contexts[letter] for letter in letters],
+                cfg.soft,
+                w_reference=[weights[letter] for letter in letters],
+                counter=counter,
+                trace_csv=[
+                    Path(f"{trace_prefix}_{_LETTER_TO_NAME[letter]}.csv")
+                    if trace_prefix is not None
+                    else None
+                    for letter in letters
+                ],
+            )
+        except NonFiniteRounding as exc:
+            raise NumericalError(f"{_stage(cfg, letters[exc.slab])}: {exc}") from exc
+        quantized.update(zip(letters, learned))
+
+    # Phase 3: the report rows, in cfg.order.
     projections: dict[str, dict] = {}
     report_rows: dict[str, dict] = {}
-    for letter in cfg.order:
-        if letter not in cfg.projections:
-            continue
+    for letter in letters:
         name = _LETTER_TO_NAME[letter]
-        w = head.projection(name)
-        kind = _loss_kind(cfg, letter)
-        ctx = context_for(kind, stats)
-        trace_csv = (
-            Path(f"{trace_prefix}_{name}.csv") if trace_prefix is not None else None
-        )
-        try:
-            qw = _quantize_projection(w, ctx, cfg, counter, trace_csv)
-        except AttnQuantError as exc:
-            raise type(exc)(f"{name} ({cfg.method}, {kind.value} stage): {exc}") from exc
-        delta = dequantize(qw) - w
+        qw = quantized[letter]
+        delta = dequantize(qw) - weights[letter]
         report_rows[name] = {
-            "kind": kind.value,
-            "refined_loss": loss(ctx, delta),
+            "kind": contexts[letter].kind.value,
+            "refined_loss": loss(contexts[letter], delta),
             "exact_attention_error": exact_error(
                 head, sequences, _ATTENTION_KIND[letter], delta, reference=sa_refs
             ),

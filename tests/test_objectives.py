@@ -21,6 +21,42 @@ def identity_ctx(d_h, d):
     return LossContext(ProjectionKind.OTHER, np.eye(d_h), np.eye(d))
 
 
+class TestContextStorage:
+    """Read-only float64 statistics are shared, anything else is copied."""
+
+    def test_frozen_statistics_are_shared_not_copied(self):
+        head, seqs = generate_synthetic(0, 8, 4, 6, 5)
+        stats = accumulate_stats(head, seqs)
+        for kind in (ProjectionKind.QUERY, ProjectionKind.KEY, ProjectionKind.OTHER):
+            assert np.shares_memory(context_for(kind, stats).right, stats.exx)
+        assert np.shares_memory(context_for(ProjectionKind.VALUE, stats).right, stats.exax)
+        assert np.shares_memory(context_for(ProjectionKind.QUERY, stats).left, stats.ektk)
+        assert np.shares_memory(context_for(ProjectionKind.KEY, stats).left, stats.eqtq)
+
+    def test_writable_input_is_copied_and_stays_writable(self):
+        rng = rng_for(4)
+        left, right = random_psd(rng, 3), random_psd(rng, 5)
+        kept = right.copy()
+        ctx = LossContext(ProjectionKind.KEY, left, right)
+        assert not np.shares_memory(ctx.right, right)
+        assert not np.shares_memory(ctx.left, left)
+        assert right.flags.writeable and left.flags.writeable
+        assert not ctx.right.flags.writeable and not ctx.left.flags.writeable
+        right += 1.0
+        np.testing.assert_array_equal(ctx.right, kept)
+
+    def test_other_dtypes_and_strided_views_are_copied(self):
+        frozen_int = np.eye(3, dtype=np.int64)
+        frozen_int.setflags(write=False)
+        strided = np.eye(6)[::2, ::2]
+        strided.setflags(write=False)
+        for right in (frozen_int, strided, np.eye(3).tolist()):
+            ctx = LossContext(ProjectionKind.OTHER, np.eye(2), right)
+            assert ctx.right.dtype == np.float64 and not ctx.right.flags.writeable
+            assert not isinstance(right, np.ndarray) or not np.shares_memory(ctx.right, right)
+            np.testing.assert_array_equal(ctx.right, np.eye(3))
+
+
 class TestLoss:
     def test_zero_perturbation(self):
         head, seqs = generate_synthetic(0, 8, 4, 6, 2)

@@ -7,9 +7,11 @@ from click.testing import CliRunner
 from attnquant import checks, cli, oracle, pipeline
 from attnquant import stats as stats_module
 from attnquant.cli import main
-from attnquant.errors import DataError
-from attnquant.model import attention_forward, generate_synthetic, load_calibration, load_checkpoint, save_calibration, save_checkpoint
+from attnquant.errors import DataError, NumericalError
+from attnquant.flops import FlopCounter
+from attnquant.model import AttentionHead, attention_forward, generate_synthetic, load_calibration, load_checkpoint, save_calibration, save_checkpoint
 from attnquant.pipeline import (
+    METHODS,
     PipelineConfig,
     dequantized_head,
     evaluate_quantized,
@@ -17,10 +19,11 @@ from attnquant.pipeline import (
     quantize_head,
     save_quantized,
 )
-from attnquant.objectives import ProjectionKind
+from attnquant.objectives import LossContext, ProjectionKind
 from attnquant.quantizer import QuantSpec, dequantize, quantized_from_json, quantized_to_json, QuantizedWeight
 from attnquant.rounding import SoftQuantConfig
 from attnquant.stats import accumulate_stats
+from test_rounding import reference_optimize_rounding
 
 
 def make_files(tmp_path, seed=0, d=8, d_h=4, length=6, n=8):
@@ -154,6 +157,88 @@ class TestPipeline:
             evaluate_quantized(head, other, seqs)
 
 
+def per_projection_rounding(w, spec, ctx, cfg, w_reference, counter, trace_csv):
+    """The optimize_rounding call shape, served by one reference loop per
+    projection."""
+    return [
+        reference_optimize_rounding(*slab, cfg, ref, counter, path)
+        for *slab, ref, path in zip(w, spec, ctx, w_reference, trace_csv)
+    ]
+
+
+def overflowing_key_loss(monkeypatch):
+    """Give W_K a loss whose right factor is 1e308 I while grid fitting and
+    compensation keep a sane (identity) curvature."""
+    real_context = pipeline.context_for
+
+    def context_for(kind, stats):
+        ctx = real_context(kind, stats)
+        if kind is ProjectionKind.KEY:
+            return LossContext(kind, ctx.left, 1e308 * np.eye(stats.d))
+        return ctx
+
+    monkeypatch.setattr(pipeline, "context_for", context_for)
+    monkeypatch.setattr(pipeline, "row_hessian", lambda ctx: 2.0 * np.eye(ctx.right.shape[0]))
+
+
+def head_with_large_key(seed):
+    """W_K scaled by 1e3: its rounding deviations are then large enough
+    that left @ dW @ (1e308 I) overflows from the first step."""
+    head, seqs = generate_synthetic(seed, 8, 4, 6, 8)
+    big = AttentionHead(d=head.d, d_h=head.d_h, w_q=head.w_q, w_k=1e3 * head.w_k, w_v=head.w_v)
+    return big, seqs
+
+
+class TestStackedRounding:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_rounding_call_per_head(self, monkeypatch, method):
+        slabs_per_call = []
+        real = pipeline.optimize_rounding
+
+        def counting(w, *args, **kwargs):
+            slabs_per_call.append(len(w))
+            return real(w, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "optimize_rounding", counting)
+        cfg = PipelineConfig(bits=2, method=method, soft=SoftQuantConfig(iterations=20))
+        for seed in (0, 1):
+            head, seqs = generate_synthetic(seed, 8, 4, 6, 5)
+            quantize_head(head, seqs, cfg)
+        assert slabs_per_call == ([3, 3] if method == "aespa" else [])
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"order": "KVQ"}, {"projections": "QK"}, {"value_kind": "other"}, {"projections": ""}],
+        ids=["default", "order-KVQ", "projections-QK", "value-kind-other", "no-projections"],
+    )
+    def test_matches_per_projection_reference_runs(self, monkeypatch, tmp_path, overrides):
+        head, seqs = generate_synthetic(21, 12, 4, 6, 8)
+        cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=150), **overrides)
+        runs = {}
+        for label in ("stacked", "reference"):
+            with monkeypatch.context() as m:
+                if label == "reference":
+                    m.setattr(pipeline, "optimize_rounding", per_projection_rounding)
+                counter = FlopCounter()
+                doc, report = quantize_head(
+                    head, seqs, cfg, counter=counter, trace_prefix=tmp_path / label
+                )
+            traces = {
+                path.name.split("_", 1)[1]: path.read_bytes()
+                for path in sorted(tmp_path.glob(f"{label}_*.csv"))
+            }
+            runs[label] = (json.dumps(doc), json.dumps(report), traces, counter.count)
+        assert runs["stacked"] == runs["reference"]
+        assert len(runs["stacked"][2]) == len(cfg.projections)
+
+    def test_non_finite_rounding_names_the_projection(self, monkeypatch):
+        overflowing_key_loss(monkeypatch)
+        head, seqs = head_with_large_key(22)
+        cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=10))
+        with pytest.raises(NumericalError, match=r"W_K \(aespa, key stage\): .*iteration 0"):
+            quantize_head(head, seqs, cfg)
+
+
 class TestCli:
     def test_gen_quantize_eval_roundtrip(self, tmp_path):
         runner = CliRunner()
@@ -228,6 +313,21 @@ class TestCli:
         )
         assert res.exit_code == 3
         assert "error" in res.output
+
+    def test_non_finite_rounding_exit_code_four(self, tmp_path, monkeypatch):
+        overflowing_key_loss(monkeypatch)
+        head, seqs = head_with_large_key(23)
+        model, calib, out = tmp_path / "model.json", tmp_path / "calib.json", tmp_path / "q.json"
+        save_checkpoint(head, model)
+        save_calibration(seqs, calib)
+        res = CliRunner().invoke(
+            main,
+            ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out),
+             "--bits", "2", "--method", "aespa", "--iterations", "10"],
+        )
+        assert res.exit_code == 4, res.output
+        assert "W_K (aespa, key stage)" in res.output and "non-finite" in res.output
+        assert not out.exists()
 
     def test_failed_run_writes_no_output(self, tmp_path):
         head, seqs, model, calib = make_files(tmp_path, seed=11)

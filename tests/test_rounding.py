@@ -1,13 +1,24 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from attnquant.errors import DataError
+from attnquant.errors import DataError, NonFiniteRounding, NumericalError
 from attnquant.flops import FlopCounter, matmul_flops
 from attnquant.model import generate_synthetic
-from attnquant.objectives import ProjectionKind, context_for, loss, row_hessian
+from attnquant.objectives import (
+    LossContext,
+    ProjectionKind,
+    context_for,
+    loss,
+    loss_gradient,
+    row_hessian,
+)
 from attnquant.oracle import exact_error
+from attnquant.pipeline import VALID_BITS
 from attnquant.quantizer import (
     QuantizedWeight,
     dequantize,
@@ -16,6 +27,12 @@ from attnquant.quantizer import (
     rtn_quantize,
 )
 from attnquant.rounding import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    GAMMA,
+    ZETA,
+    RoundingStack,
     SoftQuantConfig,
     optimize_rounding,
     rectified_sigmoid,
@@ -23,7 +40,81 @@ from attnquant.rounding import (
     rounding_regularizer,
 )
 from attnquant.stats import accumulate_stats
-from conftest import rng_for
+from conftest import random_psd, rng_for
+
+
+def reference_rectified_sigmoid(b):
+    sig = 1.0 / (1.0 + np.exp(-np.asarray(b, dtype=np.float64)))
+    raw = sig * (ZETA - GAMMA) + GAMMA
+    inside = (raw > 0.0) & (raw < 1.0)
+    return np.clip(raw, 0.0, 1.0), inside * (ZETA - GAMMA) * sig * (1.0 - sig)
+
+
+def reference_regularizer(h, dh_db, lam, beta):
+    t = 2.0 * h - 1.0
+    abs_t = np.abs(t)
+    value = lam * float(np.sum(1.0 - abs_t**beta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(abs_t > 0, abs_t ** (beta - 1.0), 0.0)
+    grad_h = -2.0 * beta * power * np.sign(t)
+    return value, lam * grad_h * dh_db
+
+
+def reference_objective(b, w, spec, ctx, lam, beta, w_reference=None, counter=None):
+    ref = w if w_reference is None else w_reference
+    s, z = spec.scale[:, None], spec.zero_point[:, None]
+    h, dh_db = reference_rectified_sigmoid(b)
+    g_raw = np.floor(w / s) + z + h
+    inside = (g_raw > 0.0) & (g_raw < spec.grid_max)
+    delta = ref - s * (np.clip(g_raw, 0, spec.grid_max) - z)
+    reconstruction = loss(ctx, delta, counter)
+    grad_recon = -loss_gradient(ctx, delta, counter) * s * inside * dh_db
+    if counter is not None:
+        counter.add(6 * w.size)
+    regularizer, grad_reg = reference_regularizer(h, dh_db, lam, beta)
+    return reconstruction, regularizer, grad_recon + grad_reg
+
+
+def reference_optimize_rounding(w, spec, ctx, cfg, w_reference=None, counter=None, trace_csv=None):
+    """The one-projection loop that the stacked loop replaced: separate loss
+    and gradient evaluations, freshly allocated arrays at every step."""
+    w = np.asarray(w, dtype=np.float64)
+    if cfg.iterations == 0:
+        return rtn_quantize(w, spec)
+    floor_grid = np.floor(w / spec.scale[:, None])
+    frac = np.clip(w / spec.scale[:, None] - floor_grid, 0.01, 0.99)
+    inner = np.clip((frac - GAMMA) / (ZETA - GAMMA), 1e-4, 1 - 1e-4)
+    b = np.log(inner / (1.0 - inner))
+    m = np.zeros_like(b)
+    v = np.zeros_like(b)
+    trace = []
+    for it in range(cfg.iterations):
+        recon, reg, grad = reference_objective(
+            b, w, spec, ctx, cfg.lam, cfg.beta_at(it), w_reference, counter
+        )
+        trace.append((recon + reg, recon, reg))
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1 ** (it + 1))
+        v_hat = v / (1.0 - ADAM_BETA2 ** (it + 1))
+        b = b - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if counter is not None:
+            counter.add(10 * b.size)
+    if trace_csv is not None:
+        with open(trace_csv, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "total", "reconstruction", "regularizer"])
+            writer.writerows((i, *map(repr, row)) for i, row in enumerate(trace))
+    h, _ = reference_rectified_sigmoid(b)
+    g = np.clip(floor_grid + spec.zero_point[:, None] + (h >= 0.5), 0, spec.grid_max)
+    return QuantizedWeight(w_int=g.astype(np.int64), spec=spec)
+
+
+def one_slab_objective(b, w, spec, ctx, lam, beta, w_reference=None):
+    """rounding_objective on a stack of one slab, unstacked."""
+    stack = RoundingStack([w], [spec], [ctx], [w_reference])
+    recon, reg, grad = rounding_objective(stack, np.asarray(b, dtype=np.float64)[None], lam, beta)
+    return recon[0], reg[0], grad[0]
 
 
 def value_setup(seed=0, d=12, d_h=4, length=6, n=8, bits=2):
@@ -44,7 +135,7 @@ class TestSoftQuantize:
         b = np.full(w.shape, -50.0)
         s, z = spec.scale[:, None], spec.zero_point[:, None]
         expected = s * (np.clip(np.floor(w / s) + z, 0, spec.grid_max) - z)
-        recon, reg, grad = rounding_objective(b, w, spec, ctx, 1.5, 2.0, w_reference=expected)
+        recon, reg, grad = one_slab_objective(b, w, spec, ctx, 1.5, 2.0, w_reference=expected)
         assert recon == 0.0 and reg == 0.0
         np.testing.assert_array_equal(grad, np.zeros(w.shape))
 
@@ -54,7 +145,7 @@ class TestSoftQuantize:
             b = np.full(w.shape, b_val)
             g = np.floor(w / spec.scale[:, None]) + spec.zero_point[:, None] + (b_val > 0)
             on_grid = dequantize(QuantizedWeight(np.clip(g, 0, spec.grid_max).astype(np.int64), spec))
-            recon, reg, grad = rounding_objective(b, w, spec, ctx, 1.5, 2.0, w_reference=on_grid)
+            recon, reg, grad = one_slab_objective(b, w, spec, ctx, 1.5, 2.0, w_reference=on_grid)
             assert recon == 0.0 and reg == 0.0
             np.testing.assert_array_equal(grad, np.zeros(w.shape))
 
@@ -69,7 +160,7 @@ class TestRoundingObjective:
         _, _, ctx, w, spec = value_setup(seed=seed)
         b = np.full(w.shape, b_val)
         assert abs(rectified_sigmoid(b)[0] - offset).max() < 1e-15
-        recon, reg, _ = rounding_objective(b, w, spec, ctx, 1.5, 2.0)
+        recon, reg, _ = one_slab_objective(b, w, spec, ctx, 1.5, 2.0)
         s, z = spec.scale[:, None], spec.zero_point[:, None]
         expected = loss(ctx, w - s * (np.clip(np.floor(w / s) + z + offset, 0, spec.grid_max) - z))
         if offset == 0.5:
@@ -114,7 +205,7 @@ class TestTotalObjectiveGradient:
         b = rng.uniform(-2.0, 2.0, size=w.shape)
 
         def total(b):
-            recon, reg, grad = rounding_objective(b, w, spec, ctx, 1.5, 2.0, w_reference)
+            recon, reg, grad = one_slab_objective(b, w, spec, ctx, 1.5, 2.0, w_reference)
             return recon + reg, grad
 
         _, grad = total(b)
@@ -154,7 +245,7 @@ def read_trace(path):
 class TestOptimizeRounding:
     def test_zero_iterations_equals_rtn(self):
         _, _, ctx, w, spec = value_setup(seed=4)
-        qw = optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=0))
+        (qw,) = optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=0))
         np.testing.assert_array_equal(qw.w_int, rtn_quantize(w, spec).w_int)
 
     def test_huge_rounding_weight_saturates_h(self, tmp_path):
@@ -162,7 +253,9 @@ class TestOptimizeRounding:
         # and the last soft reconstruction is the hard assignment's loss
         _, _, ctx, w, spec = value_setup(seed=0)
         path = tmp_path / "trace.csv"
-        qw = optimize_rounding(w, spec, ctx, SoftQuantConfig(lam=1e6), w_reference=w, trace_csv=path)
+        (qw,) = optimize_rounding(
+            [w], [spec], [ctx], SoftQuantConfig(lam=1e6), w_reference=[w], trace_csv=[path]
+        )
         _, rows = read_trace(path)
         _, _, recon, reg = rows[-1]
         assert reg == 0.0
@@ -171,15 +264,15 @@ class TestOptimizeRounding:
     def test_deterministic(self):
         _, _, ctx, w, spec = value_setup(seed=5)
         cfg = SoftQuantConfig(iterations=300)
-        a = optimize_rounding(w, spec, ctx, cfg)
-        b = optimize_rounding(w, spec, ctx, cfg)
+        (a,) = optimize_rounding([w], [spec], [ctx], cfg)
+        (b,) = optimize_rounding([w], [spec], [ctx], cfg)
         np.testing.assert_array_equal(a.w_int, b.w_int)
 
     def test_loss_trace_length_and_finiteness(self, tmp_path):
         # one finite row per iteration, non-negative reconstruction
         _, _, ctx, w, spec = value_setup(seed=6)
         path = tmp_path / "trace.csv"
-        qw = optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=150), trace_csv=path)
+        (qw,) = optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=150), trace_csv=[path])
         _, rows = read_trace(path)
         assert len(rows) == 150
         assert np.isfinite(rows).all()
@@ -189,7 +282,7 @@ class TestOptimizeRounding:
     def test_trace_csv_schema(self, tmp_path):
         _, _, ctx, w, spec = value_setup(seed=7)
         path = tmp_path / "trace.csv"
-        optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=20), trace_csv=path)
+        optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=20), trace_csv=[path])
         header, rows = read_trace(path)
         assert header == ["iteration", "total", "reconstruction", "regularizer"]
         assert [row[0] for row in rows] == list(range(20))
@@ -210,7 +303,7 @@ class TestOptimizeRounding:
         assert per_iter == {"value": 5183, "other": 5183, "query": 6079, "key": 6079}[kind.value]
         for iterations in (1, 3):
             counter = FlopCounter()
-            optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=iterations), counter=counter)
+            optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=iterations), counter=counter)
             assert counter.count == iterations * per_iter
 
     def test_per_iteration_cost_independent_of_calibration_size(self):
@@ -222,7 +315,7 @@ class TestOptimizeRounding:
             w = head.projection("W_V")
             spec = fit_step_size(w, row_hessian(ctx), 2)
             counter = FlopCounter()
-            optimize_rounding(w, spec, ctx, SoftQuantConfig(iterations=1), counter=counter)
+            optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=1), counter=counter)
             counts[n] = counter.count
         assert counts[8] == counts[64]
 
@@ -237,11 +330,102 @@ class TestOptimizeRounding:
             w = head.projection("W_V")
             spec = fit_step_size(w, row_hessian(ctx), 2)
             warm, comp = optq_compensate(w, row_hessian(ctx), spec)
-            ada = optimize_rounding(comp, spec, ctx, SoftQuantConfig(), w_reference=w)
+            (ada,) = optimize_rounding([comp], [spec], [ctx], SoftQuantConfig(), w_reference=[w])
             e_ada = exact_error(head, seqs, ProjectionKind.VALUE, dequantize(ada) - w)
             e_rtn = exact_error(head, seqs, ProjectionKind.VALUE, dequantize(rtn_quantize(w, spec)) - w)
             wins += e_ada <= e_rtn
         assert wins >= 18
+
+
+class TestStackedEqualsPerProjection:
+    """One stacked loop gives every slab the integers, trace rows and flop
+    count that the one-projection reference loop gives it alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(d=16, d_h=4, kinds=["value", "query", "key"], bits=[2, 2, 2], iterations=25,
+             lam=1.5, seed=0)
+    @example(d=1, d_h=1, kinds=["other"], bits=[8], iterations=0, lam=0.0, seed=1)
+    @given(
+        d=st.integers(1, 24),
+        d_h=st.integers(1, 6),
+        kinds=st.lists(st.sampled_from([k.value for k in ProjectionKind]), min_size=1, max_size=3),
+        bits=st.lists(st.sampled_from(VALID_BITS), min_size=3, max_size=3),
+        iterations=st.integers(0, 25),
+        lam=st.sampled_from([0.0, 1.5, 1e6]) | st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_equals_per_projection(self, d, d_h, kinds, bits, iterations, lam, seed):
+        rng = rng_for(seed)
+        # Q and K share E[XX^T] in the pipeline; here every query/key slab
+        # shares one read-only right factor too, which the contexts alias.
+        shared_right = random_psd(rng, d)
+        shared_right.setflags(write=False)
+        ws, specs, ctxs, refs = [], [], [], []
+        for kind, n_bits in zip(map(ProjectionKind, kinds), bits):
+            if kind in (ProjectionKind.QUERY, ProjectionKind.KEY):
+                ctx = LossContext(kind, random_psd(rng, d_h), shared_right)
+            else:
+                ctx = LossContext(kind, np.eye(d_h), random_psd(rng, d))
+            ref = rng.standard_normal((d_h, d))
+            w = ref + 0.05 * rng.standard_normal((d_h, d))  # a compensated warm start
+            ws.append(w)
+            specs.append(fit_step_size(ref, row_hessian(ctx), n_bits))
+            ctxs.append(ctx)
+            refs.append(ref)
+        cfg = SoftQuantConfig(iterations=iterations, lam=lam)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / f"stacked_{p}.csv" for p in range(len(ws))]
+            counter = FlopCounter()
+            stacked = optimize_rounding(
+                ws, specs, ctxs, cfg, w_reference=refs, counter=counter, trace_csv=paths
+            )
+            reference_counter = FlopCounter()
+            for p, (w, spec, ctx, ref) in enumerate(zip(ws, specs, ctxs, refs)):
+                path = Path(tmp) / f"reference_{p}.csv"
+                expected = reference_optimize_rounding(
+                    w, spec, ctx, cfg, ref, counter=reference_counter, trace_csv=path
+                )
+                np.testing.assert_array_equal(stacked[p].w_int, expected.w_int)
+                assert stacked[p].spec is spec
+                if iterations:
+                    assert paths[p].read_text() == path.read_text()
+                else:
+                    assert not paths[p].exists() and not path.exists()
+        assert counter.count == reference_counter.count
+
+    def test_rejects_mismatched_slabs(self):
+        _, _, ctx, w, spec = value_setup()
+        cfg = SoftQuantConfig(iterations=2)
+        with pytest.raises(DataError):
+            optimize_rounding([w, w], [spec], [ctx], cfg)
+        with pytest.raises(DataError):
+            optimize_rounding([w, w[:, :-1]], [spec, spec], [ctx, ctx], cfg)
+        with pytest.raises(DataError):
+            optimize_rounding([w[:, :-1]], [spec], [ctx], cfg)
+
+    def test_no_slabs_no_results(self):
+        assert optimize_rounding([], [], [], SoftQuantConfig(iterations=3)) == []
+
+
+class TestNonFinite:
+    def test_overflowing_loss_names_the_slab_and_iteration(self, tmp_path):
+        # slab 1's right factor is 1e308 I and its weights sit 10 away from
+        # the reference: the first loss overflows to inf
+        rng = rng_for(5)
+        w = rng.standard_normal((2, 3))
+        spec = fit_step_size(w, np.eye(3), 2)
+        fine = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
+        huge = LossContext(ProjectionKind.OTHER, np.eye(2), 1e308 * np.eye(3))
+        assert loss(huge, np.full((2, 3), 10.0)) == np.inf
+        path = tmp_path / "trace.csv"
+        with pytest.raises(NonFiniteRounding, match="iteration 0") as info:
+            optimize_rounding(
+                [w, w], [spec, spec], [fine, huge], SoftQuantConfig(iterations=5),
+                w_reference=[w, w + 10.0], trace_csv=[path, None],
+            )
+        assert info.value.slab == 1
+        assert isinstance(info.value, NumericalError)
+        assert not path.exists()
 
 
 class TestConfig:

@@ -8,7 +8,7 @@ from attnquant import stats as stats_module
 from attnquant.errors import DataError
 from attnquant.model import CalibSequence, attention_forward, generate_synthetic
 from attnquant.objectives import ProjectionKind, context_for, loss
-from attnquant.stats import accumulate_stats, load_stats, save_stats
+from attnquant.stats import CalibStats, accumulate_stats, load_stats, save_stats
 from conftest import rng_for
 
 STAT_NAMES = ("exx", "exax", "ektk", "eqtq")
@@ -121,6 +121,36 @@ class TestAccumulateStats:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_peak_memory_bounded_at_opt_125m_head_shape(self):
+        # 9 MiB of statistics at d=768; the pass once peaked at 45 MiB
+        head, seqs = generate_synthetic(0, 768, 64, 128, 32)
+        tracemalloc.start()
+        try:
+            accumulate_stats(head, seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**20, peak / 2**20
+
+    def test_sums_are_frozen_and_shared_by_calibstats(self):
+        head, seqs = generate_synthetic(3, 8, 4, 6, 5)
+        stats = accumulate_stats(head, seqs)
+        for name in STAT_NAMES:
+            m = getattr(stats, name)
+            assert not m.flags.writeable
+            again = CalibStats(**{n: getattr(stats, n) for n in STAT_NAMES}, n_sequences=5)
+            assert getattr(again, name) is m
+
+    def test_calibstats_copies_writable_input(self):
+        head, seqs = generate_synthetic(3, 8, 4, 6, 5)
+        stats = accumulate_stats(head, seqs)
+        given = {n: getattr(stats, n).copy() for n in STAT_NAMES}
+        copied = CalibStats(**given, n_sequences=5)
+        for name in STAT_NAMES:
+            assert not np.shares_memory(getattr(copied, name), given[name])
+            assert given[name].flags.writeable
+            assert not getattr(copied, name).flags.writeable
 
     def test_naive_sequential_accumulation_close(self):
         head, seqs = generate_synthetic(2, 8, 4, 6, 16)
