@@ -19,7 +19,7 @@ from .flops import FlopCounter
 from .linalg import kron, vec
 from .model import generate_synthetic
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
-from .oracle import exact_error, joint_qk_cost_demo, kron_exact_query_loss, taylor_error, upper_bound_check
+from .oracle import exact_error, joint_qk_cost_demo, kron_exact_query_loss, taylor_error, upper_bound_ratio
 from .quantizer import dequantize, fit_step_size, optq_compensate, rtn_quantize
 from .rounding import SoftQuantConfig, optimize_rounding
 from .stats import accumulate_stats
@@ -155,9 +155,9 @@ def check_upper_bound_inequality(seed: int = 0) -> CheckResult:
     for trial in range(200):
         head, seqs = generate_synthetic(_shift(seed, 5000 + trial), 8, 3, 5, 1)
         delta = rng.standard_normal((3, 8)) * float(rng.uniform(0.01, 2.0))
-        rep = upper_bound_check(head, seqs[0], delta)
-        worst = max(worst, rep.relative_gap)
-        if rep.relative_gap > 1.0 + 1e-9:
+        ratio = upper_bound_ratio(head, seqs[0], delta)
+        worst = max(worst, ratio)
+        if ratio > 1.0 + 1e-9:
             violations += 1
     return CheckResult(
         "upper-bound inequality",

@@ -86,7 +86,7 @@ def gen(seed, d, d_h, length, n_sequences, model_out, calib_out, n_eval, eval_ou
 
 # Keys a ``quantize --config`` file may set (the flag names), with their JSON types.
 _CONFIG_KEYS = {
-    "bits": "integer", "method": "string", "order": "string", "projections": "string",
+    "bits": "integer", "method": "string", "projections": "string",
     "value_kind": "string", "iterations": "integer", "learning_rate": "number", "lam": "number",
 }
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
@@ -119,8 +119,7 @@ def _merge_config(config_path, overrides: dict) -> dict:
 @click.option("--report-out", type=click.Path(dir_okay=False), default=None)
 @click.option("--bits", type=click.Choice([str(b) for b in VALID_BITS]), default=None)
 @click.option("--method", type=click.Choice(METHODS), default=None)
-@click.option("--order", type=str, default=None, help="Quantization order, e.g. VQK.")
-@click.option("--projections", type=str, default=None, help="Subset of VQK to quantize.")
+@click.option("--projections", type=str, default=None, help="Subset of VQK to quantize, run in V, Q, K order.")
 @click.option(
     "--value-kind",
     type=click.Choice(["value", "other"]),

@@ -21,7 +21,6 @@ Method semantics:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .flops import FlopCounter
 from .jsonio import atomic_write_json, load_json, require_field
 from .model import AttentionHead, CalibSequence, attention_forward
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
-from .oracle import exact_error
+from .oracle import exact_error, output_error
 from .quantizer import (
     QuantizedWeight,
     dequantize,
@@ -68,7 +67,6 @@ _ATTENTION_KIND = {"V": ProjectionKind.VALUE, "Q": ProjectionKind.QUERY, "K": Pr
 class PipelineConfig:
     bits: int = 4
     method: str = "aespa"
-    order: str = "VQK"
     projections: str = "VQK"
     value_kind: str = "value"  # 'other' switches W_V to the layer curvature
     soft: SoftQuantConfig = field(default_factory=SoftQuantConfig)
@@ -78,12 +76,10 @@ class PipelineConfig:
             raise DataError(f"bits must be one of {VALID_BITS}, got {self.bits}")
         if self.method not in METHODS:
             raise DataError(f"method must be one of {METHODS}, got '{self.method}'")
-        for name, letters in (("order", self.order), ("projections", self.projections)):
-            letters = letters.upper()
-            if sorted(letters) != sorted(set(letters)) or not set(letters) <= set("VQK"):
-                raise DataError(f"{name} must be a subset permutation of 'VQK'")
-        self.order = self.order.upper()
-        self.projections = self.projections.upper()
+        letters = self.projections.upper()
+        if sorted(letters) != sorted(set(letters)) or not set(letters) <= set("VQK"):
+            raise DataError("projections must be a subset permutation of 'VQK'")
+        self.projections = letters
         if self.value_kind not in ("value", "other"):
             raise DataError("value_kind must be 'value' or 'other'")
 
@@ -145,7 +141,9 @@ def quantize_head(
         raise DataError("statistics dimensions do not match the head")
 
     # Phase 1, per projection: grid fit and column-compensated warm start.
-    letters = [letter for letter in cfg.order if letter in cfg.projections]
+    # Each projection holds the others at full precision, so the order in
+    # which they run changes no result; it is fixed at V, Q, K.
+    letters = [letter for letter in "VQK" if letter in cfg.projections]
     weights = {letter: head.projection(_LETTER_TO_NAME[letter]) for letter in letters}
     contexts = {letter: context_for(_loss_kind(cfg, letter), stats) for letter in letters}
     quantized: dict[str, QuantizedWeight] = {}
@@ -181,7 +179,7 @@ def quantize_head(
             raise NumericalError(f"{_stage(cfg, letters[exc.slab])}: {exc}") from exc
         quantized.update(zip(letters, learned))
 
-    # Phase 3: the report rows, in cfg.order.
+    # Phase 3: the report rows, in V, Q, K order.
     projections: dict[str, dict] = {}
     report_rows: dict[str, dict] = {}
     for letter in letters:
@@ -204,7 +202,7 @@ def quantize_head(
         "d_h": head.d_h,
         "n_bits": cfg.bits,
         "method": cfg.method,
-        "order": cfg.order,
+        "order": "VQK",  # fixed; schema version 1 keeps the key
         "projections": projections,
         "full_precision": {
             name: head.projection(name).tolist()
@@ -212,13 +210,13 @@ def quantize_head(
             if letter not in cfg.projections
         },
     }
-    calib_err, _ = _attention_error_sums(dequantized_head(doc), sequences, sa_refs)
+    calib_err = output_error(dequantized_head(doc), sequences, sa_refs)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "quantize",
         "method": cfg.method,
         "bits": cfg.bits,
-        "order": cfg.order,
+        "order": "VQK",
         "value_kind": cfg.value_kind,
         "n_calibration_sequences": len(sequences),
         "projections": report_rows,
@@ -247,20 +245,6 @@ def dequantized_head(doc: dict) -> AttentionHead:
     return AttentionHead(d=d, d_h=d_h, w_q=weights["W_Q"], w_k=weights["W_K"], w_v=weights["W_V"])
 
 
-def _attention_error_sums(
-    quantized: AttentionHead, sequences: list[CalibSequence], sa_refs: Iterable[np.ndarray]
-) -> tuple[float, float]:
-    """Summed squared attention-output error against the reference outputs
-    ``sa_refs`` (one per sequence) and their summed squares."""
-    err = 0.0
-    ref_norm = 0.0
-    for seq, sa_ref in zip(sequences, sa_refs):
-        sa_q = attention_forward(quantized, seq).sa
-        err += float(np.sum((sa_q - sa_ref) ** 2))
-        ref_norm += float(np.sum(sa_ref**2))
-    return err, ref_norm
-
-
 def evaluate_quantized(
     reference: AttentionHead, quantized: AttentionHead, sequences: list[CalibSequence]
 ) -> dict:
@@ -269,8 +253,11 @@ def evaluate_quantized(
         raise DataError("evaluation needs at least one sequence")
     if (reference.d, reference.d_h) != (quantized.d, quantized.d_h):
         raise DataError("reference and quantized heads disagree on dimensions")
-    sa_refs = (attention_forward(reference, seq).sa for seq in sequences)
-    err, ref_norm = _attention_error_sums(quantized, sequences, sa_refs)
+    sa_refs = [attention_forward(reference, seq).sa for seq in sequences]
+    err = output_error(quantized, sequences, sa_refs)
+    ref_norm = 0.0
+    for sa_ref in sa_refs:
+        ref_norm += float(np.sum(sa_ref**2))
     mean_err = err / len(sequences)
     relative = float(np.sqrt(err / ref_norm)) if ref_norm > 0 else 0.0
     return {

@@ -297,25 +297,28 @@ def optimize_rounding(
     step, m_hat, v_hat = stack.work
     recon = np.empty((cfg.iterations, len(b)))
     reg = np.empty((cfg.iterations, len(b)))
-    for it in range(cfg.iterations):
-        recon[it], reg[it], grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it), counter)
-        # m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
-        m *= ADAM_BETA1
-        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
-        v *= ADAM_BETA2
-        np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
-        step *= grad
-        v += step
-        # b -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, 1.0 - ADAM_BETA1 ** (it + 1), out=m_hat)
-        np.divide(v, 1.0 - ADAM_BETA2 ** (it + 1), out=v_hat)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += ADAM_EPS
-        m_hat *= cfg.learning_rate
-        m_hat /= v_hat
-        b -= m_hat
-        if counter is not None:
-            counter.add(10 * b.size)  # optimizer update elementwise work
+    # A diverging run may overflow inside the loop. numpy stays quiet: the
+    # check after the loop is the one guard against non-finite results.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(cfg.iterations):
+            recon[it], reg[it], grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it), counter)
+            # m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
+            m *= ADAM_BETA1
+            m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+            v *= ADAM_BETA2
+            np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+            step *= grad
+            v += step
+            # b -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, 1.0 - ADAM_BETA1 ** (it + 1), out=m_hat)
+            np.divide(v, 1.0 - ADAM_BETA2 ** (it + 1), out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += ADAM_EPS
+            m_hat *= cfg.learning_rate
+            m_hat /= v_hat
+            b -= m_hat
+            if counter is not None:
+                counter.add(10 * b.size)  # optimizer update elementwise work
 
     # One check after the loop: a non-finite value propagates into every
     # later loss, or at last into the logits.

@@ -79,10 +79,10 @@ class TestPipeline:
         _, report2 = quantize_head(head, seqs, cfg2)
         assert report2["projections"]["W_V"]["kind"] == "value"
 
-    def test_order_recorded_and_configurable(self, tmp_path):
+    def test_default_config_records_order_vqk(self, tmp_path):
         head, seqs, _, _ = make_files(tmp_path, seed=6)
-        doc, report = quantize_head(head, seqs, PipelineConfig(bits=4, method="rtn", order="QKV"))
-        assert doc["order"] == "QKV" and report["order"] == "QKV"
+        doc, report = quantize_head(head, seqs, PipelineConfig(bits=4, method="rtn"))
+        assert doc["order"] == "VQK" and report["order"] == "VQK"
 
     def test_invalid_config_rejected(self):
         with pytest.raises(DataError):
@@ -90,7 +90,7 @@ class TestPipeline:
         with pytest.raises(DataError):
             PipelineConfig(method="fancy")
         with pytest.raises(DataError):
-            PipelineConfig(order="VVQ")
+            PipelineConfig(projections="VVQ")
 
     @pytest.mark.parametrize("given_stats", [False, True], ids=["stats-pass", "stats-given"])
     def test_one_reference_forward_per_sequence(self, monkeypatch, given_stats):
@@ -208,8 +208,8 @@ class TestStackedRounding:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"order": "KVQ"}, {"projections": "QK"}, {"value_kind": "other"}, {"projections": ""}],
-        ids=["default", "order-KVQ", "projections-QK", "value-kind-other", "no-projections"],
+        [{}, {"projections": "QK"}, {"value_kind": "other"}, {"projections": ""}],
+        ids=["default", "projections-QK", "value-kind-other", "no-projections"],
     )
     def test_matches_per_projection_reference_runs(self, monkeypatch, tmp_path, overrides):
         head, seqs = generate_synthetic(21, 12, 4, 6, 8)
@@ -365,8 +365,9 @@ class TestCli:
             ({"bits": 3.7}, "bits"),
             ({"iterations": "abc"}, "iterations"),
             ({"iterations": None}, "iterations"),
+            ({"order": "VQK"}, "order"),
         ],
-        ids=["unknown-key", "float-bits", "string-iterations", "null-iterations"],
+        ids=["unknown-key", "float-bits", "string-iterations", "null-iterations", "removed-order"],
     )
     def test_config_file_rejects_unknown_keys_and_wrong_types(self, tmp_path, config, key):
         _, _, model, calib = make_files(tmp_path, seed=12)
@@ -487,12 +488,13 @@ class TestCli:
     def test_check_rejects_negative_seed(self):
         assert CliRunner().invoke(main, ["check", "--seed", "-1"]).exit_code == 2
 
-    def test_quantize_rejects_removed_seed_flag(self, tmp_path):
+    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--order", "VQK")], ids=["seed", "order"])
+    def test_quantize_rejects_removed_flags(self, tmp_path, flag, value):
         head, seqs, model, calib = make_files(tmp_path, seed=16)
         res = CliRunner().invoke(
             main,
             ["quantize", "--model", str(model), "--calib", str(calib),
-             "--output", str(tmp_path / "q.json"), "--seed", "1"],
+             "--output", str(tmp_path / "q.json"), flag, value],
         )
         assert res.exit_code == 2
 

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from itertools import product
 
@@ -13,6 +14,7 @@ from attnquant.quantizer import (
     N_CLIP_RATIOS,
     ZERO_ROW_SCALE,
     QuantSpec,
+    QuantizedWeight,
     _candidate_grids,
     dequantize,
     fit_step_size,
@@ -147,6 +149,34 @@ class TestRtn:
         hi = (spec.scale * (spec.grid_max - spec.zero_point))[:, None]
         clamped = np.clip(w, lo, hi)
         assert np.all(np.abs(dq - clamped) <= spec.scale[:, None] / 2 + 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        d=st.integers(1, 24),
+        bits=st.sampled_from(VALID_BITS),
+        log_scale=st.floats(-6.0, 6.0),
+        midpoint_frac=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_error_at_most_half_step_inside_the_clip_range(
+        self, rows, d, bits, log_scale, midpoint_frac, seed
+    ):
+        rng = np.random.default_rng(seed)
+        grid_max = (1 << bits) - 1
+        s = 10.0**log_scale * rng.uniform(0.5, 2.0, size=rows)
+        z = rng.integers(0, grid_max + 1, size=rows)
+        spec = QuantSpec(n_bits=bits, scale=s, zero_point=z)
+        lo = (-z * s)[:, None]
+        hi = ((grid_max - z) * s)[:, None]
+        w = lo + rng.random((rows, d)) * (hi - lo)
+        # some entries sit on the midpoints between grid values, the worst case
+        k = rng.integers(0, grid_max, size=(rows, d))
+        midpoints = s[:, None] * (k - z[:, None] + 0.5)
+        w = np.where(rng.random((rows, d)) < midpoint_frac, midpoints, w)
+        w = np.clip(w, lo, hi)
+        err = np.abs(dequantize(rtn_quantize(w, spec)) - w)
+        assert np.all(err <= s[:, None] / 2 * (1 + 1e-12))
 
 
 class TestFitStepSize:
@@ -392,6 +422,31 @@ class TestQuantizedJson:
         np.testing.assert_array_equal(loaded.w_int, qw.w_int)
         np.testing.assert_array_equal(loaded.spec.scale, spec.scale)
         np.testing.assert_array_equal(loaded.spec.zero_point, spec.zero_point)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        d=st.integers(1, 12),
+        bits=st.sampled_from(VALID_BITS),
+        scale=st.lists(
+            st.floats(min_value=0.0, max_value=1e300, exclude_min=True), min_size=6, max_size=6
+        ),
+        fallback=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_valid_weight_survives_json_text(self, rows, d, bits, scale, fallback, seed):
+        rng = np.random.default_rng(seed)
+        grid_max = (1 << bits) - 1
+        spec = QuantSpec(
+            n_bits=bits, scale=scale[:rows], zero_point=rng.integers(0, grid_max + 1, size=rows)
+        )
+        qw = QuantizedWeight(rng.integers(0, grid_max + 1, size=(rows, d)), spec, fallback)
+        loaded = quantized_from_json(json.loads(json.dumps(quantized_to_json(qw))))
+        np.testing.assert_array_equal(loaded.w_int, qw.w_int)
+        np.testing.assert_array_equal(loaded.spec.scale, spec.scale)
+        np.testing.assert_array_equal(loaded.spec.zero_point, spec.zero_point)
+        assert loaded.spec.n_bits == bits and loaded.fallback_rtn == fallback
+        assert loaded.w_int.min() >= 0 and loaded.w_int.max() <= grid_max
 
     def test_rejects_out_of_grid(self):
         with pytest.raises(DataError):
