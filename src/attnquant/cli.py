@@ -69,13 +69,13 @@ def main():
 @click.option("--n-sequences", type=int, default=32, show_default=True)
 @click.option("--model-out", type=click.Path(dir_okay=False), required=True)
 @click.option("--calib-out", type=click.Path(dir_okay=False), required=True)
-@click.option("--n-eval", type=int, default=0, show_default=True, help="Extra held-out sequences.")
+@click.option("--n-eval", type=click.IntRange(min=0), default=0, show_default=True, help="Extra held-out sequences.")
 @click.option("--eval-out", type=click.Path(dir_okay=False), default=None)
 @_surface_errors
 def gen(seed, d, d_h, length, n_sequences, model_out, calib_out, n_eval, eval_out):
     """Generate a deterministic synthetic head plus calibration sequences."""
-    if n_eval > 0 and eval_out is None:
-        raise DataError("--n-eval requires --eval-out")
+    if (n_eval > 0) != (eval_out is not None):
+        raise DataError("--n-eval (above 0) and --eval-out must be given together")
     head, seqs = generate_synthetic(seed, d, d_h, length, n_sequences + n_eval)
     save_checkpoint(head, model_out)
     save_calibration(seqs[:n_sequences], calib_out)
@@ -146,14 +146,17 @@ def quantize(model, calib, output, report_out, config_path, trace_prefix, stats_
     cfg = PipelineConfig(**given, soft=soft)
     head = load_checkpoint(model)
     seqs = load_calibration(calib)
-    stats = None
+    stats = reference = None
     if stats_cache is not None:
         if Path(stats_cache).exists():
             stats = load_stats(stats_cache)
         else:
-            stats = accumulate_stats(head, seqs)
+            reference = []
+            stats = accumulate_stats(head, seqs, outputs=reference)
             save_stats(stats, stats_cache)
-    doc, report = quantize_head(head, seqs, cfg, trace_prefix=trace_prefix, stats=stats)
+    doc, report = quantize_head(
+        head, seqs, cfg, trace_prefix=trace_prefix, stats=stats, reference=reference
+    )
     save_quantized(doc, output)
     if report_out is not None:
         atomic_write_json(report, report_out)

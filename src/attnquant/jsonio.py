@@ -44,3 +44,11 @@ def require_field(obj: dict, key: str, what: str):
     if key not in obj:
         raise DataError(f"{what}: missing required field '{key}'")
     return obj[key]
+
+
+def require_int(obj: dict, key: str, what: str) -> int:
+    """The field ``key``, which must be a JSON integer."""
+    value = require_field(obj, key, what)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{what}: field '{key}' must be a JSON integer, got {json.dumps(value)}")
+    return value

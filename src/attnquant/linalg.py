@@ -2,7 +2,7 @@
 
 Matrices are plain C-ordered ``numpy.ndarray`` objects in 64-bit precision.
 ``as_matrix`` is the single entry point that enforces the carrier contract
-(2-D, float64, finite); everything downstream can then assume it.
+(2-D, float64, finite, read-only); everything downstream can then assume it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from .errors import DataError, NumericalError, SizeBudgetError
 
 __all__ = [
     "as_matrix",
-    "frozen",
     "softmax_rows",
     "softmax_jacobian_row",
     "kron",
@@ -24,32 +23,29 @@ DEFAULT_KRON_BUDGET = 4_000_000  # elements (~32 MB of float64)
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Coerce ``data`` to a finite 2-D float64 array (copying if needed)."""
-    a = np.array(data, dtype=np.float64, order="C")
+    """A read-only, finite, 2-D, C-ordered float64 array holding ``data``.
+
+    The one way a matrix is stored. An array that is already all of that is
+    returned as it is, so frozen matrices are shared, not copied; anything
+    else (a writable array, another dtype or order, a list) is copied once
+    and the copy frozen, so a caller's later writes cannot reach the result.
+    """
+    a = data
+    if not (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and not a.flags.writeable
+        and a.flags.c_contiguous
+    ):
+        try:
+            a = np.array(data, dtype=np.float64, order="C")
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{name} is not a numeric matrix: {exc}") from exc
+        a.setflags(write=False)
     if a.ndim != 2:
         raise DataError(f"{name}: expected a 2-D matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise NumericalError(f"{name}: contains NaN or Inf entries")
-    return a
-
-
-def frozen(data) -> np.ndarray:
-    """A read-only float64 array holding ``data``.
-
-    A read-only, contiguous float64 array is returned as it is, so frozen
-    statistics are shared rather than copied; anything else (a writable
-    array, another dtype, a strided view, a list) is copied first, so a
-    caller's later writes cannot reach the result.
-    """
-    if (
-        isinstance(data, np.ndarray)
-        and data.dtype == np.float64
-        and not data.flags.writeable
-        and (data.flags.c_contiguous or data.flags.f_contiguous)
-    ):
-        return data
-    a = np.array(data, dtype=np.float64)
-    a.setflags(write=False)
     return a
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .jsonio import atomic_write_json, load_json, require_field
+from .jsonio import atomic_write_json, load_json, require_field, require_int
 from .linalg import as_matrix, softmax_rows
 
 __all__ = [
@@ -30,11 +30,6 @@ __all__ = [
     "save_calibration",
     "load_calibration",
 ]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass
@@ -56,7 +51,7 @@ class AttentionHead:
                 raise DataError(
                     f"{name}: expected shape {self.d_h}x{self.d}, got {m.shape[0]}x{m.shape[1]}"
                 )
-            setattr(self, name, _frozen(m))
+            setattr(self, name, m)
 
     def projection(self, name: str) -> np.ndarray:
         try:
@@ -79,7 +74,7 @@ class CalibSequence:
     x: np.ndarray
 
     def __post_init__(self):
-        self.x = _frozen(as_matrix(self.x, "calibration sequence"))
+        self.x = as_matrix(self.x, "calibration sequence")
         if self.length < 1:
             raise DataError("calibration sequence must contain at least one token")
 
@@ -145,11 +140,7 @@ def generate_synthetic(
 
 
 def _matrix_field(obj: dict, key: str, rows: int, cols: int, what: str) -> np.ndarray:
-    raw = require_field(obj, key, what)
-    try:
-        m = as_matrix(raw, f"{what}: field '{key}'")
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"{what}: field '{key}' is not a numeric matrix: {exc}") from exc
+    m = as_matrix(require_field(obj, key, what), f"{what}: field '{key}'")
     if m.shape != (rows, cols):
         raise DataError(
             f"{what}: field '{key}' has shape {m.shape[0]}x{m.shape[1]}, "
@@ -174,8 +165,8 @@ def save_checkpoint(head: AttentionHead, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> AttentionHead:
     what = "checkpoint"
     obj = load_json(path, what)
-    d = int(require_field(obj, "d", what))
-    d_h = int(require_field(obj, "d_h", what))
+    d = require_int(obj, "d", what)
+    d_h = require_int(obj, "d_h", what)
     return AttentionHead(
         d=d,
         d_h=d_h,
@@ -198,8 +189,8 @@ def save_calibration(seqs: list[CalibSequence], path: str | Path) -> None:
 def load_calibration(path: str | Path) -> list[CalibSequence]:
     what = "calibration file"
     obj = load_json(path, what)
-    d = int(require_field(obj, "d", what))
-    length = int(require_field(obj, "L", what))
+    d = require_int(obj, "d", what)
+    length = require_int(obj, "L", what)
     raw = require_field(obj, "sequences", what)
     if not isinstance(raw, list) or not raw:
         raise DataError(f"{what}: field 'sequences' must be a non-empty list")

@@ -20,13 +20,14 @@ import numpy as np
 
 from .errors import DataError
 from .flops import FlopCounter, matmul_flops
-from .linalg import frozen
-from .stats import CalibStats
+from .linalg import as_matrix
+from .stats import SYM_TOL, CalibStats
 
 __all__ = [
     "ProjectionKind",
     "LossContext",
     "context_for",
+    "weighted",
     "loss",
     "loss_gradient",
     "loss_flops",
@@ -49,8 +50,7 @@ class LossContext:
     left is d_h x d_h (key Gram for QUERY, query Gram for KEY, identity
     otherwise); right is d x d (attention-weighted second moment for VALUE,
     plain input second moment otherwise). Both symmetric PSD, and both
-    held read-only: a read-only contiguous float64 input (such as a
-    CalibStats matrix) is used as it is, anything else is copied.
+    stored by ``as_matrix``, so CalibStats matrices are shared, not copied.
     """
 
     kind: ProjectionKind
@@ -58,18 +58,16 @@ class LossContext:
     right: np.ndarray
 
     def __post_init__(self):
-        self.left = frozen(self.left)
-        self.right = frozen(self.right)
+        self.left = as_matrix(self.left, "LossContext.left")
+        self.right = as_matrix(self.right, "LossContext.right")
         for name, m in (("left", self.left), ("right", self.right)):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            if m.shape[0] != m.shape[1]:
                 raise DataError(f"LossContext.{name} must be square")
             scale = max(1.0, float(np.abs(m).max()))
-            if float(np.abs(m - m.T).max()) > 1e-9 * scale:
+            if float(np.abs(m - m.T).max()) > SYM_TOL * scale:
                 raise DataError(f"LossContext.{name} must be symmetric")
-
-    @property
-    def identity_left(self) -> bool:
-        return self.kind in (ProjectionKind.VALUE, ProjectionKind.OTHER)
+        # An attribute, not a property: the rounding loop reads it per step.
+        self.identity_left = self.kind in (ProjectionKind.VALUE, ProjectionKind.OTHER)
 
 
 def context_for(kind: ProjectionKind, stats: CalibStats) -> LossContext:
@@ -94,8 +92,17 @@ def _check_shape(ctx: LossContext, delta_w: np.ndarray) -> np.ndarray:
     return delta_w
 
 
+def weighted(ctx: LossContext, delta_w: np.ndarray, out=None, work=None) -> np.ndarray:
+    """left @ DW @ right, the product that the loss and its gradient are made
+    of; the left product is skipped when left = I. ``out`` receives the
+    result and ``work`` the left product, both d_h x d, when given."""
+    if not ctx.identity_left:
+        delta_w = np.matmul(ctx.left, delta_w, out=work)
+    return np.matmul(delta_w, ctx.right, out=out)
+
+
 def _product_flops(ctx: LossContext) -> int:
-    """Flops of left @ DW @ right; the left product is skipped when left = I."""
+    """Flops of ``weighted``."""
     d_h, d = ctx.left.shape[0], ctx.right.shape[0]
     flops = matmul_flops(d_h, d, d)
     if not ctx.identity_left:
@@ -114,20 +121,15 @@ def gradient_flops(ctx: LossContext) -> int:
 
 
 def loss(ctx: LossContext, delta_w: np.ndarray, counter: FlopCounter | None = None) -> float:
-    """tr(left @ DW @ right @ DW^T), evaluated as sum((left @ DW @ right) * DW).
+    """tr(left @ DW @ right @ DW^T), evaluated as sum(weighted(DW) * DW).
 
-    With identity left the left product is skipped, so the value/layer path
-    costs one matmul plus one multiply-reduce and the query/key paths cost
-    two matmuls plus one multiply-reduce.
+    The value/layer path costs one matmul plus one multiply-reduce and the
+    query/key paths cost two matmuls plus one multiply-reduce.
     """
     delta_w = _check_shape(ctx, delta_w)
-    if ctx.identity_left:
-        weighted = delta_w @ ctx.right
-    else:
-        weighted = ctx.left @ delta_w @ ctx.right
     if counter is not None:
         counter.add(loss_flops(ctx))
-    return float(np.sum(weighted * delta_w))
+    return float(np.sum(weighted(ctx, delta_w) * delta_w))
 
 
 def loss_gradient(
@@ -135,13 +137,9 @@ def loss_gradient(
 ) -> np.ndarray:
     """Gradient of the trace form with respect to DW: 2 * left @ DW @ right."""
     delta_w = _check_shape(ctx, delta_w)
-    if ctx.identity_left:
-        grad = 2.0 * (delta_w @ ctx.right)
-    else:
-        grad = 2.0 * (ctx.left @ delta_w @ ctx.right)
     if counter is not None:
         counter.add(gradient_flops(ctx))
-    return grad
+    return 2.0 * weighted(ctx, delta_w)
 
 
 def row_hessian(ctx: LossContext) -> np.ndarray:

@@ -28,10 +28,10 @@ import numpy as np
 
 from .errors import AttnQuantError, DataError, NonFiniteRounding, NumericalError
 from .flops import FlopCounter
-from .jsonio import atomic_write_json, load_json, require_field
+from .jsonio import atomic_write_json, load_json, require_field, require_int
 from .model import AttentionHead, CalibSequence, attention_forward
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
-from .oracle import exact_error, output_error
+from .oracle import check_reference, exact_error, output_error
 from .quantizer import (
     QuantizedWeight,
     dequantize,
@@ -119,6 +119,7 @@ def quantize_head(
     counter: FlopCounter | None = None,
     trace_prefix: str | Path | None = None,
     stats: CalibStats | None = None,
+    reference: list[np.ndarray] | None = None,
 ) -> tuple[dict, dict]:
     """Quantize the selected projections of ``head`` and return
     (quantized checkpoint document, report document).
@@ -126,17 +127,20 @@ def quantize_head(
     Each calibration sequence's full-precision output is computed once,
     inside the statistics pass (or by one forward per sequence when
     ``stats`` is given), and every exact attention error of the report
-    reuses it. Quantizing V, Q and K then costs 5 forwards per sequence:
-    that one, one perturbed forward per projection and one with the
-    dequantized head.
+    reuses it. A caller that has those outputs already, such as the one
+    that made ``stats``, passes them as ``reference``. Quantizing V, Q and
+    K then costs 5 forwards per sequence: that one, one perturbed forward
+    per projection and one with the dequantized head.
     """
-    # Local to this call and never cached: the outputs belong to this head
-    # and these sequences.
-    sa_refs: list[np.ndarray] = []
-    if stats is None:
-        stats = accumulate_stats(head, sequences, outputs=sa_refs)
+    if reference is not None:
+        check_reference(head, sequences, reference)
+        if stats is None:
+            stats = accumulate_stats(head, sequences)
+    elif stats is None:
+        reference = []
+        stats = accumulate_stats(head, sequences, outputs=reference)
     else:
-        sa_refs = [attention_forward(head, seq).sa for seq in sequences]
+        reference = [attention_forward(head, seq).sa for seq in sequences]
     if stats.d != head.d or stats.d_h != head.d_h:
         raise DataError("statistics dimensions do not match the head")
 
@@ -190,7 +194,7 @@ def quantize_head(
             "kind": contexts[letter].kind.value,
             "refined_loss": loss(contexts[letter], delta),
             "exact_attention_error": exact_error(
-                head, sequences, _ATTENTION_KIND[letter], delta, reference=sa_refs
+                head, sequences, _ATTENTION_KIND[letter], delta, reference=reference
             ),
             "fallback_rtn": qw.fallback_rtn,
         }
@@ -210,7 +214,7 @@ def quantize_head(
             if letter not in cfg.projections
         },
     }
-    calib_err = output_error(dequantized_head(doc), sequences, sa_refs)
+    calib_err = output_error(dequantized_head(doc), sequences, reference)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "quantize",
@@ -228,8 +232,8 @@ def quantize_head(
 def dequantized_head(doc: dict) -> AttentionHead:
     """Materialize the dequantized head from a quantized checkpoint document."""
     what = "quantized checkpoint"
-    d = int(require_field(doc, "d", what))
-    d_h = int(require_field(doc, "d_h", what))
+    d = require_int(doc, "d", what)
+    d_h = require_int(doc, "d_h", what)
     projections = require_field(doc, "projections", what)
     full = doc.get("full_precision", {})
     weights = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .jsonio import require_field
+from .jsonio import require_field, require_int
 
 __all__ = [
     "QuantSpec",
@@ -132,8 +132,8 @@ def _candidate_grids(w: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray
 
 def _candidate_errors(rows: np.ndarray, scale: np.ndarray, zero_point: np.ndarray, grid_max: int) -> np.ndarray:
     """Nearest-rounding errors s * (g - z) - row, shape (rows, candidates, d),
-    built in place with the same IEEE operations, in the same order, as the
-    single-candidate expression in ``_best_candidate``."""
+    built in place, with g each entry's grid integer under ``_rtn_int``'s
+    rule."""
     s = scale[:, :, None]
     z = zero_point[:, :, None]
     x = rows[:, None, :] / s
@@ -154,10 +154,9 @@ def _best_candidate(row, hessian, scale, zero_point, grid_max):
     """(scale, zero_point) of the given candidates that wins under the exact
     per-candidate objective err @ H @ err, taken in ratio order: the lower
     objective wins, and on an exact tie the larger scale wins."""
+    errors = _candidate_errors(row[None], scale[None], zero_point[None], grid_max)[0]
     best = None
-    for s, z in zip(scale, zero_point.tolist()):
-        g = np.clip(round_half_away(row / s) + z, 0, grid_max)
-        err = s * (g - z) - row
+    for s, z, err in zip(scale, zero_point.tolist(), errors):
         obj = float(err @ hessian @ err)
         if best is None or obj < best[0] or (obj == best[0] and s > best[1]):
             best = (obj, s, z)
@@ -282,7 +281,7 @@ def optq_compensate(
     for j in range(n_cols):
         col = work[:, j]
         compensated[:, j] = col
-        g = np.clip(round_half_away(col / s) + z, 0, spec.grid_max)
+        g = _rtn_int(col[:, None], spec)[:, 0]
         w_int[:, j] = g
         err = (col - s * (g - z)) / upper[j, j]
         if j + 1 < n_cols:
@@ -300,13 +299,26 @@ def quantized_to_json(qw: QuantizedWeight) -> dict:
     }
 
 
+def _json_numbers(obj: dict, key: str, what: str, integer: bool) -> np.ndarray:
+    """The array field ``key``, which must hold JSON integers (``integer``)
+    or finite JSON numbers."""
+    try:
+        a = np.asarray(require_field(obj, key, what))
+    except ValueError:  # ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind not in ("iu" if integer else "iuf") or not np.isfinite(a).all():
+        want = "JSON integers" if integer else "finite JSON numbers"
+        raise DataError(f"{what}: field '{key}' must hold {want} only")
+    return a
+
+
 def quantized_from_json(obj: dict, what: str = "quantized weight") -> QuantizedWeight:
     spec = QuantSpec(
-        n_bits=int(require_field(obj, "n_bits", what)),
-        scale=require_field(obj, "scale", what),
-        zero_point=require_field(obj, "zero_point", what),
+        n_bits=require_int(obj, "n_bits", what),
+        scale=_json_numbers(obj, "scale", what, integer=False),
+        zero_point=_json_numbers(obj, "zero_point", what, integer=True),
     )
-    w_int = np.asarray(require_field(obj, "w_int", what))
+    w_int = _json_numbers(obj, "w_int", what, integer=True)
     if w_int.ndim != 2:
         raise DataError(f"{what}: w_int must be a 2-D integer matrix")
     return QuantizedWeight(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, NonFiniteRounding
 from .flops import FlopCounter
-from .objectives import LossContext, gradient_flops, loss_flops
+from .objectives import LossContext, gradient_flops, loss_flops, weighted
 # Not called here; bound because bench/spans.py PATCHES wraps these names.
 from .objectives import loss, loss_gradient  # noqa: F401
 from .quantizer import QuantSpec, QuantizedWeight, rtn_quantize
@@ -154,7 +154,7 @@ class RoundingStack:
     Slab p rounds ``w[p]`` on the grid ``spec[p]`` under the trace loss of
     ``ctx[p]``, measured from ``w_reference[p]`` (default ``w[p]``), so a
     compensated warm start can be rounded against the original weights.
-    The stack holds the grid constants, the weighting pairs (not copied;
+    The stack holds the grid constants, the loss contexts (not copied;
     slabs may share a factor) and the work buffers of one step, so a step
     allocates no (P, d_h, d) array.
     """
@@ -179,8 +179,7 @@ class RoundingStack:
             if sp.n_rows != shape[0] or c.left.shape[0] != shape[0] or c.right.shape[0] != shape[1]:
                 raise DataError(f"a grid or loss context does not fit the {shape} weights")
         self.spec = list(spec)
-        # (left, right) per slab, left None for identity
-        self.factors = [(None if c.identity_left else c.left, c.right) for c in ctx]
+        self.ctx = list(ctx)
         self.s = np.stack([sp.scale[:, None] for sp in spec])
         self.z = np.stack([sp.zero_point[:, None] for sp in spec]).astype(np.float64)
         self.grid_max = np.array([float(sp.grid_max) for sp in spec])[:, None, None]
@@ -233,11 +232,8 @@ def rounding_objective(
     g *= stack.s
     delta = np.subtract(stack.ref, g, out=stack.delta)
     product = stack.product
-    for p, (left, right) in enumerate(stack.factors):
-        if left is None:
-            np.matmul(delta[p], right, out=product[p])
-        else:
-            np.matmul(np.matmul(left, delta[p], out=stack.left_delta), right, out=product[p])
+    for p, c in enumerate(stack.ctx):
+        weighted(c, delta[p], out=product[p], work=stack.left_delta)
     reconstruction = _slab_sums(np.multiply(product, delta, out=stack.work[0]))
     grad = product
     grad *= -2.0  # the same bits as -(2.0 * G): both scalings are exact

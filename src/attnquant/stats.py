@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .jsonio import atomic_write_json, load_json, require_field
-from .linalg import frozen
+from .jsonio import atomic_write_json, load_json, require_field, require_int
+from .linalg import as_matrix
 from .model import AttentionHead, CalibSequence, attention_forward
 
 __all__ = ["CalibStats", "accumulate_stats", "save_stats", "load_stats"]
@@ -33,7 +33,10 @@ SYM_TOL = 1e-9
 PSD_TOL = 1e-8
 
 
-def _check_stat(m: np.ndarray, name: str) -> np.ndarray:
+def _check_stat(m, name: str) -> np.ndarray:
+    m = as_matrix(m, f"statistic {name}")
+    if m.shape[0] != m.shape[1]:
+        raise DataError(f"statistic {name} is not square")
     scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - m.T).max()) > SYM_TOL * scale:
         raise NumericalError(f"statistic {name} is not symmetric")
@@ -45,9 +48,8 @@ def _check_stat(m: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass
 class CalibStats:
-    """The four pre-computed expectation matrices for one head, held
-    read-only: a read-only contiguous float64 input is used as it is,
-    anything else is copied."""
+    """The four pre-computed expectation matrices for one head, stored by
+    ``as_matrix``, so frozen sums are shared, not copied."""
 
     exx: np.ndarray
     exax: np.ndarray
@@ -58,10 +60,10 @@ class CalibStats:
     def __post_init__(self):
         if self.n_sequences < 1:
             raise DataError("statistics must be built from at least one sequence")
-        self.exx = _check_stat(frozen(self.exx), "exx")
-        self.exax = _check_stat(frozen(self.exax), "exax")
-        self.ektk = _check_stat(frozen(self.ektk), "ektk")
-        self.eqtq = _check_stat(frozen(self.eqtq), "eqtq")
+        self.exx = _check_stat(self.exx, "exx")
+        self.exax = _check_stat(self.exax, "exax")
+        self.ektk = _check_stat(self.ektk, "ektk")
+        self.eqtq = _check_stat(self.eqtq, "eqtq")
         if self.exx.shape != self.exax.shape:
             raise DataError("exx and exax disagree on the hidden size")
         if self.ektk.shape != self.eqtq.shape:
@@ -160,5 +162,5 @@ def load_stats(path: str | Path) -> CalibStats:
         exax=require_field(obj, "exax", what),
         ektk=require_field(obj, "ektk", what),
         eqtq=require_field(obj, "eqtq", what),
-        n_sequences=int(require_field(obj, "n_sequences", what)),
+        n_sequences=require_int(obj, "n_sequences", what),
     )

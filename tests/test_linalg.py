@@ -109,6 +109,24 @@ class TestCarrierAndTrace:
         with pytest.raises(NumericalError):
             as_matrix([[np.inf, 0.0]])
 
+    def test_as_matrix_shares_only_frozen_c_ordered_float64(self):
+        frozen_c = np.arange(6.0).reshape(2, 3)
+        frozen_c.setflags(write=False)
+        assert as_matrix(frozen_c) is frozen_c
+        frozen_f = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        frozen_f.setflags(write=False)
+        for data in (frozen_f, frozen_c.astype(np.float32), np.ones((2, 3)), [[1, 2], [3, 4]]):
+            m = as_matrix(data)
+            assert m.dtype == np.float64 and m.flags.c_contiguous and not m.flags.writeable
+            assert not isinstance(data, np.ndarray) or not np.shares_memory(m, data)
+            np.testing.assert_array_equal(m, data)
+
+    def test_as_matrix_names_non_numeric_input(self):
+        with pytest.raises(DataError, match="^weights is not a numeric matrix"):
+            as_matrix([["x", 1.0]], "weights")
+        with pytest.raises(DataError, match="^weights is not a numeric matrix"):
+            as_matrix([[1.0, 2.0], [3.0]], "weights")
+
     def test_trace_quad_matches_explicit_trace(self):
         rng = rng_for(6)
         for _ in range(20):

@@ -84,6 +84,23 @@ class TestAttentionForward:
             attention_forward(head, CalibSequence(np.zeros((7, 6))))
 
 
+class TestStorage:
+    def test_replace_shares_the_untouched_projections(self):
+        head, _ = generate_synthetic(0, 6, 3, 4, 1)
+        w = np.ones((3, 6))
+        new = head.replace("W_Q", w)
+        assert new.w_k is head.w_k and new.w_v is head.w_v
+        assert not np.shares_memory(new.w_q, w) and not new.w_q.flags.writeable
+        w[0, 0] = 5.0  # the caller's later writes do not reach the head
+        assert new.w_q[0, 0] == 1.0
+
+    def test_sequence_is_stored_read_only(self):
+        x = np.ones((4, 3))
+        seq = CalibSequence(x)
+        assert not seq.x.flags.writeable and not np.shares_memory(seq.x, x)
+        assert CalibSequence(seq.x).x is seq.x
+
+
 class TestGenerateSynthetic:
     def test_same_seed_identical(self):
         h1, s1 = generate_synthetic(11, 8, 4, 6, 3)

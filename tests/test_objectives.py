@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attnquant.errors import DataError
+from attnquant.errors import DataError, NumericalError
 from attnquant.flops import FlopCounter
 from attnquant.linalg import kron, vec
 from attnquant.model import attention_forward, generate_synthetic
@@ -12,6 +12,7 @@ from attnquant.objectives import (
     loss,
     loss_gradient,
     row_hessian,
+    weighted,
 )
 from attnquant.stats import accumulate_stats
 from conftest import random_psd, rng_for
@@ -57,7 +58,26 @@ class TestContextStorage:
             np.testing.assert_array_equal(ctx.right, np.eye(3))
 
 
+    def test_non_finite_factor_rejected_by_name(self):
+        left = np.eye(3)
+        left[1, 1] = np.nan
+        with pytest.raises(NumericalError, match="^LossContext.left: contains NaN or Inf"):
+            LossContext(ProjectionKind.QUERY, left, np.eye(4))
+
+
 class TestLoss:
+    def test_weighted_matches_the_explicit_product_bit_for_bit(self):
+        rng = rng_for(13)
+        right = random_psd(rng, 5)
+        delta = rng.standard_normal((3, 5))
+        for kind, left in ((ProjectionKind.QUERY, random_psd(rng, 3)), (ProjectionKind.VALUE, np.eye(3))):
+            ctx = LossContext(kind, left, right)
+            expect = delta @ right if ctx.identity_left else left @ delta @ right
+            np.testing.assert_array_equal(weighted(ctx, delta), expect)
+            out, work = np.empty((3, 5)), np.empty((3, 5))
+            assert weighted(ctx, delta, out=out, work=work) is out
+            np.testing.assert_array_equal(out, expect)
+
     def test_zero_perturbation(self):
         head, seqs = generate_synthetic(0, 8, 4, 6, 2)
         ctx = context_for(ProjectionKind.VALUE, accumulate_stats(head, seqs))

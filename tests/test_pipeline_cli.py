@@ -22,7 +22,7 @@ from attnquant.pipeline import (
 from attnquant.objectives import LossContext, ProjectionKind
 from attnquant.quantizer import QuantSpec, dequantize, quantized_from_json, quantized_to_json, QuantizedWeight
 from attnquant.rounding import SoftQuantConfig
-from attnquant.stats import accumulate_stats
+from attnquant.stats import accumulate_stats, save_stats
 from test_rounding import reference_optimize_rounding
 
 
@@ -92,8 +92,12 @@ class TestPipeline:
         with pytest.raises(DataError):
             PipelineConfig(projections="VVQ")
 
-    @pytest.mark.parametrize("given_stats", [False, True], ids=["stats-pass", "stats-given"])
-    def test_one_reference_forward_per_sequence(self, monkeypatch, given_stats):
+    @pytest.mark.parametrize(
+        "given_stats, given_reference",
+        [(False, False), (True, False), (True, True)],
+        ids=["stats-pass", "stats-given", "stats-and-reference-given"],
+    )
+    def test_one_reference_forward_per_sequence(self, monkeypatch, given_stats, given_reference):
         cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=20))
         for seed in (12, 13):  # two heads in a row: nothing carries over between calls
             head, seqs = generate_synthetic(seed, 8, 4, 6, 5)
@@ -107,11 +111,14 @@ class TestPipeline:
                 for module in (stats_module, oracle, pipeline):
                     m.setattr(module, "attention_forward", counting)
                 # the caller's own stats pass, as `quantize --stats-cache` makes it
-                stats = accumulate_stats(head, seqs) if given_stats else None
-                doc, report = quantize_head(head, seqs, cfg, stats=stats)
+                reference = [] if given_reference else None
+                stats = accumulate_stats(head, seqs, outputs=reference) if given_stats else None
+                doc, report = quantize_head(head, seqs, cfg, stats=stats, reference=reference)
             # per sequence: the stats pass, then 3 perturbed and 1 quantized
-            # forward; with stats given, quantize_head adds 1 reference forward
-            assert len(calls) == (6 if given_stats else 5) * len(seqs)
+            # forward; with stats but no reference outputs given, quantize_head
+            # adds 1 reference forward
+            extra = given_stats and not given_reference
+            assert len(calls) == (6 if extra else 5) * len(seqs)
             for letter, kind in (("V", ProjectionKind.VALUE), ("Q", ProjectionKind.QUERY), ("K", ProjectionKind.KEY)):
                 name = f"W_{letter}"
                 delta = dequantize(quantized_from_json(doc["projections"][name])) - head.projection(name)
@@ -298,6 +305,21 @@ class TestCli:
         assert paths[0][0].read_text() == paths[1][0].read_text()
         assert paths[0][1].read_text() == paths[1][1].read_text()
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [(["--eval-out", "e.json"], 3), (["--n-eval", "0", "--eval-out", "e.json"], 3),
+         (["--n-eval", "3"], 3), (["--n-eval", "-5", "--eval-out", "e.json"], 2)],
+    )
+    def test_gen_rejects_mismatched_eval_flags(self, tmp_path, flags, code):
+        model, calib = tmp_path / "m.json", tmp_path / "c.json"
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        res = CliRunner().invoke(
+            main, ["gen", "--model-out", str(model), "--calib-out", str(calib), *flags]
+        )
+        assert res.exit_code == code, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
     def test_usage_error_exit_code_two(self):
         res = CliRunner().invoke(main, ["quantize", "--no-such-flag"])
         assert res.exit_code == 2
@@ -440,6 +462,95 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert cache.stat().st_mtime_ns == stamp  # reused, not rewritten
         assert out1.read_text() == out2.read_text()
+
+    def test_stats_cache_runs_five_forwards_per_sequence(self, tmp_path, monkeypatch):
+        head, seqs, model, calib = make_files(tmp_path, seed=16)
+        calls = []
+
+        def counting(h, s):
+            calls.append(s)
+            return attention_forward(h, s)
+
+        for module in (stats_module, oracle, pipeline):
+            monkeypatch.setattr(module, "attention_forward", counting)
+        cache = tmp_path / "stats.json"
+        args = ["quantize", "--model", str(model), "--calib", str(calib), "--output",
+                str(tmp_path / "q.json"), "--bits", "2", "--method", "aespa",
+                "--iterations", "10", "--stats-cache", str(cache)]
+        for run in ("first write", "reuse"):
+            calls.clear()
+            res = CliRunner().invoke(main, args)
+            assert res.exit_code == 0, res.output
+            assert cache.exists()
+            # the stats pass or one reference forward, 3 perturbed, 1 quantized
+            assert len(calls) == 5 * len(seqs), run
+
+    @pytest.mark.parametrize("name", ["exx", "exax", "ektk", "eqtq"])
+    @pytest.mark.parametrize(
+        "bad, method", [(float("nan"), "optq"), (float("inf"), "rtn")], ids=["nan-optq", "inf-rtn"]
+    )
+    def test_non_finite_stats_cache_exit_code_four(self, tmp_path, name, bad, method):
+        head, seqs, model, calib = make_files(tmp_path, seed=17)
+        cache, out = tmp_path / "stats.json", tmp_path / "q.json"
+        save_stats(accumulate_stats(head, seqs), cache)
+        doc = json.loads(cache.read_text())
+        doc[name][0][0] = bad
+        cache.write_text(json.dumps(doc))
+        res = CliRunner().invoke(
+            main,
+            ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out),
+             "--method", method, "--stats-cache", str(cache)],
+        )
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)  # handled: no traceback
+        assert res.stderr == f"numerical failure: statistic {name}: contains NaN or Inf entries\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "target, path, value, message",
+        [
+            ("model", ["d"], "abc", "checkpoint: field 'd' must be a JSON integer, got \"abc\""),
+            ("model", ["d_h"], 4.0, "checkpoint: field 'd_h' must be a JSON integer, got 4.0"),
+            ("calib", ["L"], "6", "calibration file: field 'L' must be a JSON integer"),
+            ("calib", ["d"], None, "calibration file: field 'd' must be a JSON integer, got null"),
+            ("stats", ["n_sequences"], 2.5, "statistics cache: field 'n_sequences' must be a JSON integer"),
+            ("quantized", ["d"], "abc", "quantized checkpoint: field 'd' must be a JSON integer"),
+            ("quantized", ["d_h"], True, "quantized checkpoint: field 'd_h' must be a JSON integer, got true"),
+            ("quantized", ["projections", "W_V", "n_bits"], 4.5, "W_V: field 'n_bits' must be a JSON integer"),
+            ("quantized", ["projections", "W_V", "w_int", 0, 0], "x", "W_V: field 'w_int' must hold JSON integers"),
+            ("quantized", ["projections", "W_V", "w_int", 0, 0], 1.7, "W_V: field 'w_int' must hold JSON integers"),
+            ("quantized", ["projections", "W_Q", "w_int", 0], [1], "W_Q: field 'w_int' must hold JSON integers"),
+            ("quantized", ["projections", "W_K", "zero_point", 0], 1.7, "W_K: field 'zero_point' must hold JSON integers"),
+            ("quantized", ["projections", "W_V", "scale", 0], float("nan"), "W_V: field 'scale' must hold finite JSON numbers"),
+            ("quantized", ["projections", "W_V", "scale", 0], "1.0", "W_V: field 'scale' must hold finite JSON numbers"),
+        ],
+        ids=["d-string", "d_h-float", "L-string", "d-null", "n_sequences-float", "quantized-d-string",
+             "quantized-d_h-bool", "n_bits-float", "w_int-string", "w_int-float", "w_int-ragged",
+             "zero_point-float", "scale-nan", "scale-string"],
+    )
+    def test_malformed_numeric_fields_exit_code_three(self, tmp_path, target, path, value, message):
+        head, seqs, model, calib = make_files(tmp_path, seed=18)
+        files = {"model": model, "calib": calib, "stats": tmp_path / "stats.json",
+                 "quantized": tmp_path / "q.json"}
+        quantize = ["quantize", "--model", str(model), "--calib", str(calib), "--method", "rtn",
+                    "--stats-cache", str(files["stats"])]
+        res = CliRunner().invoke(main, quantize + ["--output", str(files["quantized"])])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(files[target].read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        files[target].write_text(json.dumps(doc))
+        if target in ("model", "quantized"):
+            args = ["eval", "--model", str(model), "--quantized", str(files["quantized"]), "--data", str(calib)]
+        else:
+            args = quantize + ["--output", str(tmp_path / "q2.json")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)  # handled: no traceback
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert message in res.stderr
 
     def test_flops_table_and_csv(self, tmp_path):
         csv_out = tmp_path / "table.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from attnquant import stats as stats_module
-from attnquant.errors import DataError
+from attnquant.errors import DataError, NumericalError
 from attnquant.model import CalibSequence, attention_forward, generate_synthetic
 from attnquant.objectives import ProjectionKind, context_for, loss
 from attnquant.stats import CalibStats, accumulate_stats, load_stats, save_stats
@@ -151,6 +151,26 @@ class TestAccumulateStats:
             assert not np.shares_memory(getattr(copied, name), given[name])
             assert given[name].flags.writeable
             assert not getattr(copied, name).flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", STAT_NAMES)
+    def test_calibstats_rejects_non_finite_statistic(self, name, bad):
+        head, seqs = generate_synthetic(3, 8, 4, 6, 5)
+        given = {n: getattr(accumulate_stats(head, seqs), n).copy() for n in STAT_NAMES}
+        given[name][0, 0] = bad
+        with pytest.raises(NumericalError, match=f"^statistic {name}: contains NaN or Inf entries$"):
+            CalibStats(**given, n_sequences=5)
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [(np.ones((2, 3)), "statistic exx is not square"), (np.ones(3), "statistic exx: expected a 2-D"),
+         ([["a"]], "statistic exx is not a numeric matrix")],
+    )
+    def test_calibstats_rejects_malformed_statistic(self, value, match):
+        head, seqs = generate_synthetic(3, 8, 4, 6, 5)
+        given = {n: getattr(accumulate_stats(head, seqs), n) for n in STAT_NAMES}
+        with pytest.raises(DataError, match=match):
+            CalibStats(**{**given, "exx": value}, n_sequences=5)
 
     def test_naive_sequential_accumulation_close(self):
         head, seqs = generate_synthetic(2, 8, 4, 6, 16)
