@@ -63,9 +63,6 @@ class FlopCounter:
     def add(self, n: int) -> None:
         self.count += int(n)
 
-    def reset(self) -> None:
-        self.count = 0
-
 
 def matmul_flops(m: int, k: int, n: int) -> int:
     """Flops of an (m x k) @ (k x n) product: one multiply per term plus
@@ -87,7 +84,7 @@ def refined_projection_flops(p: CostParams) -> dict[str, int]:
 def flops_refined(p: CostParams) -> int:
     """Total per-iteration flops of the pre-computation-based losses over the
     three projections; independent of the batch size B."""
-    return 6 * p.d_h * p.d**2 + 4 * p.d_h**2 * p.d + p.d_h * p.d - 3
+    return sum(refined_projection_flops(p).values())
 
 
 def existing_itemization(p: CostParams) -> dict[str, int]:
@@ -103,7 +100,7 @@ def existing_itemization(p: CostParams) -> dict[str, int]:
 def flops_existing(p: CostParams) -> int:
     """Per-iteration flops of recomputing the attention output for B
     sequences of length L (the conventional reconstruction loop)."""
-    return p.B * (6 * p.d_h * p.d * p.L + 4 * p.d_h * p.L**2 + 2 * p.L**2 - p.L - 1)
+    return p.B * sum(existing_itemization(p).values())
 
 
 def gflops_str(flops: int) -> str:

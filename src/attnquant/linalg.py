@@ -20,6 +20,7 @@ __all__ = [
 ]
 
 DEFAULT_KRON_BUDGET = 4_000_000  # elements (~32 MB of float64)
+PROB_SUM_TOL = 1e-9  # how far a probability row may sum from 1
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -60,20 +61,20 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_jacobian_row(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def softmax_jacobian_row(a: np.ndarray) -> np.ndarray:
     """Jacobian of softmax evaluated at a probability row ``a``.
 
     Returns diag(a) - outer(a, a), an LxL symmetric matrix whose rows sum
     to zero. ``a`` must be a valid probability vector: nonnegative entries
-    summing to 1 within ``tol``.
+    summing to 1 within PROB_SUM_TOL.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if np.any(a < 0):
         raise DataError("softmax_jacobian_row: negative probability entry")
     total = float(a.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise DataError(
-            f"softmax_jacobian_row: row sums to {total!r}, not 1 within {tol}"
+            f"softmax_jacobian_row: row sums to {total!r}, not 1 within {PROB_SUM_TOL}"
         )
     return np.diag(a) - np.outer(a, a)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .flops import matmul_flops
-from .linalg import DEFAULT_KRON_BUDGET, kron, softmax_jacobian_row, vec
+from .linalg import kron, softmax_jacobian_row, vec
 from .model import AttentionHead, CalibSequence, attention_forward
 from .objectives import ProjectionKind
 
@@ -145,7 +145,6 @@ def kron_exact_query_loss(
     head: AttentionHead,
     sequences: list[CalibSequence],
     delta_w: np.ndarray,
-    max_elements: int = DEFAULT_KRON_BUDGET,
 ) -> float:
     """The query surrogate via the explicit (d*d_h)^2 Kronecker form:
     vec(dW)^T . mean(X X^T kron K^T K) . vec(dW), column-major vec.
@@ -159,7 +158,7 @@ def kron_exact_query_loss(
     acc = None
     for seq in sequences:
         trace = attention_forward(head, seq)
-        term = kron(seq.x @ seq.x.T, trace.k.T @ trace.k, max_elements=max_elements)
+        term = kron(seq.x @ seq.x.T, trace.k.T @ trace.k)
         acc = term if acc is None else acc + term
     acc /= len(sequences)
     w_flat = vec(delta_w)

@@ -33,6 +33,7 @@ from .model import AttentionHead, CalibSequence, attention_forward
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
 from .oracle import check_reference, exact_error, output_error
 from .quantizer import (
+    VALID_BITS,
     QuantizedWeight,
     dequantize,
     fit_step_size,
@@ -57,7 +58,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 METHODS = ("rtn", "optq", "aespa", "aespa-noround")
-VALID_BITS = (2, 3, 4, 6, 8)
 
 _LETTER_TO_NAME = {"V": "W_V", "Q": "W_Q", "K": "W_K"}
 _ATTENTION_KIND = {"V": ProjectionKind.VALUE, "Q": ProjectionKind.QUERY, "K": ProjectionKind.KEY}

@@ -8,6 +8,7 @@ integer zero-point z. Rounding ties go away from zero.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .errors import DataError
 from .jsonio import require_field, require_int
 
 __all__ = [
+    "VALID_BITS",
     "QuantSpec",
     "QuantizedWeight",
     "round_half_away",
@@ -27,6 +29,7 @@ __all__ = [
     "quantized_from_json",
 ]
 
+VALID_BITS = (2, 3, 4, 6, 8)
 ZERO_ROW_SCALE = 1e-8
 CLIP_RATIO_LO = 0.4
 CLIP_RATIO_HI = 1.0
@@ -53,8 +56,8 @@ class QuantSpec:
     zero_point: np.ndarray
 
     def __post_init__(self):
-        if self.n_bits < 2:
-            raise DataError(f"n_bits must be >= 2, got {self.n_bits}")
+        if self.n_bits not in VALID_BITS:
+            raise DataError(f"n_bits must be one of {VALID_BITS}, got {self.n_bits}")
         self.scale = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
         self.zero_point = np.atleast_1d(np.asarray(self.zero_point, dtype=np.int64))
         if self.scale.shape != self.zero_point.shape:
@@ -299,14 +302,27 @@ def quantized_to_json(qw: QuantizedWeight) -> dict:
     }
 
 
+def _holds_bool(nested: list, ndim: int) -> bool:
+    """Whether lists nested ``ndim`` deep hold a JSON true or false, which
+    numpy would read as 1 or 0 next to numbers."""
+    for _ in range(ndim - 1):
+        nested = itertools.chain.from_iterable(nested)
+    return ndim > 0 and bool in set(map(type, nested))
+
+
 def _json_numbers(obj: dict, key: str, what: str, integer: bool) -> np.ndarray:
     """The array field ``key``, which must hold JSON integers (``integer``)
     or finite JSON numbers."""
+    raw = require_field(obj, key, what)
     try:
-        a = np.asarray(require_field(obj, key, what))
+        a = np.asarray(raw)
     except ValueError:  # ragged nesting
         a = np.asarray(None)
-    if a.dtype.kind not in ("iu" if integer else "iuf") or not np.isfinite(a).all():
+    if (
+        a.dtype.kind not in ("iu" if integer else "iuf")
+        or not np.isfinite(a).all()
+        or _holds_bool(raw, a.ndim)
+    ):
         want = "JSON integers" if integer else "finite JSON numbers"
         raise DataError(f"{what}: field '{key}' must hold {want} only")
     return a

@@ -196,9 +196,10 @@ class RoundingStack:
         self.h, self.dh_db, self.delta, self.product = (np.empty_like(self.ref) for _ in range(4))
         self.work = tuple(np.empty_like(self.ref) for _ in range(3))
         self.left_delta = np.empty(shape)
-        # The count models one loss plus one gradient evaluation per slab
-        # (the paper's cost model), which the fused step shares.
-        self.step_flops = sum(loss_flops(c) + gradient_flops(c) for c in ctx) + 6 * self.ref.size
+        # Flops of one iteration: one loss plus one gradient evaluation per
+        # slab (the paper's cost model, which the fused step shares), then 6
+        # elementwise operations per weight for the step and 10 for Adam.
+        self.iter_flops = sum(loss_flops(c) + gradient_flops(c) for c in ctx) + 16 * self.ref.size
 
     def hard_assignment(self, b: np.ndarray) -> list[QuantizedWeight]:
         """The integer weights of logits ``b`` (h thresholded at 0.5)."""
@@ -212,7 +213,6 @@ def rounding_objective(
     b: np.ndarray,
     lam: float,
     beta: float,
-    counter: FlopCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One rounding step over the stack: per-slab reconstruction and
     regularizer, each (P,), and the (P, d_h, d) gradient with respect to b.
@@ -240,8 +240,6 @@ def rounding_objective(
     grad *= stack.s
     grad *= inside
     grad *= dh_db
-    if counter is not None:
-        counter.add(stack.step_flops)
     regularizer, grad_reg = rounding_regularizer(h, dh_db, lam, beta, work=stack.work)
     grad += grad_reg
     return reconstruction, regularizer, grad
@@ -297,7 +295,7 @@ def optimize_rounding(
     # check after the loop is the one guard against non-finite results.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(cfg.iterations):
-            recon[it], reg[it], grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it), counter)
+            recon[it], reg[it], grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it))
             # m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
             m *= ADAM_BETA1
             m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
@@ -313,8 +311,8 @@ def optimize_rounding(
             m_hat *= cfg.learning_rate
             m_hat /= v_hat
             b -= m_hat
-            if counter is not None:
-                counter.add(10 * b.size)  # optimizer update elementwise work
+    if counter is not None:  # before the check: a run that raises ran every iteration
+        counter.add(cfg.iterations * stack.iter_flops)
 
     # One check after the loop: a non-finite value propagates into every
     # later loss, or at last into the logits.

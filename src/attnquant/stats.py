@@ -16,7 +16,6 @@ reported loss magnitudes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,31 +77,6 @@ class CalibStats:
         return self.ektk.shape[0]
 
 
-def _sequence_terms(
-    head: AttentionHead, seq: CalibSequence
-) -> tuple[Iterator[np.ndarray], np.ndarray]:
-    """One sequence's XX^T, XA^TAX^T, K^TK, Q^TQ and its output SA, all from
-    one full-precision forward pass. The terms are made one at a time, as
-    the caller consumes them.
-
-    The generator holds the forward's arrays until the caller drops it,
-    after the next sequence's forward. Freed any earlier, they leave a free
-    heap top that malloc returns to the system and faults back in for every
-    sequence: about 500 page faults per sequence, and a third of the pass's
-    time, at d=128, L=256 on glibc.
-    """
-    trace = attention_forward(head, seq)
-
-    def terms():
-        xa = seq.x @ trace.a.T
-        yield seq.x @ seq.x.T
-        yield xa @ xa.T
-        yield trace.k.T @ trace.k
-        yield trace.q.T @ trace.q
-
-    return terms(), trace.sa
-
-
 def accumulate_stats(
     head: AttentionHead,
     sequences: list[CalibSequence],
@@ -125,19 +99,24 @@ def accumulate_stats(
     if not sequences:
         raise DataError("cannot accumulate statistics from an empty sequence list")
     d, d_h = head.d, head.d_h
-    sums = (np.zeros((d, d)), np.zeros((d, d)), np.zeros((d_h, d_h)), np.zeros((d_h, d_h)))
+    exx, exax = np.zeros((d, d)), np.zeros((d, d))
+    ektk, eqtq = np.zeros((d_h, d_h)), np.zeros((d_h, d_h))
     for seq in sequences:
-        terms, sa = _sequence_terms(head, seq)
-        terms = iter(terms)
-        for acc in sums:
-            acc += next(terms)  # each term is freed before the next is made
+        # trace and xa are rebound only after the next forward returns, so
+        # the last sequence's arrays outlive it; freed earlier, glibc would
+        # trim the heap top and fault it back in for every sequence.
+        trace = attention_forward(head, seq)
+        xa = seq.x @ trace.a.T
+        exx += seq.x @ seq.x.T
+        exax += xa @ xa.T
+        ektk += trace.k.T @ trace.k
+        eqtq += trace.q.T @ trace.q
         if outputs is not None:
-            outputs.append(sa)
+            outputs.append(trace.sa)
     n = len(sequences)
-    for acc in sums:
+    for acc in (exx, exax, ektk, eqtq):
         acc /= n
         acc.setflags(write=False)  # so CalibStats takes the sums without a copy
-    exx, exax, ektk, eqtq = sums
     return CalibStats(exx=exx, exax=exax, ektk=ektk, eqtq=eqtq, n_sequences=n)
 
 

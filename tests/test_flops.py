@@ -99,10 +99,8 @@ class TestCostTable:
 
 
 class TestCounter:
-    def test_accumulates_and_resets(self):
+    def test_accumulates(self):
         c = FlopCounter()
         c.add(3)
         c.add(np.int64(4))
         assert c.count == 7
-        c.reset()
-        assert c.count == 0

@@ -201,7 +201,7 @@ class TestInstrumentation:
         ):
             counter = FlopCounter()
             loss(context_for(kind, stats), delta, counter)
-            assert abs(counter.count - per[key]) <= 0.05 * per[key]
+            assert counter.count == per[key]
 
     def test_count_independent_of_calibration_size(self):
         delta = rng_for(16).standard_normal((4, 8))

@@ -523,10 +523,16 @@ class TestCli:
             ("quantized", ["projections", "W_K", "zero_point", 0], 1.7, "W_K: field 'zero_point' must hold JSON integers"),
             ("quantized", ["projections", "W_V", "scale", 0], float("nan"), "W_V: field 'scale' must hold finite JSON numbers"),
             ("quantized", ["projections", "W_V", "scale", 0], "1.0", "W_V: field 'scale' must hold finite JSON numbers"),
+            ("quantized", ["projections", "W_V", "scale", 0], True, "W_V: field 'scale' must hold finite JSON numbers"),
+            ("quantized", ["projections", "W_V", "w_int", 0, 0], True, "W_V: field 'w_int' must hold JSON integers"),
+            ("quantized", ["projections", "W_K", "zero_point", 0], True, "W_K: field 'zero_point' must hold JSON integers"),
+            ("quantized", ["projections", "W_V", "n_bits"], 100, "n_bits must be one of (2, 3, 4, 6, 8), got 100"),
+            ("quantized", ["projections", "W_V", "n_bits"], 5, "n_bits must be one of (2, 3, 4, 6, 8), got 5"),
         ],
         ids=["d-string", "d_h-float", "L-string", "d-null", "n_sequences-float", "quantized-d-string",
              "quantized-d_h-bool", "n_bits-float", "w_int-string", "w_int-float", "w_int-ragged",
-             "zero_point-float", "scale-nan", "scale-string"],
+             "zero_point-float", "scale-nan", "scale-string", "scale-bool", "w_int-bool",
+             "zero_point-bool", "n_bits-100", "n_bits-5"],
     )
     def test_malformed_numeric_fields_exit_code_three(self, tmp_path, target, path, value, message):
         head, seqs, model, calib = make_files(tmp_path, seed=18)

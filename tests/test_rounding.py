@@ -419,11 +419,15 @@ class TestNonFinite:
         with np.errstate(over="ignore"):
             assert loss(huge, np.full((2, 3), 10.0)) == np.inf
         path = tmp_path / "trace.csv"
+        counter = FlopCounter()
         with pytest.raises(NonFiniteRounding, match="iteration 0") as info:
             optimize_rounding(
                 [w, w], [spec, spec], [fine, huge], SoftQuantConfig(iterations=5),
-                w_reference=[w, w + 10.0], trace_csv=[path, None],
+                w_reference=[w, w + 10.0], counter=counter, trace_csv=[path, None],
             )
+        # a run that raises still counts every iteration it ran
+        per_iter = RoundingStack([w, w], [spec, spec], [fine, huge]).iter_flops
+        assert counter.count == 5 * per_iter
         assert info.value.slab == 1
         assert isinstance(info.value, NumericalError)
         assert not path.exists()

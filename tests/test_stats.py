@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,16 @@ from attnquant.stats import CalibStats, accumulate_stats, load_stats, save_stats
 from conftest import rng_for
 
 STAT_NAMES = ("exx", "exax", "ektk", "eqtq")
+
+
+class _NegZeroMatrix(np.ndarray):
+    """A matrix whose every product with another is a block of -0.0."""
+
+    def __new__(cls, shape):
+        return np.zeros(shape).view(cls)
+
+    def __matmul__(self, other):
+        return np.full((self.shape[0], other.shape[1]), -0.0).view(_NegZeroMatrix)
 
 
 def _stacked_means(head, seqs) -> dict:
@@ -88,11 +99,15 @@ class TestAccumulateStats:
     def test_negative_zero_terms_average_to_positive_zero(self, monkeypatch):
         # np.mean starts from the additive identity, so a position that is
         # -0.0 in every term comes out +0.0; a running sum seeded with the
-        # first term would keep -0.0.
-        head, seqs = generate_synthetic(0, 6, 3, 5, 4)
+        # first term would keep -0.0. A real x @ x.T never gives -0.0, so
+        # the forward and the sequences are stand-ins whose products do.
+        head, _ = generate_synthetic(0, 6, 3, 5, 1)
+        L = 5
+        trace = SimpleNamespace(a=_NegZeroMatrix((L, L)), k=_NegZeroMatrix((L, 3)),
+                                q=_NegZeroMatrix((L, 3)), sa=None)
+        monkeypatch.setattr(stats_module, "attention_forward", lambda h, s: trace)
+        seqs = [SimpleNamespace(x=_NegZeroMatrix((6, L))) for _ in range(4)]
         zero = {name: np.full((n, n), -0.0) for name, n in zip(STAT_NAMES, (6, 6, 3, 3))}
-        terms = tuple(zero[name] for name in STAT_NAMES)
-        monkeypatch.setattr(stats_module, "_sequence_terms", lambda h, s: (terms, None))
         got = accumulate_stats(head, seqs)
         for name in STAT_NAMES:
             reference = np.mean([zero[name]] * len(seqs), axis=0)
