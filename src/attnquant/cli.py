@@ -35,7 +35,6 @@ from .pipeline import (
     save_quantized,
 )
 from .rounding import SoftQuantConfig
-from .stats import accumulate_stats, load_stats, save_stats
 
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
@@ -130,15 +129,9 @@ def _merge_config(config_path, overrides: dict) -> dict:
 @click.option("--learning-rate", type=float, default=None)
 @click.option("--rounding-weight", "lam", type=float, default=None)
 @click.option("--trace-prefix", type=str, default=None, help="Write per-projection loss traces as CSV.")
-@click.option(
-    "--stats-cache",
-    type=click.Path(dir_okay=False),
-    default=None,
-    help="Statistics cache file: loaded if present, written after accumulation otherwise.",
-)
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
 @_surface_errors
-def quantize(model, calib, output, report_out, config_path, trace_prefix, stats_cache, **flags):
+def quantize(model, calib, output, report_out, config_path, trace_prefix, **flags):
     """Quantize a checkpoint against a calibration set."""
     opts = _merge_config(config_path, flags)
     given = {key: _CASTS[_CONFIG_KEYS[key]](value) for key, value in opts.items()}
@@ -146,17 +139,7 @@ def quantize(model, calib, output, report_out, config_path, trace_prefix, stats_
     cfg = PipelineConfig(**given, soft=soft)
     head = load_checkpoint(model)
     seqs = load_calibration(calib)
-    stats = reference = None
-    if stats_cache is not None:
-        if Path(stats_cache).exists():
-            stats = load_stats(stats_cache)
-        else:
-            reference = []
-            stats = accumulate_stats(head, seqs, outputs=reference)
-            save_stats(stats, stats_cache)
-    doc, report = quantize_head(
-        head, seqs, cfg, trace_prefix=trace_prefix, stats=stats, reference=reference
-    )
+    doc, report = quantize_head(head, seqs, cfg, trace_prefix=trace_prefix)
     save_quantized(doc, output)
     if report_out is not None:
         atomic_write_json(report, report_out)

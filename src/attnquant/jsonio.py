@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 
@@ -52,3 +55,29 @@ def require_int(obj: dict, key: str, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DataError(f"{what}: field '{key}' must be a JSON integer, got {json.dumps(value)}")
     return value
+
+
+def json_numbers(raw, name: str, integer: bool = False, finite: bool = False) -> np.ndarray:
+    """``raw``, as read from a JSON file, as an array that holds JSON
+    integers (``integer``) or JSON numbers (``finite`` ones if asked) and
+    nothing else: no strings, no ragged rows, and no JSON true or false,
+    which numpy would read as 1 or 0 next to numbers."""
+    try:
+        a = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        a = np.asarray(None)
+    if (
+        a.dtype.kind not in ("iu" if integer else "iuf")
+        or (finite and not np.isfinite(a).all())
+        or _holds_bool(raw, a.ndim)
+    ):
+        want = "JSON integers" if integer else "finite JSON numbers" if finite else "JSON numbers"
+        raise DataError(f"{name} must hold {want} only")
+    return a
+
+
+def _holds_bool(nested, ndim: int) -> bool:
+    """Whether lists nested ``ndim`` deep hold a JSON true or false."""
+    for _ in range(ndim - 1):
+        nested = itertools.chain.from_iterable(nested)
+    return ndim > 0 and bool in set(map(type, nested))

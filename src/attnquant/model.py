@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .jsonio import atomic_write_json, load_json, require_field, require_int
+from .jsonio import atomic_write_json, json_numbers, load_json, require_field, require_int
 from .linalg import as_matrix, softmax_rows
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "load_checkpoint",
     "save_calibration",
     "load_calibration",
+    "json_matrix",
 ]
 
 
@@ -139,12 +140,13 @@ def generate_synthetic(
     return head, seqs
 
 
-def _matrix_field(obj: dict, key: str, rows: int, cols: int, what: str) -> np.ndarray:
-    m = as_matrix(require_field(obj, key, what), f"{what}: field '{key}'")
-    if m.shape != (rows, cols):
+def json_matrix(raw, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """The matrix ``raw``, read from a JSON file, stored by ``as_matrix``;
+    it must hold JSON numbers only and have ``shape``."""
+    m = as_matrix(json_numbers(raw, name), name)
+    if m.shape != shape:
         raise DataError(
-            f"{what}: field '{key}' has shape {m.shape[0]}x{m.shape[1]}, "
-            f"expected {rows}x{cols}"
+            f"{name} has shape {m.shape[0]}x{m.shape[1]}, expected {shape[0]}x{shape[1]}"
         )
     return m
 
@@ -167,13 +169,11 @@ def load_checkpoint(path: str | Path) -> AttentionHead:
     obj = load_json(path, what)
     d = require_int(obj, "d", what)
     d_h = require_int(obj, "d_h", what)
-    return AttentionHead(
-        d=d,
-        d_h=d_h,
-        w_q=_matrix_field(obj, "W_Q", d_h, d, what),
-        w_k=_matrix_field(obj, "W_K", d_h, d, what),
-        w_v=_matrix_field(obj, "W_V", d_h, d, what),
-    )
+
+    def field(key: str) -> np.ndarray:
+        return json_matrix(require_field(obj, key, what), f"{what}: field '{key}'", (d_h, d))
+
+    return AttentionHead(d=d, d_h=d_h, w_q=field("W_Q"), w_k=field("W_K"), w_v=field("W_V"))
 
 
 def save_calibration(seqs: list[CalibSequence], path: str | Path) -> None:
@@ -194,13 +194,7 @@ def load_calibration(path: str | Path) -> list[CalibSequence]:
     raw = require_field(obj, "sequences", what)
     if not isinstance(raw, list) or not raw:
         raise DataError(f"{what}: field 'sequences' must be a non-empty list")
-    seqs = []
-    for i, entry in enumerate(raw):
-        m = as_matrix(entry, f"{what}: sequences[{i}]")
-        if m.shape != (d, length):
-            raise DataError(
-                f"{what}: sequences[{i}] has shape {m.shape[0]}x{m.shape[1]}, "
-                f"expected {d}x{length}"
-            )
-        seqs.append(CalibSequence(m))
-    return seqs
+    return [
+        CalibSequence(json_matrix(entry, f"{what}: sequences[{i}]", (d, length)))
+        for i, entry in enumerate(raw)
+    ]

@@ -19,7 +19,6 @@ from .model import AttentionHead, CalibSequence, attention_forward
 from .objectives import ProjectionKind
 
 __all__ = [
-    "check_reference",
     "output_error",
     "exact_error",
     "taylor_error",
@@ -45,7 +44,7 @@ def _check_delta(head: AttentionHead, delta_w: np.ndarray) -> np.ndarray:
     return delta_w
 
 
-def check_reference(
+def _check_reference(
     head: AttentionHead, sequences: list[CalibSequence], reference: list[np.ndarray]
 ) -> None:
     """Reject full-precision outputs that are not one L x d_h matrix per
@@ -96,7 +95,7 @@ def exact_error(
     if reference is None:
         reference = (attention_forward(head, seq).sa for seq in sequences)
     else:
-        check_reference(head, sequences, reference)
+        _check_reference(head, sequences, reference)
     name = _KIND_TO_PROJECTION[kind]
     perturbed = head.replace(name, head.projection(name) + delta_w)
     return output_error(perturbed, sequences, reference) / len(sequences)

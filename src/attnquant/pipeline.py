@@ -29,9 +29,9 @@ import numpy as np
 from .errors import AttnQuantError, DataError, NonFiniteRounding, NumericalError
 from .flops import FlopCounter
 from .jsonio import atomic_write_json, load_json, require_field, require_int
-from .model import AttentionHead, CalibSequence, attention_forward
+from .model import AttentionHead, CalibSequence, attention_forward, json_matrix
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
-from .oracle import check_reference, exact_error, output_error
+from .oracle import exact_error, output_error
 from .quantizer import (
     VALID_BITS,
     QuantizedWeight,
@@ -43,7 +43,7 @@ from .quantizer import (
     rtn_quantize,
 )
 from .rounding import SoftQuantConfig, optimize_rounding
-from .stats import CalibStats, accumulate_stats
+from .stats import accumulate_stats
 
 __all__ = [
     "METHODS",
@@ -118,31 +118,18 @@ def quantize_head(
     cfg: PipelineConfig,
     counter: FlopCounter | None = None,
     trace_prefix: str | Path | None = None,
-    stats: CalibStats | None = None,
-    reference: list[np.ndarray] | None = None,
 ) -> tuple[dict, dict]:
     """Quantize the selected projections of ``head`` and return
     (quantized checkpoint document, report document).
 
     Each calibration sequence's full-precision output is computed once,
-    inside the statistics pass (or by one forward per sequence when
-    ``stats`` is given), and every exact attention error of the report
-    reuses it. A caller that has those outputs already, such as the one
-    that made ``stats``, passes them as ``reference``. Quantizing V, Q and
-    K then costs 5 forwards per sequence: that one, one perturbed forward
-    per projection and one with the dequantized head.
+    inside the statistics pass, and every exact attention error of the
+    report reuses it. Quantizing V, Q and K costs 5 forwards per sequence:
+    that one, one perturbed forward per projection and one with the
+    dequantized head.
     """
-    if reference is not None:
-        check_reference(head, sequences, reference)
-        if stats is None:
-            stats = accumulate_stats(head, sequences)
-    elif stats is None:
-        reference = []
-        stats = accumulate_stats(head, sequences, outputs=reference)
-    else:
-        reference = [attention_forward(head, seq).sa for seq in sequences]
-    if stats.d != head.d or stats.d_h != head.d_h:
-        raise DataError("statistics dimensions do not match the head")
+    reference: list[np.ndarray] = []
+    stats = accumulate_stats(head, sequences, outputs=reference)
 
     # Phase 1, per projection: grid fit and column-compensated warm start.
     # Each projection holds the others at full precision, so the order in
@@ -240,12 +227,12 @@ def dequantized_head(doc: dict) -> AttentionHead:
     for name in ("W_Q", "W_K", "W_V"):
         if name in projections:
             weights[name] = dequantize(quantized_from_json(projections[name], f"{what}: {name}"))
+            if weights[name].shape != (d_h, d):
+                raise DataError(f"{what}: {name} has the wrong shape")
         elif name in full:
-            weights[name] = np.asarray(full[name], dtype=np.float64)
+            weights[name] = json_matrix(full[name], f"{what}: full_precision: {name}", (d_h, d))
         else:
             raise DataError(f"{what}: projection '{name}' is neither quantized nor carried")
-        if weights[name].shape != (d_h, d):
-            raise DataError(f"{what}: {name} has the wrong shape")
     return AttentionHead(d=d, d_h=d_h, w_q=weights["W_Q"], w_k=weights["W_K"], w_v=weights["W_V"])
 
 

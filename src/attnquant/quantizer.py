@@ -8,13 +8,12 @@ integer zero-point z. Rounding ties go away from zero.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .jsonio import require_field, require_int
+from .jsonio import json_numbers, require_field, require_int
 
 __all__ = [
     "VALID_BITS",
@@ -302,41 +301,19 @@ def quantized_to_json(qw: QuantizedWeight) -> dict:
     }
 
 
-def _holds_bool(nested: list, ndim: int) -> bool:
-    """Whether lists nested ``ndim`` deep hold a JSON true or false, which
-    numpy would read as 1 or 0 next to numbers."""
-    for _ in range(ndim - 1):
-        nested = itertools.chain.from_iterable(nested)
-    return ndim > 0 and bool in set(map(type, nested))
-
-
-def _json_numbers(obj: dict, key: str, what: str, integer: bool) -> np.ndarray:
-    """The array field ``key``, which must hold JSON integers (``integer``)
-    or finite JSON numbers."""
-    raw = require_field(obj, key, what)
-    try:
-        a = np.asarray(raw)
-    except ValueError:  # ragged nesting
-        a = np.asarray(None)
-    if (
-        a.dtype.kind not in ("iu" if integer else "iuf")
-        or not np.isfinite(a).all()
-        or _holds_bool(raw, a.ndim)
-    ):
-        want = "JSON integers" if integer else "finite JSON numbers"
-        raise DataError(f"{what}: field '{key}' must hold {want} only")
-    return a
-
-
 def quantized_from_json(obj: dict, what: str = "quantized weight") -> QuantizedWeight:
-    spec = QuantSpec(
-        n_bits=require_int(obj, "n_bits", what),
-        scale=_json_numbers(obj, "scale", what, integer=False),
-        zero_point=_json_numbers(obj, "zero_point", what, integer=True),
+    n_bits = require_int(obj, "n_bits", what)
+    scale, zero_point, w_int = (
+        json_numbers(require_field(obj, key, what), f"{what}: field '{key}'", integer=key != "scale", finite=True)
+        for key in ("scale", "zero_point", "w_int")
     )
-    w_int = _json_numbers(obj, "w_int", what, integer=True)
     if w_int.ndim != 2:
         raise DataError(f"{what}: w_int must be a 2-D integer matrix")
-    return QuantizedWeight(
-        w_int=w_int, spec=spec, fallback_rtn=bool(obj.get("fallback_rtn", False))
-    )
+    try:
+        return QuantizedWeight(
+            w_int=w_int,
+            spec=QuantSpec(n_bits=n_bits, scale=scale, zero_point=zero_point),
+            fallback_rtn=bool(obj.get("fallback_rtn", False)),
+        )
+    except DataError as exc:
+        raise DataError(f"{what}: {exc}") from exc

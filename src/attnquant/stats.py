@@ -17,16 +17,14 @@ reported loss magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .jsonio import atomic_write_json, load_json, require_field, require_int
 from .linalg import as_matrix
 from .model import AttentionHead, CalibSequence, attention_forward
 
-__all__ = ["CalibStats", "accumulate_stats", "save_stats", "load_stats"]
+__all__ = ["CalibStats", "accumulate_stats"]
 
 SYM_TOL = 1e-9
 PSD_TOL = 1e-8
@@ -54,11 +52,8 @@ class CalibStats:
     exax: np.ndarray
     ektk: np.ndarray
     eqtq: np.ndarray
-    n_sequences: int
 
     def __post_init__(self):
-        if self.n_sequences < 1:
-            raise DataError("statistics must be built from at least one sequence")
         self.exx = _check_stat(self.exx, "exx")
         self.exax = _check_stat(self.exax, "exax")
         self.ektk = _check_stat(self.ektk, "ektk")
@@ -113,33 +108,7 @@ def accumulate_stats(
         eqtq += trace.q.T @ trace.q
         if outputs is not None:
             outputs.append(trace.sa)
-    n = len(sequences)
     for acc in (exx, exax, ektk, eqtq):
-        acc /= n
+        acc /= len(sequences)
         acc.setflags(write=False)  # so CalibStats takes the sums without a copy
-    return CalibStats(exx=exx, exax=exax, ektk=ektk, eqtq=eqtq, n_sequences=n)
-
-
-def save_stats(stats: CalibStats, path: str | Path) -> None:
-    atomic_write_json(
-        {
-            "n_sequences": stats.n_sequences,
-            "exx": stats.exx.tolist(),
-            "exax": stats.exax.tolist(),
-            "ektk": stats.ektk.tolist(),
-            "eqtq": stats.eqtq.tolist(),
-        },
-        path,
-    )
-
-
-def load_stats(path: str | Path) -> CalibStats:
-    what = "statistics cache"
-    obj = load_json(path, what)
-    return CalibStats(
-        exx=require_field(obj, "exx", what),
-        exax=require_field(obj, "exax", what),
-        ektk=require_field(obj, "ektk", what),
-        eqtq=require_field(obj, "eqtq", what),
-        n_sequences=require_int(obj, "n_sequences", what),
-    )
+    return CalibStats(exx=exx, exax=exax, ektk=ektk, eqtq=eqtq)

@@ -22,7 +22,6 @@ from attnquant.pipeline import (
 from attnquant.objectives import LossContext, ProjectionKind
 from attnquant.quantizer import QuantSpec, dequantize, quantized_from_json, quantized_to_json, QuantizedWeight
 from attnquant.rounding import SoftQuantConfig
-from attnquant.stats import accumulate_stats, save_stats
 from test_rounding import reference_optimize_rounding
 
 
@@ -92,12 +91,7 @@ class TestPipeline:
         with pytest.raises(DataError):
             PipelineConfig(projections="VVQ")
 
-    @pytest.mark.parametrize(
-        "given_stats, given_reference",
-        [(False, False), (True, False), (True, True)],
-        ids=["stats-pass", "stats-given", "stats-and-reference-given"],
-    )
-    def test_one_reference_forward_per_sequence(self, monkeypatch, given_stats, given_reference):
+    def test_one_reference_forward_per_sequence(self, monkeypatch):
         cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=20))
         for seed in (12, 13):  # two heads in a row: nothing carries over between calls
             head, seqs = generate_synthetic(seed, 8, 4, 6, 5)
@@ -110,15 +104,9 @@ class TestPipeline:
             with monkeypatch.context() as m:
                 for module in (stats_module, oracle, pipeline):
                     m.setattr(module, "attention_forward", counting)
-                # the caller's own stats pass, as `quantize --stats-cache` makes it
-                reference = [] if given_reference else None
-                stats = accumulate_stats(head, seqs, outputs=reference) if given_stats else None
-                doc, report = quantize_head(head, seqs, cfg, stats=stats, reference=reference)
-            # per sequence: the stats pass, then 3 perturbed and 1 quantized
-            # forward; with stats but no reference outputs given, quantize_head
-            # adds 1 reference forward
-            extra = given_stats and not given_reference
-            assert len(calls) == (6 if extra else 5) * len(seqs)
+                doc, report = quantize_head(head, seqs, cfg)
+            # per sequence: the stats pass, then 3 perturbed and 1 quantized forward
+            assert len(calls) == 5 * len(seqs)
             for letter, kind in (("V", ProjectionKind.VALUE), ("Q", ProjectionKind.QUERY), ("K", ProjectionKind.KEY)):
                 name = f"W_{letter}"
                 delta = dequantize(quantized_from_json(doc["projections"][name])) - head.projection(name)
@@ -448,64 +436,6 @@ class TestCli:
         assert "6744432636" in res.output.replace(",", "")
         assert "per-sequence" in res.output
 
-    def test_stats_cache_written_then_reused(self, tmp_path):
-        head, seqs, model, calib = make_files(tmp_path, seed=15)
-        cache = tmp_path / "stats.json"
-        out1, out2 = tmp_path / "q1.json", tmp_path / "q2.json"
-        args = ["quantize", "--model", str(model), "--calib", str(calib),
-                "--bits", "4", "--method", "optq", "--stats-cache", str(cache)]
-        res = CliRunner().invoke(main, args + ["--output", str(out1)])
-        assert res.exit_code == 0, res.output
-        assert cache.exists()
-        stamp = cache.stat().st_mtime_ns
-        res = CliRunner().invoke(main, args + ["--output", str(out2)])
-        assert res.exit_code == 0, res.output
-        assert cache.stat().st_mtime_ns == stamp  # reused, not rewritten
-        assert out1.read_text() == out2.read_text()
-
-    def test_stats_cache_runs_five_forwards_per_sequence(self, tmp_path, monkeypatch):
-        head, seqs, model, calib = make_files(tmp_path, seed=16)
-        calls = []
-
-        def counting(h, s):
-            calls.append(s)
-            return attention_forward(h, s)
-
-        for module in (stats_module, oracle, pipeline):
-            monkeypatch.setattr(module, "attention_forward", counting)
-        cache = tmp_path / "stats.json"
-        args = ["quantize", "--model", str(model), "--calib", str(calib), "--output",
-                str(tmp_path / "q.json"), "--bits", "2", "--method", "aespa",
-                "--iterations", "10", "--stats-cache", str(cache)]
-        for run in ("first write", "reuse"):
-            calls.clear()
-            res = CliRunner().invoke(main, args)
-            assert res.exit_code == 0, res.output
-            assert cache.exists()
-            # the stats pass or one reference forward, 3 perturbed, 1 quantized
-            assert len(calls) == 5 * len(seqs), run
-
-    @pytest.mark.parametrize("name", ["exx", "exax", "ektk", "eqtq"])
-    @pytest.mark.parametrize(
-        "bad, method", [(float("nan"), "optq"), (float("inf"), "rtn")], ids=["nan-optq", "inf-rtn"]
-    )
-    def test_non_finite_stats_cache_exit_code_four(self, tmp_path, name, bad, method):
-        head, seqs, model, calib = make_files(tmp_path, seed=17)
-        cache, out = tmp_path / "stats.json", tmp_path / "q.json"
-        save_stats(accumulate_stats(head, seqs), cache)
-        doc = json.loads(cache.read_text())
-        doc[name][0][0] = bad
-        cache.write_text(json.dumps(doc))
-        res = CliRunner().invoke(
-            main,
-            ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out),
-             "--method", method, "--stats-cache", str(cache)],
-        )
-        assert res.exit_code == 4, res.output
-        assert isinstance(res.exception, SystemExit)  # handled: no traceback
-        assert res.stderr == f"numerical failure: statistic {name}: contains NaN or Inf entries\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "target, path, value, message",
         [
@@ -513,33 +443,51 @@ class TestCli:
             ("model", ["d_h"], 4.0, "checkpoint: field 'd_h' must be a JSON integer, got 4.0"),
             ("calib", ["L"], "6", "calibration file: field 'L' must be a JSON integer"),
             ("calib", ["d"], None, "calibration file: field 'd' must be a JSON integer, got null"),
-            ("stats", ["n_sequences"], 2.5, "statistics cache: field 'n_sequences' must be a JSON integer"),
             ("quantized", ["d"], "abc", "quantized checkpoint: field 'd' must be a JSON integer"),
             ("quantized", ["d_h"], True, "quantized checkpoint: field 'd_h' must be a JSON integer, got true"),
             ("quantized", ["projections", "W_V", "n_bits"], 4.5, "W_V: field 'n_bits' must be a JSON integer"),
             ("quantized", ["projections", "W_V", "w_int", 0, 0], "x", "W_V: field 'w_int' must hold JSON integers"),
             ("quantized", ["projections", "W_V", "w_int", 0, 0], 1.7, "W_V: field 'w_int' must hold JSON integers"),
             ("quantized", ["projections", "W_Q", "w_int", 0], [1], "W_Q: field 'w_int' must hold JSON integers"),
-            ("quantized", ["projections", "W_K", "zero_point", 0], 1.7, "W_K: field 'zero_point' must hold JSON integers"),
+            ("quantized", ["projections", "W_Q", "zero_point", 0], 1.7, "W_Q: field 'zero_point' must hold JSON integers"),
             ("quantized", ["projections", "W_V", "scale", 0], float("nan"), "W_V: field 'scale' must hold finite JSON numbers"),
             ("quantized", ["projections", "W_V", "scale", 0], "1.0", "W_V: field 'scale' must hold finite JSON numbers"),
             ("quantized", ["projections", "W_V", "scale", 0], True, "W_V: field 'scale' must hold finite JSON numbers"),
             ("quantized", ["projections", "W_V", "w_int", 0, 0], True, "W_V: field 'w_int' must hold JSON integers"),
-            ("quantized", ["projections", "W_K", "zero_point", 0], True, "W_K: field 'zero_point' must hold JSON integers"),
-            ("quantized", ["projections", "W_V", "n_bits"], 100, "n_bits must be one of (2, 3, 4, 6, 8), got 100"),
-            ("quantized", ["projections", "W_V", "n_bits"], 5, "n_bits must be one of (2, 3, 4, 6, 8), got 5"),
+            ("quantized", ["projections", "W_Q", "zero_point", 0], True, "W_Q: field 'zero_point' must hold JSON integers"),
+            ("quantized", ["projections", "W_V", "n_bits"], 100,
+             "quantized checkpoint: W_V: n_bits must be one of (2, 3, 4, 6, 8), got 100"),
+            ("quantized", ["projections", "W_V", "n_bits"], 5,
+             "quantized checkpoint: W_V: n_bits must be one of (2, 3, 4, 6, 8), got 5"),
+            ("quantized", ["projections", "W_Q", "zero_point", 0], 16,
+             "quantized checkpoint: W_Q: zero_point outside the integer grid"),
+            ("quantized", ["projections", "W_V", "w_int", 0, 0], 16,
+             "quantized checkpoint: W_V: integer weight outside the grid"),
+            ("quantized", ["projections", "W_V", "scale", 0], -0.5,
+             "quantized checkpoint: W_V: every row scale must be positive"),
+            ("model", ["W_Q", 0, 0], True, "checkpoint: field 'W_Q' must hold JSON numbers only"),
+            ("model", ["W_V", 0, 0], "1.0", "checkpoint: field 'W_V' must hold JSON numbers only"),
+            ("calib", ["sequences", 0, 0, 0], False, "calibration file: sequences[0] must hold JSON numbers only"),
+            ("quantized", ["full_precision", "W_K", 0, 0], True,
+             "quantized checkpoint: full_precision: W_K must hold JSON numbers only"),
+            ("quantized", ["full_precision", "W_K", 0, 0], "x",
+             "quantized checkpoint: full_precision: W_K must hold JSON numbers only"),
+            ("quantized", ["full_precision", "W_K", 0], [1.0],
+             "quantized checkpoint: full_precision: W_K must hold JSON numbers only"),
         ],
-        ids=["d-string", "d_h-float", "L-string", "d-null", "n_sequences-float", "quantized-d-string",
+        ids=["d-string", "d_h-float", "L-string", "d-null", "quantized-d-string",
              "quantized-d_h-bool", "n_bits-float", "w_int-string", "w_int-float", "w_int-ragged",
              "zero_point-float", "scale-nan", "scale-string", "scale-bool", "w_int-bool",
-             "zero_point-bool", "n_bits-100", "n_bits-5"],
+             "zero_point-bool", "n_bits-100", "n_bits-5", "zero_point-off-grid", "w_int-off-grid",
+             "scale-negative", "W_Q-bool", "W_V-numeric-string", "sequence-bool", "full_precision-bool",
+             "full_precision-string", "full_precision-ragged"],
     )
     def test_malformed_numeric_fields_exit_code_three(self, tmp_path, target, path, value, message):
         head, seqs, model, calib = make_files(tmp_path, seed=18)
-        files = {"model": model, "calib": calib, "stats": tmp_path / "stats.json",
-                 "quantized": tmp_path / "q.json"}
+        files = {"model": model, "calib": calib, "quantized": tmp_path / "q.json"}
+        # W_K is carried at full precision, in the quantized checkpoint's full_precision block
         quantize = ["quantize", "--model", str(model), "--calib", str(calib), "--method", "rtn",
-                    "--stats-cache", str(files["stats"])]
+                    "--projections", "VQ"]
         res = CliRunner().invoke(main, quantize + ["--output", str(files["quantized"])])
         assert res.exit_code == 0, res.output
         doc = json.loads(files[target].read_text())
@@ -605,7 +553,11 @@ class TestCli:
     def test_check_rejects_negative_seed(self):
         assert CliRunner().invoke(main, ["check", "--seed", "-1"]).exit_code == 2
 
-    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--order", "VQK")], ids=["seed", "order"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "1"), ("--order", "VQK"), ("--stats-cache", "s.json")],
+        ids=["seed", "order", "stats-cache"],
+    )
     def test_quantize_rejects_removed_flags(self, tmp_path, flag, value):
         head, seqs, model, calib = make_files(tmp_path, seed=16)
         res = CliRunner().invoke(

@@ -9,7 +9,7 @@ from attnquant import stats as stats_module
 from attnquant.errors import DataError, NumericalError
 from attnquant.model import CalibSequence, attention_forward, generate_synthetic
 from attnquant.objectives import ProjectionKind, context_for, loss
-from attnquant.stats import CalibStats, accumulate_stats, load_stats, save_stats
+from attnquant.stats import CalibStats, accumulate_stats
 from conftest import rng_for
 
 STAT_NAMES = ("exx", "exax", "ektk", "eqtq")
@@ -154,14 +154,14 @@ class TestAccumulateStats:
         for name in STAT_NAMES:
             m = getattr(stats, name)
             assert not m.flags.writeable
-            again = CalibStats(**{n: getattr(stats, n) for n in STAT_NAMES}, n_sequences=5)
+            again = CalibStats(**{n: getattr(stats, n) for n in STAT_NAMES})
             assert getattr(again, name) is m
 
     def test_calibstats_copies_writable_input(self):
         head, seqs = generate_synthetic(3, 8, 4, 6, 5)
         stats = accumulate_stats(head, seqs)
         given = {n: getattr(stats, n).copy() for n in STAT_NAMES}
-        copied = CalibStats(**given, n_sequences=5)
+        copied = CalibStats(**given)
         for name in STAT_NAMES:
             assert not np.shares_memory(getattr(copied, name), given[name])
             assert given[name].flags.writeable
@@ -174,7 +174,7 @@ class TestAccumulateStats:
         given = {n: getattr(accumulate_stats(head, seqs), n).copy() for n in STAT_NAMES}
         given[name][0, 0] = bad
         with pytest.raises(NumericalError, match=f"^statistic {name}: contains NaN or Inf entries$"):
-            CalibStats(**given, n_sequences=5)
+            CalibStats(**given)
 
     @pytest.mark.parametrize(
         "value, match",
@@ -185,7 +185,7 @@ class TestAccumulateStats:
         head, seqs = generate_synthetic(3, 8, 4, 6, 5)
         given = {n: getattr(accumulate_stats(head, seqs), n) for n in STAT_NAMES}
         with pytest.raises(DataError, match=match):
-            CalibStats(**{**given, "exx": value}, n_sequences=5)
+            CalibStats(**{**given, "exx": value})
 
     def test_naive_sequential_accumulation_close(self):
         head, seqs = generate_synthetic(2, 8, 4, 6, 16)
@@ -247,20 +247,3 @@ class TestStatsIdentities:
         order_scaled = np.argsort([loss(ctx_scaled, c) for c in cands])
         np.testing.assert_array_equal(order, order_scaled)
 
-
-class TestStatsCache:
-    def test_round_trip(self, tmp_path):
-        head, seqs = generate_synthetic(10, 8, 4, 6, 4)
-        stats = accumulate_stats(head, seqs)
-        path = tmp_path / "stats.json"
-        save_stats(stats, path)
-        loaded = load_stats(path)
-        assert loaded.n_sequences == 4
-        for name in ("exx", "exax", "ektk", "eqtq"):
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(stats, name))
-
-    def test_missing_field(self, tmp_path):
-        path = tmp_path / "stats.json"
-        path.write_text('{"exx": [[1.0]]}')
-        with pytest.raises(DataError):
-            load_stats(path)
