@@ -15,15 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .jsonio import atomic_write_json, json_numbers, load_json, require_field, require_int
-from .linalg import as_matrix, softmax_rows
+from .linalg import as_matrix
 
 __all__ = [
     "AttentionHead",
     "CalibSequence",
     "AttentionTrace",
     "attention_forward",
+    "map_buffer",
     "generate_synthetic",
     "save_checkpoint",
     "load_checkpoint",
@@ -99,11 +100,19 @@ class AttentionTrace:
     sa: np.ndarray  # L x d_h
 
 
-def attention_forward(head: AttentionHead, seq: CalibSequence) -> AttentionTrace:
+def attention_forward(
+    head: AttentionHead, seq: CalibSequence, out: np.ndarray | None = None
+) -> AttentionTrace:
     """Full-precision forward pass producing Q, K, V, the attention map A
     and the head output SA = A @ V.
 
-    Logits are scaled by 1/sqrt(d_h), the per-head key dimension.
+    Logits are scaled by 1/sqrt(d_h), the per-head key dimension. The map
+    is built in place, in ``out`` when it is given (an L x L float64
+    C-ordered array, see ``map_buffer``), so a loop over sequences can reuse
+    one buffer; the returned ``a`` is then ``out``, and the next forward
+    into it overwrites it. Softmax rows are stabilized by subtracting each
+    row's maximum, with the same operations as ``linalg.softmax_rows``, so
+    the result is bit-identical to it.
     """
     if seq.d != head.d:
         raise DataError(
@@ -112,8 +121,26 @@ def attention_forward(head: AttentionHead, seq: CalibSequence) -> AttentionTrace
     q = (head.w_q @ seq.x).T
     k = (head.w_k @ seq.x).T
     v = (head.w_v @ seq.x).T
-    a = softmax_rows(q @ k.T / math.sqrt(head.d_h))
+    a = np.matmul(q, k.T, out=out)
+    a /= math.sqrt(head.d_h)
+    peak = a.max(axis=1, keepdims=True)
+    # max and min propagate NaN, so both finite means every logit is; a
+    # -Inf logit in a row with a finite max shows only in the min
+    if not (np.isfinite(peak).all() and np.isfinite(a.min(axis=1)).all()):
+        raise NumericalError("softmax input: contains NaN or Inf entries")
+    a -= peak
+    np.exp(a, out=a)
+    a /= a.sum(axis=1, keepdims=True)
     return AttentionTrace(q=q, k=k, v=v, a=a, sa=a @ v)
+
+
+def map_buffer(seq: CalibSequence, buf: np.ndarray | None = None) -> np.ndarray:
+    """An L x L buffer for ``seq``'s attention map: ``buf`` when it has that
+    shape, else a new one, so a loop reallocates only when L changes."""
+    length = seq.length
+    if buf is None or buf.shape != (length, length):
+        buf = np.empty((length, length))
+    return buf
 
 
 def generate_synthetic(

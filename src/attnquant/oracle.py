@@ -15,11 +15,12 @@ import numpy as np
 from .errors import DataError
 from .flops import matmul_flops
 from .linalg import kron, softmax_jacobian_row, vec
-from .model import AttentionHead, CalibSequence, attention_forward
+from .model import AttentionHead, CalibSequence, attention_forward, map_buffer
 from .objectives import ProjectionKind
 
 __all__ = [
-    "output_error",
+    "output_errors",
+    "perturbed",
     "exact_error",
     "taylor_error",
     "kron_exact_query_loss",
@@ -44,35 +45,37 @@ def _check_delta(head: AttentionHead, delta_w: np.ndarray) -> np.ndarray:
     return delta_w
 
 
-def _check_reference(
-    head: AttentionHead, sequences: list[CalibSequence], reference: list[np.ndarray]
-) -> None:
-    """Reject full-precision outputs that are not one L x d_h matrix per
-    sequence."""
-    if len(reference) != len(sequences):
-        raise DataError(
-            f"reference has {len(reference)} outputs for {len(sequences)} sequences"
-        )
-    for i, (seq, sa_ref) in enumerate(zip(sequences, reference)):
-        shape = np.shape(sa_ref)
-        if shape != (seq.length, head.d_h):
-            raise DataError(
-                f"reference[{i}] has shape {shape}, expected {seq.length}x{head.d_h}"
-            )
-
-
-def output_error(
-    head: AttentionHead, sequences: list[CalibSequence], reference: list[np.ndarray]
-) -> float:
-    """Sum over sequences of ||SA(head) - reference||_F^2, one forward each.
+def output_errors(
+    head: AttentionHead, variants: list[AttentionHead], sequences: list[CalibSequence]
+) -> tuple[list[float], float]:
+    """For each head in ``variants``, the sum over sequences of
+    ||SA(variant) - SA(head)||_F^2; and the sum of ||SA(head)||_F^2.
 
     The one loop that sums attention-output errors: the exact errors, the
-    report's calibration error and the held-out evaluation all go through it.
+    report's calibration error and the held-out evaluation all go through
+    it. Per sequence it runs the reference forward, then each variant in
+    order, into two L x L buffers reused across sequences, so memory does
+    not grow with the number of sequences; every sum adds the sequences in
+    order. A variant whose W_Q and W_K are the reference's own arrays (as
+    ``head.replace("W_V", ...)`` builds it) shares the reference's attention
+    map, so its output is that map times its values, with no forward of its
+    own; the forward would rebuild the same map bit for bit.
     """
-    total = 0.0
-    for seq, sa_ref in zip(sequences, reference):
-        total += float(np.sum((attention_forward(head, seq).sa - sa_ref) ** 2))
-    return total
+    errors = [0.0] * len(variants)
+    ref_norm = 0.0
+    ref_map = variant_map = None
+    for seq in sequences:
+        ref_map = map_buffer(seq, ref_map)
+        ref = attention_forward(head, seq, out=ref_map)
+        ref_norm += float(np.sum(ref.sa**2))
+        for i, variant in enumerate(variants):
+            if variant.w_q is head.w_q and variant.w_k is head.w_k:
+                sa = ref.a @ (variant.w_v @ seq.x).T
+            else:
+                variant_map = map_buffer(seq, variant_map)
+                sa = attention_forward(variant, seq, out=variant_map).sa
+            errors[i] += float(np.sum((sa - ref.sa) ** 2))
+    return errors, ref_norm
 
 
 def exact_error(
@@ -80,25 +83,21 @@ def exact_error(
     sequences: list[CalibSequence],
     kind: ProjectionKind,
     delta_w: np.ndarray,
-    reference: list[np.ndarray] | None = None,
 ) -> float:
     """Mean over sequences of ||SA(perturbed) - SA(full precision)||_F^2,
-    recomputing the softmax forward pass with the perturbed projection.
-
-    ``reference`` may hold the full-precision outputs SA, one L x d_h matrix
-    per sequence, so a caller that already ran those forwards does not
-    repeat them; without it they are recomputed here.
-    """
+    recomputing the softmax forward pass with the perturbed projection."""
     if not sequences:
         raise DataError("exact_error needs at least one sequence")
-    delta_w = _check_delta(head, delta_w)
-    if reference is None:
-        reference = (attention_forward(head, seq).sa for seq in sequences)
-    else:
-        _check_reference(head, sequences, reference)
     name = _KIND_TO_PROJECTION[kind]
-    perturbed = head.replace(name, head.projection(name) + delta_w)
-    return output_error(perturbed, sequences, reference) / len(sequences)
+    (err,), _ = output_errors(head, [perturbed(head, name, delta_w)], sequences)
+    return err / len(sequences)
+
+
+def perturbed(head: AttentionHead, name: str, delta_w: np.ndarray) -> AttentionHead:
+    """``head`` with ``delta_w`` added to projection ``name`` and the other
+    two projections shared, not copied."""
+    delta_w = _check_delta(head, delta_w)
+    return head.replace(name, head.projection(name) + delta_w)
 
 
 def _taylor_delta_a(

@@ -29,9 +29,9 @@ import numpy as np
 from .errors import AttnQuantError, DataError, NonFiniteRounding, NumericalError
 from .flops import FlopCounter
 from .jsonio import atomic_write_json, load_json, require_field, require_int
-from .model import AttentionHead, CalibSequence, attention_forward, json_matrix
+from .model import AttentionHead, CalibSequence, json_matrix
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
-from .oracle import exact_error, output_error
+from .oracle import output_errors, perturbed
 from .quantizer import (
     VALID_BITS,
     QuantizedWeight,
@@ -44,6 +44,10 @@ from .quantizer import (
 )
 from .rounding import SoftQuantConfig, optimize_rounding
 from .stats import accumulate_stats
+
+# Not called here; bound because bench/spans.py PATCHES wraps these names.
+from .model import attention_forward  # noqa: F401
+from .oracle import exact_error  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -122,14 +126,14 @@ def quantize_head(
     """Quantize the selected projections of ``head`` and return
     (quantized checkpoint document, report document).
 
-    Each calibration sequence's full-precision output is computed once,
-    inside the statistics pass, and every exact attention error of the
-    report reuses it. Quantizing V, Q and K costs 5 forwards per sequence:
-    that one, one perturbed forward per projection and one with the
-    dequantized head.
+    The report's exact attention errors come from one pass over the
+    calibration sequences that keeps no per-sequence output, so memory does
+    not grow with their number. Quantizing V, Q and K costs 5 forwards per
+    sequence: the statistics pass, the full-precision reference, one each
+    for the perturbed Q and K, and one with the dequantized head (the
+    perturbed V shares the reference's attention map).
     """
-    reference: list[np.ndarray] = []
-    stats = accumulate_stats(head, sequences, outputs=reference)
+    stats = accumulate_stats(head, sequences)
 
     # Phase 1, per projection: grid fit and column-compensated warm start.
     # Each projection holds the others at full precision, so the order in
@@ -168,25 +172,17 @@ def quantize_head(
             )
         except NonFiniteRounding as exc:
             raise NumericalError(f"{_stage(cfg, letters[exc.slab])}: {exc}") from exc
-        quantized.update(zip(letters, learned))
+        # a warm start that fell back to nearest rounding stays flagged
+        quantized.update(
+            (letter, QuantizedWeight(qw.w_int, qw.spec, quantized[letter].fallback_rtn))
+            for letter, qw in zip(letters, learned)
+        )
 
-    # Phase 3: the report rows, in V, Q, K order.
-    projections: dict[str, dict] = {}
-    report_rows: dict[str, dict] = {}
-    for letter in letters:
-        name = _LETTER_TO_NAME[letter]
-        qw = quantized[letter]
-        delta = dequantize(qw) - weights[letter]
-        report_rows[name] = {
-            "kind": contexts[letter].kind.value,
-            "refined_loss": loss(contexts[letter], delta),
-            "exact_attention_error": exact_error(
-                head, sequences, _ATTENTION_KIND[letter], delta, reference=reference
-            ),
-            "fallback_rtn": qw.fallback_rtn,
-        }
-        projections[name] = quantized_to_json(qw)
-
+    # Phase 3: the report, in V, Q, K order, with each number checked once.
+    names = [_LETTER_TO_NAME[letter] for letter in letters]
+    deltas = [dequantize(quantized[letter]) - weights[letter] for letter in letters]
+    with np.errstate(all="ignore"):  # an overflow is reported by the check below
+        losses = [loss(contexts[letter], delta) for letter, delta in zip(letters, deltas)]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "d": head.d,
@@ -194,14 +190,28 @@ def quantize_head(
         "n_bits": cfg.bits,
         "method": cfg.method,
         "order": "VQK",  # fixed; schema version 1 keeps the key
-        "projections": projections,
+        "projections": {
+            name: quantized_to_json(quantized[letter]) for letter, name in zip(letters, names)
+        },
         "full_precision": {
             name: head.projection(name).tolist()
             for letter, name in _LETTER_TO_NAME.items()
             if letter not in cfg.projections
         },
     }
-    calib_err = output_error(dequantized_head(doc), sequences, reference)
+    variants = [perturbed(head, name, delta) for name, delta in zip(names, deltas)]
+    errors, _ = output_errors(head, [*variants, dequantized_head(doc)], sequences)
+    n = len(sequences)
+    report_rows = {}
+    for letter, name, refined, err in zip(letters, names, losses, errors):
+        report_rows[name] = {
+            "kind": contexts[letter].kind.value,
+            "refined_loss": _finite(refined, f"{_stage(cfg, letter)}: refined_loss"),
+            "exact_attention_error": _finite(
+                err / n, f"{_stage(cfg, letter)}: exact_attention_error"
+            ),
+            "fallback_rtn": quantized[letter].fallback_rtn,
+        }
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "quantize",
@@ -209,11 +219,18 @@ def quantize_head(
         "bits": cfg.bits,
         "order": "VQK",
         "value_kind": cfg.value_kind,
-        "n_calibration_sequences": len(sequences),
+        "n_calibration_sequences": n,
         "projections": report_rows,
-        "calibration_attention_error": calib_err / len(sequences),
+        "calibration_attention_error": _finite(errors[-1] / n, "calibration_attention_error"),
     }
     return doc, report
+
+
+def _finite(value: float, field: str) -> float:
+    """``value``, a report number, which must be finite."""
+    if not np.isfinite(value):
+        raise NumericalError(f"{field} is {value!r}, not a finite number")
+    return value
 
 
 def dequantized_head(doc: dict) -> AttentionHead:
@@ -244,11 +261,7 @@ def evaluate_quantized(
         raise DataError("evaluation needs at least one sequence")
     if (reference.d, reference.d_h) != (quantized.d, quantized.d_h):
         raise DataError("reference and quantized heads disagree on dimensions")
-    sa_refs = [attention_forward(reference, seq).sa for seq in sequences]
-    err = output_error(quantized, sequences, sa_refs)
-    ref_norm = 0.0
-    for sa_ref in sa_refs:
-        ref_norm += float(np.sum(sa_ref**2))
+    (err,), ref_norm = output_errors(reference, [quantized], sequences)
     mean_err = err / len(sequences)
     relative = float(np.sqrt(err / ref_norm)) if ref_norm > 0 else 0.0
     return {

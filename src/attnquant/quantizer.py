@@ -8,6 +8,7 @@ integer zero-point z. Rounding ties go away from zero.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ N_CLIP_RATIOS = 128
 OPTQ_DAMPING = 0.01
 # fit_step_size screens rows in blocks whose candidate errors take about this
 # many bytes; u is the float64 unit roundoff of its certification bound.
-_SCREEN_BLOCK_BYTES = 8 << 20
+_SCREEN_BLOCK_BYTES = 256 << 10
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -256,8 +257,8 @@ def optq_compensate(
     assignment together with the compensated full-precision weights (the
     state each column had when it was quantized), which later stages use
     as a warm start. With an identity Hessian the integers equal nearest
-    rounding exactly. A singular factorization falls back to plain nearest
-    rounding with ``fallback_rtn`` set.
+    rounding exactly. A factorization that fails, or gives a non-finite
+    factor, falls back to plain nearest rounding with ``fallback_rtn`` set.
     """
     w = np.asarray(w, dtype=np.float64)
     hessian = np.asarray(hessian, dtype=np.float64)
@@ -273,6 +274,10 @@ def optq_compensate(
     try:
         upper = np.linalg.cholesky(np.linalg.inv(damped)).T
     except np.linalg.LinAlgError:
+        upper = None
+    # cholesky can return a non-finite factor without raising, when the
+    # inverse overflows (a curvature near the subnormal range)
+    if upper is None or not np.isfinite(upper).all():
         qw = rtn_quantize(w, spec)
         return QuantizedWeight(qw.w_int, spec, fallback_rtn=True), w.copy()
 
@@ -309,11 +314,16 @@ def quantized_from_json(obj: dict, what: str = "quantized weight") -> QuantizedW
     )
     if w_int.ndim != 2:
         raise DataError(f"{what}: w_int must be a 2-D integer matrix")
+    fallback_rtn = obj.get("fallback_rtn", False)
+    if not isinstance(fallback_rtn, bool):
+        raise DataError(
+            f"{what}: field 'fallback_rtn' must be a JSON boolean, got {json.dumps(fallback_rtn)}"
+        )
     try:
         return QuantizedWeight(
             w_int=w_int,
             spec=QuantSpec(n_bits=n_bits, scale=scale, zero_point=zero_point),
-            fallback_rtn=bool(obj.get("fallback_rtn", False)),
+            fallback_rtn=fallback_rtn,
         )
     except DataError as exc:
         raise DataError(f"{what}: {exc}") from exc

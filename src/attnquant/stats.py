@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .linalg import as_matrix
-from .model import AttentionHead, CalibSequence, attention_forward
+from .model import AttentionHead, CalibSequence, attention_forward, map_buffer
 
 __all__ = ["CalibStats", "accumulate_stats"]
 
@@ -72,42 +72,39 @@ class CalibStats:
         return self.ektk.shape[0]
 
 
-def accumulate_stats(
-    head: AttentionHead,
-    sequences: list[CalibSequence],
-    outputs: list[np.ndarray] | None = None,
-) -> CalibStats:
+def accumulate_stats(head: AttentionHead, sequences: list[CalibSequence]) -> CalibStats:
     """Mean of the per-sequence matrices XX^T, XA^TAX^T, K^TK, Q^TQ, where A
-    comes from the full-precision forward pass. When ``outputs`` is a list,
-    each sequence's reference output SA is appended to it, so callers need
-    no second reference forward.
+    comes from the full-precision forward pass.
 
-    Each term goes into its running sum as soon as it is made, and the sums
-    start from zeros and are divided by the count in place at the end, so
-    memory stays O(d^2) whatever the number of sequences. Starting from
-    zeros, not from the first term, keeps the bits of numpy's mean over a
-    stack of the terms: for matrices larger than 1x1 that reduction adds the
-    sequences one after another, starting from the additive identity (so
-    all-(-0.0) terms give +0.0). A stack of 1x1 terms (d_h = 1) numpy sums
-    pairwise, which can differ in the last bits.
+    Each term goes into its running sum as soon as it is made, and the
+    attention map, XA^T and the d x d term are built in buffers reused from
+    one sequence to the next, so memory stays O(L^2 + d^2) whatever the
+    number of sequences. The sums start from zeros and are divided by the
+    count in place at the end. Starting from zeros, not from the first term,
+    keeps the bits of numpy's mean over a stack of the terms: for matrices
+    larger than 1x1 that reduction adds the sequences one after another,
+    starting from the additive identity (so all-(-0.0) terms give +0.0). A
+    stack of 1x1 terms (d_h = 1) numpy sums pairwise, which can differ in
+    the last bits.
     """
     if not sequences:
         raise DataError("cannot accumulate statistics from an empty sequence list")
     d, d_h = head.d, head.d_h
     exx, exax = np.zeros((d, d)), np.zeros((d, d))
     ektk, eqtq = np.zeros((d_h, d_h)), np.zeros((d_h, d_h))
+    term = np.empty((d, d))
+    a = xa = None
     for seq in sequences:
-        # trace and xa are rebound only after the next forward returns, so
-        # the last sequence's arrays outlive it; freed earlier, glibc would
-        # trim the heap top and fault it back in for every sequence.
-        trace = attention_forward(head, seq)
-        xa = seq.x @ trace.a.T
-        exx += seq.x @ seq.x.T
-        exax += xa @ xa.T
+        a = map_buffer(seq, a)
+        if xa is None or xa.shape != seq.x.shape:
+            xa = np.empty_like(seq.x)
+        trace = attention_forward(head, seq, out=a)
+        np.matmul(seq.x, trace.a.T, out=xa)
+        exx += np.matmul(seq.x, seq.x.T, out=term)
+        exax += np.matmul(xa, xa.T, out=term)
         ektk += trace.k.T @ trace.k
         eqtq += trace.q.T @ trace.q
-        if outputs is not None:
-            outputs.append(trace.sa)
+    del trace, a, xa, term  # freed before CalibStats checks the sums
     for acc in (exx, exax, ektk, eqtq):
         acc /= len(sequences)
         acc.setflags(write=False)  # so CalibStats takes the sums without a copy

@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from attnquant.errors import DataError
+from attnquant.errors import DataError, NumericalError
+from attnquant.linalg import softmax_rows
 from attnquant.model import (
     AttentionHead,
     CalibSequence,
     attention_forward,
     generate_synthetic,
+    map_buffer,
     load_calibration,
     load_checkpoint,
     save_calibration,
@@ -82,6 +85,51 @@ class TestAttentionForward:
         head, _ = generate_synthetic(0, 8, 4, 6, 1)
         with pytest.raises(DataError):
             attention_forward(head, CalibSequence(np.zeros((7, 6))))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        length=st.integers(1, 64),
+        d_h=st.integers(1, 8),
+        extra=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_forward_bit_identical_to_softmax_rows(self, length, d_h, extra, seed):
+        head, (seq,) = generate_synthetic(seed, d_h + extra, d_h, length, 1)
+        q, k, v = ((w @ seq.x).T for w in (head.w_q, head.w_k, head.w_v))
+        a = softmax_rows(q @ k.T / math.sqrt(d_h))
+        sa = a @ v
+        buf = np.full((length, length), np.nan)  # stale contents must not leak in
+        for out in (None, buf, buf):
+            trace = attention_forward(head, seq, out=out)
+            assert out is None or trace.a is out
+            assert trace.a.tobytes() == a.tobytes()
+            assert trace.sa.tobytes() == sa.tobytes()
+
+    @pytest.mark.parametrize(
+        "x, w_q, w_k",
+        [
+            # +Inf: the logit 1e200 * 1e200 overflows
+            ([[1e200, 1.0], [1e200, 1.0]], [[1.0, 0.0]], [[1.0, 0.0]]),
+            # NaN: the logit sums 1e400 and -1e400
+            ([[1e200, 1e200], [1e200, -1e200]], np.eye(2), np.eye(2)),
+            # -Inf in every row, next to a finite logit that is the row's max
+            ([[1e200, 1e200], [1.0, -1e200]], [[1.0, 0.0]], [[0.0, 1.0]]),
+        ],
+        ids=["plus-inf", "nan", "minus-inf-finite-max"],
+    )
+    def test_non_finite_logits_raise(self, x, w_q, w_k):
+        w_q, w_k = np.asarray(w_q, dtype=float), np.asarray(w_k, dtype=float)
+        head = AttentionHead(2, w_q.shape[0], w_q, w_k, np.ones_like(w_q))
+        seq = CalibSequence(x)
+        for out in (None, map_buffer(seq)):
+            with np.errstate(all="ignore"), pytest.raises(NumericalError, match="NaN or Inf"):
+                attention_forward(head, seq, out=out)
+
+    def test_map_buffer_reused_only_at_its_length(self):
+        short, long = CalibSequence(np.zeros((2, 3))), CalibSequence(np.zeros((2, 5)))
+        buf = map_buffer(short)
+        assert buf.shape == (3, 3) and map_buffer(short, buf) is buf
+        assert map_buffer(long, buf).shape == (5, 5)
 
 
 class TestStorage:

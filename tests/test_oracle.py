@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from attnquant import oracle
 from attnquant.errors import DataError
-from attnquant.model import CalibSequence, attention_forward, generate_synthetic
+from attnquant.model import AttentionHead, CalibSequence, attention_forward, generate_synthetic
 from attnquant.objectives import ProjectionKind, context_for, loss
 from attnquant.oracle import (
     exact_error,
+    output_errors,
     joint_qk_cost_demo,
     kron_exact_query_loss,
     taylor_error,
@@ -40,30 +42,47 @@ class TestExactError:
             exact_error(head, seqs, ProjectionKind.VALUE, np.zeros((3, 8)))
 
 
-    def test_reference_outputs_give_identical_error(self):
-        head, seqs = generate_synthetic(9, 8, 4, 6, 3)
-        reference = [attention_forward(head, s).sa for s in seqs]
-        delta = rng_for(10).standard_normal((4, 8)) * 0.2
-        for kind in ProjectionKind:
-            assert exact_error(head, seqs, kind, delta, reference=reference) == exact_error(
-                head, seqs, kind, delta
-            )
 
-    def test_reference_length_and_shapes_checked(self):
-        head, seqs = generate_synthetic(11, 8, 4, 6, 2)
-        seqs.append(CalibSequence(seqs[0].x[:, :3]))  # lengths 6, 6, 3
-        reference = [attention_forward(head, s).sa for s in seqs]
-        bad = [
-            reference[:-1],
-            reference + [reference[0]],
-            [reference[0], reference[2], reference[1]],
-            [r.T for r in reference],
-            [r[:, :-1] for r in reference],
-            [r.ravel() for r in reference],
+class TestOutputErrors:
+    def test_value_variant_shares_the_reference_map_bit_for_bit(self, monkeypatch):
+        head, seqs = generate_synthetic(9, 8, 4, 6, 3)
+        seqs.append(CalibSequence(seqs[0].x[:, :3]))  # lengths 6, 6, 6, 3
+        w_v = head.w_v + rng_for(10).standard_normal((4, 8)) * 0.2
+        shared = head.replace("W_V", w_v)
+        # the same weights in arrays of its own, so it runs its own forward
+        unshared = AttentionHead(8, 4, head.w_q.copy(), head.w_k.copy(), w_v)
+        calls = []
+
+        def counting(h, s, out=None):
+            calls.append(h)
+            return attention_forward(h, s, out=out)
+
+        monkeypatch.setattr(oracle, "attention_forward", counting)
+        (err_shared,), norm = output_errors(head, [shared], seqs)
+        assert calls == [head] * len(seqs)
+        (err_unshared,), norm_unshared = output_errors(head, [unshared], seqs)
+        assert len(calls) == 3 * len(seqs)
+        expected = norm_expected = 0.0
+        for seq in seqs:
+            sa_ref = attention_forward(head, seq).sa
+            expected += float(np.sum((attention_forward(unshared, seq).sa - sa_ref) ** 2))
+            norm_expected += float(np.sum(sa_ref**2))
+        assert err_shared == err_unshared == expected > 0
+        assert norm == norm_unshared == norm_expected
+
+    def test_variants_in_one_pass_equal_one_pass_each(self):
+        head, seqs = generate_synthetic(12, 8, 4, 6, 4)
+        rng = rng_for(13)
+        variants = [
+            head.replace(name, head.projection(name) + 0.2 * rng.standard_normal((4, 8)))
+            for name in ("W_V", "W_Q", "W_K")
         ]
-        for ref in bad:
-            with pytest.raises(DataError):
-                exact_error(head, seqs, ProjectionKind.VALUE, np.zeros((4, 8)), reference=ref)
+        v, q, k = variants
+        variants.append(AttentionHead(8, 4, q.w_q, k.w_k, v.w_v))  # all three perturbed
+        errors, norm = output_errors(head, variants, seqs)
+        for variant, err in zip(variants, errors):
+            assert output_errors(head, [variant], seqs) == ([err], norm)
+        assert output_errors(head, [], seqs) == ([], norm)
 
 
 class TestTaylorError:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from attnquant import stats as stats_module
 from attnquant.cli import main
 from attnquant.errors import DataError, NumericalError
 from attnquant.flops import FlopCounter
-from attnquant.model import AttentionHead, attention_forward, generate_synthetic, load_calibration, load_checkpoint, save_calibration, save_checkpoint
+from attnquant.model import AttentionHead, CalibSequence, attention_forward, generate_synthetic, load_calibration, load_checkpoint, save_calibration, save_checkpoint
 from attnquant.pipeline import (
     METHODS,
     PipelineConfig,
@@ -32,6 +33,27 @@ def make_files(tmp_path, seed=0, d=8, d_h=4, length=6, n=8):
     save_checkpoint(head, model)
     save_calibration(seqs, calib)
     return head, seqs, model, calib
+
+
+def scaled_files(tmp_path, scale):
+    """A tiny head and 3 calibration sequences whose entries are multiplied
+    by ``scale``, saved as model and calibration files."""
+    head, seqs = generate_synthetic(1, 8, 2, 4, 3)
+    model, calib = tmp_path / "model.json", tmp_path / "calib.json"
+    save_checkpoint(head, model)
+    save_calibration([CalibSequence(s.x * scale) for s in seqs], calib)
+    return model, calib
+
+
+def numbers(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from numbers(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from numbers(v)
+    elif isinstance(obj, float):
+        yield obj
 
 
 class TestPipeline:
@@ -97,15 +119,16 @@ class TestPipeline:
             head, seqs = generate_synthetic(seed, 8, 4, 6, 5)
             calls = []
 
-            def counting(h, s):
+            def counting(h, s, out=None):
                 calls.append(s)
-                return attention_forward(h, s)
+                return attention_forward(h, s, out=out)
 
             with monkeypatch.context() as m:
                 for module in (stats_module, oracle, pipeline):
                     m.setattr(module, "attention_forward", counting)
                 doc, report = quantize_head(head, seqs, cfg)
-            # per sequence: the stats pass, then 3 perturbed and 1 quantized forward
+            # per sequence: the stats pass, the reference, perturbed Q and K and
+            # the dequantized head; perturbed V reuses the reference's map
             assert len(calls) == 5 * len(seqs)
             for letter, kind in (("V", ProjectionKind.VALUE), ("Q", ProjectionKind.QUERY), ("K", ProjectionKind.KEY)):
                 name = f"W_{letter}"
@@ -113,6 +136,22 @@ class TestPipeline:
                 assert report["projections"][name]["exact_attention_error"] == oracle.exact_error(
                     head, seqs, kind, delta
                 )
+
+    def test_peak_memory_flat_in_sequence_count(self):
+        # no per-sequence output is kept, so 4x the calibration and held-out
+        # sequences (built before tracing) leave the peak where it was
+        cfg = PipelineConfig(bits=4, method="aespa-noround")
+        head, seqs = generate_synthetic(14, 32, 8, 32, 128)
+        peaks = []
+        for n in (16, 64):
+            tracemalloc.start()
+            try:
+                doc, _ = quantize_head(head, seqs[:n], cfg)
+                evaluate_quantized(head, dequantized_head(doc), seqs[64 : 64 + n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 32 * 2**10, peaks
 
     def test_eval_identity_quantization_zero_error(self, tmp_path):
         # weights constructed exactly on a quantization grid
@@ -339,6 +378,40 @@ class TestCli:
         assert "W_K (aespa, key stage)" in res.output and "non-finite" in res.output
         assert not out.exists()
 
+    def test_non_finite_report_number_exit_code_four(self, tmp_path):
+        # finite data whose query/key trace losses overflow
+        model, calib = scaled_files(tmp_path, 1e100)
+        out = tmp_path / "q.json"
+        res = CliRunner().invoke(
+            main,
+            ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out),
+             "--method", "aespa-noround"],
+        )
+        assert res.exit_code == 4, res.output
+        assert res.stderr == (
+            "numerical failure: W_Q (aespa-noround, query stage): refined_loss is nan, "
+            "not a finite number\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["optq", "aespa-noround", "aespa"])
+    def test_non_finite_cholesky_factor_falls_back_to_rtn(self, tmp_path, method):
+        # the curvature's mean diagonal is about 6e-320, so the damped inverse
+        # overflows and its Cholesky factor is not finite
+        model, calib = scaled_files(tmp_path, 1e-160)
+        report_out = tmp_path / "report.json"
+        res = CliRunner().invoke(
+            main,
+            ["quantize", "--model", str(model), "--calib", str(calib), "--output",
+             str(tmp_path / "q.json"), "--report-out", str(report_out), "--method", method,
+             "--iterations", "20"],
+        )
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        report = json.loads(report_out.read_text())
+        assert report["projections"]["W_V"]["fallback_rtn"] is True
+        assert all(np.isfinite(x) for x in numbers(report))
+
     def test_failed_run_writes_no_output(self, tmp_path):
         head, seqs, model, calib = make_files(tmp_path, seed=11)
         bad_calib = tmp_path / "bad.json"
@@ -474,13 +547,18 @@ class TestCli:
              "quantized checkpoint: full_precision: W_K must hold JSON numbers only"),
             ("quantized", ["full_precision", "W_K", 0], [1.0],
              "quantized checkpoint: full_precision: W_K must hold JSON numbers only"),
+            ("quantized", ["projections", "W_V", "fallback_rtn"], "false",
+             "quantized checkpoint: W_V: field 'fallback_rtn' must be a JSON boolean, got \"false\""),
+            ("quantized", ["projections", "W_Q", "fallback_rtn"], 0,
+             "quantized checkpoint: W_Q: field 'fallback_rtn' must be a JSON boolean, got 0"),
         ],
         ids=["d-string", "d_h-float", "L-string", "d-null", "quantized-d-string",
              "quantized-d_h-bool", "n_bits-float", "w_int-string", "w_int-float", "w_int-ragged",
              "zero_point-float", "scale-nan", "scale-string", "scale-bool", "w_int-bool",
              "zero_point-bool", "n_bits-100", "n_bits-5", "zero_point-off-grid", "w_int-off-grid",
              "scale-negative", "W_Q-bool", "W_V-numeric-string", "sequence-bool", "full_precision-bool",
-             "full_precision-string", "full_precision-ragged"],
+             "full_precision-string", "full_precision-ragged", "fallback_rtn-string",
+             "fallback_rtn-int"],
     )
     def test_malformed_numeric_fields_exit_code_three(self, tmp_path, target, path, value, message):
         head, seqs, model, calib = make_files(tmp_path, seed=18)

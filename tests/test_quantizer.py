@@ -369,6 +369,16 @@ class TestOptq:
         assert qw.fallback_rtn
         np.testing.assert_array_equal(qw.w_int, rtn_quantize(w, spec).w_int)
 
+    def test_fallback_on_non_finite_factor(self):
+        # near the subnormal range the damped inverse overflows, and
+        # cholesky returns a non-finite factor without raising
+        w = rng_for(7).standard_normal((2, 3))
+        spec = fit_step_size(w, np.eye(3), 2)
+        qw, compensated = optq_compensate(w, 6.4e-320 * np.eye(3), spec)
+        assert qw.fallback_rtn
+        np.testing.assert_array_equal(qw.w_int, rtn_quantize(w, spec).w_int)
+        np.testing.assert_array_equal(compensated, w)
+
     def test_compensated_weights_reproduce_integers_via_rtn(self):
         rng = rng_for(8)
         w = rng.standard_normal((3, 8))
