@@ -30,11 +30,12 @@ from .errors import AttnQuantError, DataError, NonFiniteRounding, NumericalError
 from .flops import FlopCounter
 from .jsonio import atomic_write_json, load_json, require_field, require_int
 from .model import AttentionHead, CalibSequence, json_matrix
-from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
+from .objectives import ProjectionKind, context_for, loss, row_hessian
 from .oracle import output_errors, perturbed
 from .quantizer import (
     VALID_BITS,
     QuantizedWeight,
+    QuantSpec,
     dequantize,
     fit_step_size,
     optq_compensate,
@@ -102,18 +103,31 @@ def _stage(cfg: PipelineConfig, letter: str) -> str:
     return f"{_LETTER_TO_NAME[letter]} ({cfg.method}, {_loss_kind(cfg, letter).value} stage)"
 
 
-def _warm_start(
-    w: np.ndarray, ctx: LossContext, cfg: PipelineConfig
-) -> tuple[QuantizedWeight, np.ndarray | None]:
-    """Fit the grid and return the warm-start integers, with the
-    column-compensated weights whose grid cells learned rounding starts from
-    (None for rtn)."""
+def _warm_starts(
+    ws: list[np.ndarray], hessian: np.ndarray, specs: list[QuantSpec], cfg: PipelineConfig
+) -> list[tuple[QuantizedWeight, np.ndarray | None]]:
+    """Warm-start integers for same-shape weights that share one curvature,
+    each with the column-compensated weights whose grid cells learned
+    rounding starts from (None for rtn).
+
+    Column compensation treats rows independently, so it runs once over
+    the stacked rows of all the weights, and the curvature is factored once
+    however many of them share it.
+    """
     if cfg.method == "rtn":
-        spec = fit_step_size(w, np.eye(w.shape[1]), cfg.bits)
-        return rtn_quantize(w, spec), None
-    hessian = row_hessian(ctx)
-    spec = fit_step_size(w, hessian, cfg.bits)
-    return optq_compensate(w, hessian, spec)
+        return [(rtn_quantize(w, spec), None) for w, spec in zip(ws, specs)]
+    stacked_spec = QuantSpec(
+        cfg.bits,
+        np.concatenate([spec.scale for spec in specs]),
+        np.concatenate([spec.zero_point for spec in specs]),
+    )
+    qw, compensated = optq_compensate(np.vstack(ws), hessian, stacked_spec)
+    return [
+        (QuantizedWeight(w_int, spec, qw.fallback_rtn), comp)
+        for w_int, comp, spec in zip(
+            np.split(qw.w_int, len(ws)), np.split(compensated, len(ws)), specs
+        )
+    ]
 
 
 def quantize_head(
@@ -135,21 +149,31 @@ def quantize_head(
     """
     stats = accumulate_stats(head, sequences)
 
-    # Phase 1, per projection: grid fit and column-compensated warm start.
-    # Each projection holds the others at full precision, so the order in
-    # which they run changes no result; it is fixed at V, Q, K.
+    # Phase 1: per projection a grid fit, then the column-compensated warm
+    # starts, once per distinct curvature. Q and K share E[XX^T] (under rtn
+    # and optq all three do), and the curvature is formed once from the
+    # shared right factor. Each projection holds the others at full
+    # precision, so the order in which they run changes no result; it is
+    # fixed at V, Q, K.
     letters = [letter for letter in "VQK" if letter in cfg.projections]
     weights = {letter: head.projection(_LETTER_TO_NAME[letter]) for letter in letters}
     contexts = {letter: context_for(_loss_kind(cfg, letter), stats) for letter in letters}
+    groups: dict[int, list[str]] = {}
+    for letter in letters:
+        groups.setdefault(id(contexts[letter].right), []).append(letter)
     quantized: dict[str, QuantizedWeight] = {}
     compensated: dict[str, np.ndarray | None] = {}
-    for letter in letters:
-        try:
-            quantized[letter], compensated[letter] = _warm_start(
-                weights[letter], contexts[letter], cfg
-            )
-        except AttnQuantError as exc:
-            raise type(exc)(f"{_stage(cfg, letter)}: {exc}") from exc
+    for group in groups.values():
+        hessian = np.eye(head.d) if cfg.method == "rtn" else row_hessian(contexts[group[0]])
+        specs = []
+        for letter in group:
+            try:
+                specs.append(fit_step_size(weights[letter], hessian, cfg.bits))
+            except AttnQuantError as exc:
+                raise type(exc)(f"{_stage(cfg, letter)}: {exc}") from exc
+        starts = _warm_starts([weights[letter] for letter in group], hessian, specs, cfg)
+        for letter, (qw, comp) in zip(group, starts):
+            quantized[letter], compensated[letter] = qw, comp
 
     # Phase 2: one learned-rounding loop for all of them. The problems are
     # independent (each holds the others at full precision), so stacking

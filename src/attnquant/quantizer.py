@@ -246,6 +246,22 @@ def fit_step_size(w: np.ndarray, hessian: np.ndarray, n_bits: int) -> QuantSpec:
     return QuantSpec(n_bits=n_bits, scale=scales, zero_point=zero_points)
 
 
+def _inverse_factor(hessian: np.ndarray) -> np.ndarray | None:
+    """Upper Cholesky factor of the damped inverse of ``hessian``, or None
+    when the factorization fails or gives a factor that is not finite."""
+    n_cols = hessian.shape[0]
+    mean_diag = float(np.trace(hessian)) / n_cols
+    damping = OPTQ_DAMPING * mean_diag if mean_diag > 0 else 1e-12
+    damped = hessian + damping * np.eye(n_cols)
+    try:
+        upper = np.linalg.cholesky(np.linalg.inv(damped)).T
+    except np.linalg.LinAlgError:
+        return None
+    # cholesky can return a non-finite factor without raising, when the
+    # inverse overflows (a curvature near the subnormal range)
+    return upper if np.isfinite(upper).all() else None
+
+
 def optq_compensate(
     w: np.ndarray, hessian: np.ndarray, spec: QuantSpec
 ) -> tuple[QuantizedWeight, np.ndarray]:
@@ -259,6 +275,11 @@ def optq_compensate(
     as a warm start. With an identity Hessian the integers equal nearest
     rounding exactly. A factorization that fails, or gives a non-finite
     factor, falls back to plain nearest rounding with ``fallback_rtn`` set.
+
+    Given the factor, every row is compensated on its own, so stacking the
+    rows of several weights that share one curvature (with their grids'
+    rows stacked alike) gives each the result it gets alone, and factors
+    the curvature once.
     """
     w = np.asarray(w, dtype=np.float64)
     hessian = np.asarray(hessian, dtype=np.float64)
@@ -268,32 +289,28 @@ def optq_compensate(
     if hessian.shape != (n_cols, n_cols):
         raise DataError("hessian must be square with one row per weight column")
 
-    mean_diag = float(np.trace(hessian)) / n_cols
-    damping = OPTQ_DAMPING * mean_diag if mean_diag > 0 else 1e-12
-    damped = hessian + damping * np.eye(n_cols)
-    try:
-        upper = np.linalg.cholesky(np.linalg.inv(damped)).T
-    except np.linalg.LinAlgError:
-        upper = None
-    # cholesky can return a non-finite factor without raising, when the
-    # inverse overflows (a curvature near the subnormal range)
-    if upper is None or not np.isfinite(upper).all():
+    upper = _inverse_factor(hessian)
+    if upper is None:
         qw = rtn_quantize(w, spec)
         return QuantizedWeight(qw.w_int, spec, fallback_rtn=True), w.copy()
 
-    work = w.copy()
-    compensated = np.empty_like(w)
-    w_int = np.empty((n_rows, n_cols), dtype=np.int64)
+    # The loop runs on transposed copies, so that each column is one
+    # contiguous row. Row j of `work` is final once row j is reached, so at
+    # the end `work` holds the compensated weights.
+    work = w.T.copy()
+    w_int = np.empty((n_cols, n_rows), dtype=np.int64)
+    update = np.empty((max(n_cols - 1, 0), n_rows))
     s, z = spec.scale, spec.zero_point
     for j in range(n_cols):
-        col = work[:, j]
-        compensated[:, j] = col
+        col = work[j]
         g = _rtn_int(col[:, None], spec)[:, 0]
-        w_int[:, j] = g
+        w_int[j] = g
         err = (col - s * (g - z)) / upper[j, j]
-        if j + 1 < n_cols:
-            work[:, j + 1 :] -= np.outer(err, upper[j, j + 1 :])
-    return QuantizedWeight(w_int=w_int, spec=spec), compensated
+        rest = update[: n_cols - j - 1]
+        # rest[c, r] = upper[j, j+1+c] * err[r], the outer product's entry
+        np.multiply(upper[j, j + 1 :, None], err, out=rest)
+        work[j + 1 :] -= rest
+    return QuantizedWeight(w_int=np.ascontiguousarray(w_int.T), spec=spec), np.ascontiguousarray(work.T)
 
 
 def quantized_to_json(qw: QuantizedWeight) -> dict:

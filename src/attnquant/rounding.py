@@ -116,14 +116,15 @@ def rectified_sigmoid(b, out=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rounding_regularizer(
-    h: np.ndarray, dh_db: np.ndarray, lam: float, beta: float, work=None
-) -> tuple[np.ndarray, np.ndarray]:
+    h: np.ndarray, dh_db: np.ndarray, lam: float, beta: float, work=None, value: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """lam * sum(1 - |2h - 1|^beta) and its gradient with respect to b; on
     a (P, d_h, d) stack the sum is taken per slab.
 
     Zero exactly when every h sits at 0 or 1; the gradient vanishes on the
     clamped (saturated) entries. ``work`` is an optional triple of float64
     arrays shaped like ``h``; the gradient is returned in the last one.
+    ``value=False`` skips the value and returns None in its place.
     """
     if beta <= 0:
         raise DataError("regularizer exponent beta must be positive")
@@ -131,21 +132,30 @@ def rounding_regularizer(
     np.multiply(h, 2.0, out=t)
     t -= 1.0
     np.abs(t, out=abs_t)
-    # `**=` picks the same ufunc for a scalar exponent as `abs_t ** beta`.
-    np.copyto(grad, abs_t)
-    grad **= beta
-    np.subtract(1.0, grad, out=grad)
-    value = lam * _slab_sums(grad)
+    reg = None
+    if value:
+        # `**=` picks the same ufunc for a scalar exponent as `abs_t ** beta`.
+        np.copyto(grad, abs_t)
+        grad **= beta
+        np.subtract(1.0, grad, out=grad)
+        reg = lam * _slab_sums(grad)
     # d/dh [1 - |2h-1|^beta] = -2 beta |2h-1|^(beta-1) sign(2h-1), 0 at 2h = 1
     np.copyto(grad, abs_t)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if beta >= 1.0:
+        # pow(+0, beta - 1) is +0 for beta > 1 and 1 for beta = 1; times the
+        # sign factor +0 below, either is the masked form's signed zero
         grad **= beta - 1.0
-    np.copyto(grad, 0.0, where=~(abs_t > 0))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad **= beta - 1.0
+        np.copyto(grad, 0.0, where=~(abs_t > 0))
     grad *= -2.0 * beta
-    grad *= np.sign(t, out=t)
+    # abs_t is dead here; an out-of-place sign is several times faster than
+    # np.sign(t, out=t) on mixed-sign data, and gives the same values
+    grad *= np.sign(t, out=abs_t)
     grad *= lam
     grad *= dh_db
-    return value, grad
+    return reg, grad
 
 
 class RoundingStack:
@@ -213,9 +223,11 @@ def rounding_objective(
     b: np.ndarray,
     lam: float,
     beta: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    value: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """One rounding step over the stack: per-slab reconstruction and
     regularizer, each (P,), and the (P, d_h, d) gradient with respect to b.
+    ``value=False`` skips the regularizer's value and returns None for it.
 
     The gradient lives in the stack's buffers and the next step overwrites
     it. Every in-place operation repeats the IEEE operations, in the same
@@ -240,7 +252,7 @@ def rounding_objective(
     grad *= stack.s
     grad *= inside
     grad *= dh_db
-    regularizer, grad_reg = rounding_regularizer(h, dh_db, lam, beta, work=stack.work)
+    regularizer, grad_reg = rounding_regularizer(h, dh_db, lam, beta, work=stack.work, value=value)
     grad += grad_reg
     return reconstruction, regularizer, grad
 
@@ -278,7 +290,11 @@ def optimize_rounding(
     ``iterations == 0`` returns the plain nearest-rounding results.
 
     Raises NonFiniteRounding, naming the slab and the first iteration, when
-    a slab's loss or final logits are not finite.
+    a slab's loss or final logits are not finite. The regularizer's value
+    is computed only when a trace is written or when lam could make it
+    overflow. Otherwise its value is non-finite only where some h is NaN,
+    and then the slab's reconstruction is NaN in the same iteration, so
+    the check names the same iteration and slab with or without traces.
     """
     if len(w) != len(spec) or (trace_csv is not None and len(trace_csv) != len(w)):
         raise DataError("w, spec and trace_csv need one entry per slab")
@@ -289,13 +305,22 @@ def optimize_rounding(
     m = np.zeros_like(b)
     v = np.zeros_like(b)
     step, m_hat, v_hat = stack.work
+    # The regularizer's value is read only by the traces and the check
+    # below. Each term of its sum lies in [0, 1], so lam * sum stays finite
+    # when lam * (entries per slab) does, unless some h is NaN; a NaN h
+    # makes its slab's delta, and so its reconstruction, NaN in the same
+    # iteration, and the check finds it there.
+    traced = any(path is not None for path in trace_csv or ())
+    value = traced or not np.isfinite(cfg.lam * b[0].size)
     recon = np.empty((cfg.iterations, len(b)))
-    reg = np.empty((cfg.iterations, len(b)))
+    reg = np.empty((cfg.iterations, len(b))) if value else None
     # A diverging run may overflow inside the loop. numpy stays quiet: the
     # check after the loop is the one guard against non-finite results.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(cfg.iterations):
-            recon[it], reg[it], grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it))
+            recon[it], reg_it, grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it), value)
+            if value:
+                reg[it] = reg_it
             # m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
             m *= ADAM_BETA1
             m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
@@ -316,7 +341,9 @@ def optimize_rounding(
 
     # One check after the loop: a non-finite value propagates into every
     # later loss, or at last into the logits.
-    bad = ~(np.isfinite(recon) & np.isfinite(reg))
+    bad = ~np.isfinite(recon)
+    if value:
+        bad |= ~np.isfinite(reg)
     bad[-1] |= ~np.isfinite(b).reshape(len(b), -1).all(axis=1)
     if bad.any():
         it, p = np.argwhere(bad)[0]

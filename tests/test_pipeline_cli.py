@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from attnquant import checks, cli, oracle, pipeline
+from attnquant import checks, cli, oracle, pipeline, quantizer
 from attnquant import stats as stats_module
 from attnquant.cli import main
 from attnquant.errors import DataError, NumericalError
@@ -20,8 +20,16 @@ from attnquant.pipeline import (
     quantize_head,
     save_quantized,
 )
-from attnquant.objectives import LossContext, ProjectionKind
-from attnquant.quantizer import QuantSpec, dequantize, quantized_from_json, quantized_to_json, QuantizedWeight
+from attnquant.objectives import LossContext, ProjectionKind, context_for, row_hessian
+from attnquant.quantizer import (
+    QuantSpec,
+    QuantizedWeight,
+    dequantize,
+    fit_step_size,
+    optq_compensate,
+    quantized_from_json,
+    quantized_to_json,
+)
 from attnquant.rounding import SoftQuantConfig
 from test_rounding import reference_optimize_rounding
 
@@ -271,6 +279,72 @@ class TestStackedRounding:
         cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=10))
         with pytest.raises(NumericalError, match=r"W_K \(aespa, key stage\): .*iteration 0"):
             quantize_head(head, seqs, cfg)
+
+
+class TestWarmStarts:
+    """Projections that share a curvature are compensated in one call over
+    their stacked rows: the curvature is factored once, and each projection
+    gets the warm start that compensating it alone gives."""
+
+    @pytest.mark.parametrize(
+        "method, value_kind, factors",
+        [("optq", "value", 1), ("aespa-noround", "value", 2), ("aespa", "value", 2),
+         ("aespa", "other", 1)],
+    )
+    def test_one_factor_per_curvature_and_per_projection_results(
+        self, monkeypatch, method, value_kind, factors
+    ):
+        head, seqs = generate_synthetic(23, 12, 4, 6, 8)
+        cfg = PipelineConfig(
+            bits=2, method=method, value_kind=value_kind, soft=SoftQuantConfig(iterations=20)
+        )
+        stats = stats_module.accumulate_stats(head, seqs)
+        names = ("W_V", "W_Q", "W_K")
+        expected = {}
+        for letter, name in zip("VQK", names):
+            h = row_hessian(context_for(pipeline._loss_kind(cfg, letter), stats))
+            w = head.projection(name)
+            expected[name] = optq_compensate(w, h, fit_step_size(w, h, cfg.bits))
+
+        factored, warm = [], []
+        real_factor, real_rounding = quantizer._inverse_factor, pipeline.optimize_rounding
+
+        def counting_factor(hessian):
+            factored.append(hessian.shape)
+            return real_factor(hessian)
+
+        def capturing_rounding(w, spec, *args, **kwargs):
+            warm.extend(zip(w, spec))
+            return real_rounding(w, spec, *args, **kwargs)
+
+        monkeypatch.setattr(quantizer, "_inverse_factor", counting_factor)
+        monkeypatch.setattr(pipeline, "optimize_rounding", capturing_rounding)
+        doc, _ = quantize_head(head, seqs, cfg)
+        assert factored == [(12, 12)] * factors
+        if method == "aespa":
+            assert len(warm) == 3
+            for (w, spec), name in zip(warm, names):
+                qw, compensated = expected[name]
+                np.testing.assert_array_equal(w, compensated)
+                np.testing.assert_array_equal(spec.scale, qw.spec.scale)
+                np.testing.assert_array_equal(spec.zero_point, qw.spec.zero_point)
+        else:
+            for name, (qw, _) in expected.items():
+                assert doc["projections"][name] == quantized_to_json(qw)
+
+    @pytest.mark.parametrize("method", ["aespa-noround", "aespa"])
+    def test_shared_non_finite_factor_flags_query_and_key(self, method):
+        # E[XX^T] has a mean diagonal of about 3e-320: the damped inverse
+        # overflows and the one factor that Q and K share is not finite
+        head, seqs = generate_synthetic(1, 8, 2, 4, 3)
+        seqs = [CalibSequence(s.x * 1e-160) for s in seqs]
+        cfg = PipelineConfig(
+            bits=2, method=method, projections="QK", soft=SoftQuantConfig(iterations=20)
+        )
+        doc, report = quantize_head(head, seqs, cfg)
+        for name in ("W_Q", "W_K"):
+            assert report["projections"][name]["fallback_rtn"] is True
+            assert doc["projections"][name]["fallback_rtn"] is True
 
 
 class TestCli:

@@ -194,6 +194,45 @@ class TestRegularizer:
                 fd = (vp - vm) / (2 * eps)
                 assert abs(fd - grad[i, j]) <= 1e-5 * max(1.0, abs(fd))
 
+    @settings(max_examples=80, deadline=None)
+    @example(beta=1.0, lam=1.5, seed=0)
+    @example(beta=2.0, lam=0.0, seed=1)
+    @example(beta=20.0, lam=1.5, seed=2)
+    @given(
+        beta=st.sampled_from([1.0, 2.0, 20.0]) | st.floats(1.0, 20.0),
+        lam=st.sampled_from([0.0, 1.5]) | st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference_bit_for_bit(self, beta, lam, seed):
+        # h holds exact 0, 0.5 and 1 entries, where the gradient is a signed
+        # zero, among interior ones; .view(np.int64) tells -0.0 from +0.0
+        rng = rng_for(seed)
+        shape = (3, 2, 5)
+        h = rng.choice([0.0, 0.5, 1.0, np.nan], size=shape)
+        interior = np.isnan(h)
+        h[interior] = rng.uniform(0.0, 1.0, size=int(interior.sum()))
+        dh_db = rng.uniform(0.0, 0.3, size=shape)
+        dh_db[h == 0.0] = 0.0  # saturated entries have a zero derivative
+        value, grad = rounding_regularizer(h, dh_db, lam, beta)
+        for p in range(shape[0]):
+            expected_value, expected_grad = reference_regularizer(h[p], dh_db[p], lam, beta)
+            assert value[p] == expected_value
+            np.testing.assert_array_equal(grad[p].view(np.int64), expected_grad.view(np.int64))
+        skipped, grad_only = rounding_regularizer(h, dh_db, lam, beta, value=False)
+        assert skipped is None
+        np.testing.assert_array_equal(grad_only.view(np.int64), grad.view(np.int64))
+
+    def test_exponent_below_one_gives_finite_zero_gradient_at_midpoint(self):
+        # |2h - 1|^(beta - 1) is inf at h = 0.5 for beta < 1; the gradient
+        # there is still the reference's signed zero
+        h = np.array([[0.5, 0.25]])
+        dh_db = np.array([[0.3, 0.2]])
+        value, grad = rounding_regularizer(h, dh_db, 1.5, 0.5)
+        expected_value, expected_grad = reference_regularizer(h, dh_db, 1.5, 0.5)
+        assert value == expected_value
+        assert np.isfinite(grad).all() and grad[0, 0] == 0.0
+        np.testing.assert_array_equal(grad.view(np.int64), expected_grad.view(np.int64))
+
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(DataError):
             rounding_regularizer(*rectified_sigmoid(np.zeros((1, 1))), 1.5, 0.0)
@@ -339,12 +378,15 @@ class TestOptimizeRounding:
 
 class TestStackedEqualsPerProjection:
     """One stacked loop gives every slab the integers, trace rows and flop
-    count that the one-projection reference loop gives it alone."""
+    count that the one-projection reference loop gives it alone, whether or
+    not the stacked loop writes traces."""
 
     @settings(max_examples=60, deadline=None)
     @example(d=16, d_h=4, kinds=["value", "query", "key"], bits=[2, 2, 2], iterations=25,
-             lam=1.5, seed=0)
-    @example(d=1, d_h=1, kinds=["other"], bits=[8], iterations=0, lam=0.0, seed=1)
+             lam=1.5, seed=0, traced=True)
+    @example(d=16, d_h=4, kinds=["value", "query", "key"], bits=[2, 2, 2], iterations=25,
+             lam=1.5, seed=0, traced=False)
+    @example(d=1, d_h=1, kinds=["other"], bits=[8], iterations=0, lam=0.0, seed=1, traced=True)
     @given(
         d=st.integers(1, 24),
         d_h=st.integers(1, 6),
@@ -353,8 +395,9 @@ class TestStackedEqualsPerProjection:
         iterations=st.integers(0, 25),
         lam=st.sampled_from([0.0, 1.5, 1e6]) | st.floats(0.0, 10.0),
         seed=st.integers(0, 2**16),
+        traced=st.booleans(),
     )
-    def test_stacked_equals_per_projection(self, d, d_h, kinds, bits, iterations, lam, seed):
+    def test_stacked_equals_per_projection(self, d, d_h, kinds, bits, iterations, lam, seed, traced):
         rng = rng_for(seed)
         # Q and K share E[XX^T] in the pipeline; here every query/key slab
         # shares one read-only right factor too, which the contexts alias.
@@ -377,7 +420,8 @@ class TestStackedEqualsPerProjection:
             paths = [Path(tmp) / f"stacked_{p}.csv" for p in range(len(ws))]
             counter = FlopCounter()
             stacked = optimize_rounding(
-                ws, specs, ctxs, cfg, w_reference=refs, counter=counter, trace_csv=paths
+                ws, specs, ctxs, cfg, w_reference=refs, counter=counter,
+                trace_csv=paths if traced else None,
             )
             reference_counter = FlopCounter()
             for p, (w, spec, ctx, ref) in enumerate(zip(ws, specs, ctxs, refs)):
@@ -387,10 +431,12 @@ class TestStackedEqualsPerProjection:
                 )
                 np.testing.assert_array_equal(stacked[p].w_int, expected.w_int)
                 assert stacked[p].spec is spec
-                if iterations:
+                if not iterations:
+                    assert not paths[p].exists() and not path.exists()
+                elif traced:
                     assert paths[p].read_text() == path.read_text()
                 else:
-                    assert not paths[p].exists() and not path.exists()
+                    assert not paths[p].exists()
         assert counter.count == reference_counter.count
 
     def test_rejects_mismatched_slabs(self):
@@ -408,7 +454,10 @@ class TestStackedEqualsPerProjection:
 
 
 class TestNonFinite:
-    def test_overflowing_loss_names_the_slab_and_iteration(self, tmp_path):
+    # Untraced runs skip the regularizer's value, and must still name the
+    # iteration and slab that traced runs name.
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_overflowing_loss_names_the_slab_and_iteration(self, tmp_path, traced):
         # slab 1's right factor is 1e308 I and its weights sit 10 away from
         # the reference: the first loss overflows to inf
         rng = rng_for(5)
@@ -423,7 +472,8 @@ class TestNonFinite:
         with pytest.raises(NonFiniteRounding, match="iteration 0") as info:
             optimize_rounding(
                 [w, w], [spec, spec], [fine, huge], SoftQuantConfig(iterations=5),
-                w_reference=[w, w + 10.0], counter=counter, trace_csv=[path, None],
+                w_reference=[w, w + 10.0], counter=counter,
+                trace_csv=[path, None] if traced else None,
             )
         # a run that raises still counts every iteration it ran
         per_iter = RoundingStack([w, w], [spec, spec], [fine, huge]).iter_flops
@@ -431,6 +481,22 @@ class TestNonFinite:
         assert info.value.slab == 1
         assert isinstance(info.value, NumericalError)
         assert not path.exists()
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_overflowing_regularizer_names_the_slab_and_iteration(self, tmp_path, traced):
+        # lam = 1e308 on 6 entries per slab: the first regularizer value
+        # overflows while every reconstruction stays finite
+        rng = rng_for(5)
+        w = rng.standard_normal((2, 3))
+        spec = fit_step_size(w, np.eye(3), 2)
+        ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
+        with pytest.raises(NonFiniteRounding, match="iteration 0") as info:
+            optimize_rounding(
+                [w, w], [spec, spec], [ctx, ctx], SoftQuantConfig(iterations=3, lam=1e308),
+                trace_csv=[tmp_path / "trace.csv", None] if traced else None,
+            )
+        assert info.value.slab == 0
+
 
 
 class TestConfig:
