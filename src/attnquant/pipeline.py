@@ -3,10 +3,10 @@
 Each projection is quantized separately with the others held at full
 precision: statistics are accumulated once from the full-precision forward
 pass, whose outputs the report's exact errors reuse. Then per projection a
-grid is fitted against the row curvature and an integer warm start is
-produced by column compensation; for the learned method one loop then
-optimizes the rounding logits of all projections together, each under its
-own trace loss.
+grid is fitted against the row curvature, and integer warm starts are
+produced by column compensation, once per distinct curvature; for the
+learned method one loop then optimizes the rounding logits of all
+projections together, each under its own trace loss.
 
 Method semantics:
   rtn            naive baseline: grid fitted by plain rounding error

@@ -299,7 +299,7 @@ def optq_compensate(
     # the end `work` holds the compensated weights.
     work = w.T.copy()
     w_int = np.empty((n_cols, n_rows), dtype=np.int64)
-    update = np.empty((max(n_cols - 1, 0), n_rows))
+    update = np.empty((n_cols - 1, n_rows))
     s, z = spec.scale, spec.zero_point
     for j in range(n_cols):
         col = work[j]
@@ -307,10 +307,12 @@ def optq_compensate(
         w_int[j] = g
         err = (col - s * (g - z)) / upper[j, j]
         rest = update[: n_cols - j - 1]
-        # rest[c, r] = upper[j, j+1+c] * err[r], the outer product's entry
+        # rest[c, r] = upper[j, j+1+c] * err[r], the same rounded product as
+        # the outer product err[r] * upper[j, j+1+c]
         np.multiply(upper[j, j + 1 :, None], err, out=rest)
         work[j + 1 :] -= rest
-    return QuantizedWeight(w_int=np.ascontiguousarray(w_int.T), spec=spec), np.ascontiguousarray(work.T)
+    compensated = np.ascontiguousarray(work.T)
+    return QuantizedWeight(w_int=np.ascontiguousarray(w_int.T), spec=spec), compensated
 
 
 def quantized_to_json(qw: QuantizedWeight) -> dict:
