@@ -30,7 +30,7 @@ from .errors import AttnQuantError, DataError, NonFiniteRounding, NumericalError
 from .flops import FlopCounter
 from .jsonio import atomic_write_json, load_json, require_field, require_int
 from .model import AttentionHead, CalibSequence, json_matrix
-from .objectives import ProjectionKind, context_for, loss, row_hessian
+from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
 from .oracle import output_errors, perturbed
 from .quantizer import (
     VALID_BITS,
@@ -104,30 +104,54 @@ def _stage(cfg: PipelineConfig, letter: str) -> str:
 
 
 def _warm_starts(
-    ws: list[np.ndarray], hessian: np.ndarray, specs: list[QuantSpec], cfg: PipelineConfig
-) -> list[tuple[QuantizedWeight, np.ndarray | None]]:
-    """Warm-start integers for same-shape weights that share one curvature,
-    each with the column-compensated weights whose grid cells learned
-    rounding starts from (None for rtn).
+    letters: list[str],
+    weights: dict[str, np.ndarray],
+    contexts: dict[str, LossContext],
+    cfg: PipelineConfig,
+) -> tuple[dict[str, QuantizedWeight], dict[str, np.ndarray | None]]:
+    """Fit each projection's grid, then return its warm-start integers and
+    the column-compensated weights whose grid cells learned rounding starts
+    from (None for rtn).
 
-    Column compensation treats rows independently, so it runs once over
-    the stacked rows of all the weights, and the curvature is factored once
-    however many of them share it.
+    Projections whose contexts share a right factor share a curvature (Q
+    and K share E[XX^T]; under rtn and optq all three do). Column
+    compensation treats rows independently, so it runs once over the
+    stacked rows of each such group, and each curvature is formed and
+    factored once.
     """
-    if cfg.method == "rtn":
-        return [(rtn_quantize(w, spec), None) for w, spec in zip(ws, specs)]
-    stacked_spec = QuantSpec(
-        cfg.bits,
-        np.concatenate([spec.scale for spec in specs]),
-        np.concatenate([spec.zero_point for spec in specs]),
-    )
-    qw, compensated = optq_compensate(np.vstack(ws), hessian, stacked_spec)
-    return [
-        (QuantizedWeight(w_int, spec, qw.fallback_rtn), comp)
-        for w_int, comp, spec in zip(
-            np.split(qw.w_int, len(ws)), np.split(compensated, len(ws)), specs
+    groups: dict[int, list[str]] = {}
+    for letter in letters:
+        groups.setdefault(id(contexts[letter].right), []).append(letter)
+    quantized: dict[str, QuantizedWeight] = {}
+    compensated: dict[str, np.ndarray | None] = {}
+    for group in groups.values():
+        ws = [weights[letter] for letter in group]
+        if cfg.method == "rtn":
+            hessian = np.eye(ws[0].shape[1])
+        else:
+            hessian = row_hessian(contexts[group[0]])
+        specs = []
+        for letter, w in zip(group, ws):
+            try:
+                specs.append(fit_step_size(w, hessian, cfg.bits))
+            except AttnQuantError as exc:
+                raise type(exc)(f"{_stage(cfg, letter)}: {exc}") from exc
+        if cfg.method == "rtn":
+            for letter, w, spec in zip(group, ws, specs):
+                quantized[letter], compensated[letter] = rtn_quantize(w, spec), None
+            continue
+        stacked_spec = QuantSpec(
+            cfg.bits,
+            np.concatenate([spec.scale for spec in specs]),
+            np.concatenate([spec.zero_point for spec in specs]),
         )
-    ]
+        qw, comp = optq_compensate(np.vstack(ws), hessian, stacked_spec)
+        for letter, spec, w_int, rows in zip(
+            group, specs, np.split(qw.w_int, len(ws)), np.split(comp, len(ws))
+        ):
+            quantized[letter] = QuantizedWeight(w_int, spec, qw.fallback_rtn)
+            compensated[letter] = rows
+    return quantized, compensated
 
 
 def quantize_head(
@@ -150,30 +174,13 @@ def quantize_head(
     stats = accumulate_stats(head, sequences)
 
     # Phase 1: per projection a grid fit, then the column-compensated warm
-    # starts, once per distinct curvature. Q and K share E[XX^T] (under rtn
-    # and optq all three do), and the curvature is formed once from the
-    # shared right factor. Each projection holds the others at full
-    # precision, so the order in which they run changes no result; it is
-    # fixed at V, Q, K.
+    # starts, once per distinct curvature. Each projection holds the others
+    # at full precision, so the order in which they run changes no result;
+    # it is fixed at V, Q, K.
     letters = [letter for letter in "VQK" if letter in cfg.projections]
     weights = {letter: head.projection(_LETTER_TO_NAME[letter]) for letter in letters}
     contexts = {letter: context_for(_loss_kind(cfg, letter), stats) for letter in letters}
-    groups: dict[int, list[str]] = {}
-    for letter in letters:
-        groups.setdefault(id(contexts[letter].right), []).append(letter)
-    quantized: dict[str, QuantizedWeight] = {}
-    compensated: dict[str, np.ndarray | None] = {}
-    for group in groups.values():
-        hessian = np.eye(head.d) if cfg.method == "rtn" else row_hessian(contexts[group[0]])
-        specs = []
-        for letter in group:
-            try:
-                specs.append(fit_step_size(weights[letter], hessian, cfg.bits))
-            except AttnQuantError as exc:
-                raise type(exc)(f"{_stage(cfg, letter)}: {exc}") from exc
-        starts = _warm_starts([weights[letter] for letter in group], hessian, specs, cfg)
-        for letter, (qw, comp) in zip(group, starts):
-            quantized[letter], compensated[letter] = qw, comp
+    quantized, compensated = _warm_starts(letters, weights, contexts, cfg)
 
     # Phase 2: one learned-rounding loop for all of them. The problems are
     # independent (each holds the others at full precision), so stacking
