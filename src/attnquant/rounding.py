@@ -305,11 +305,8 @@ def optimize_rounding(
     m = np.zeros_like(b)
     v = np.zeros_like(b)
     step, m_hat, v_hat = stack.work
-    # The regularizer's value is read only by the traces and the check
-    # below. Each term of its sum lies in [0, 1], so lam * sum stays finite
-    # when lam * (entries per slab) does, unless some h is NaN; a NaN h
-    # makes its slab's delta, and so its reconstruction, NaN in the same
-    # iteration, and the check finds it there.
+    # Each term of the regularizer's sum lies in [0, 1] unless its h is NaN,
+    # so lam * sum can overflow only when lam * (entries per slab) does.
     traced = any(path is not None for path in trace_csv or ())
     value = traced or not np.isfinite(cfg.lam * b[0].size)
     recon = np.empty((cfg.iterations, len(b)))

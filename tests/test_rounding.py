@@ -456,8 +456,13 @@ class TestStackedEqualsPerProjection:
 class TestNonFinite:
     # Untraced runs skip the regularizer's value, and must still name the
     # iteration and slab that traced runs name.
-    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-    def test_overflowing_loss_names_the_slab_and_iteration(self, tmp_path, traced):
+    def test_overflowing_loss_names_the_slab_and_iteration(self, tmp_path):
+        self.check_overflowing_loss(tmp_path, traced=True)
+
+    def test_overflowing_loss_names_the_slab_and_iteration_untraced(self, tmp_path):
+        self.check_overflowing_loss(tmp_path, traced=False)
+
+    def check_overflowing_loss(self, tmp_path, traced):
         # slab 1's right factor is 1e308 I and its weights sit 10 away from
         # the reference: the first loss overflows to inf
         rng = rng_for(5)
