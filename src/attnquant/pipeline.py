@@ -169,7 +169,8 @@ def quantize_head(
     not grow with their number. Quantizing V, Q and K costs 5 forwards per
     sequence: the statistics pass, the full-precision reference, one each
     for the perturbed Q and K, and one with the dequantized head (the
-    perturbed V shares the reference's attention map).
+    perturbed V shares the reference's attention map). Quantizing V alone
+    costs 2: the dequantized head then shares that map too.
     """
     stats = accumulate_stats(head, sequences)
 
@@ -211,7 +212,10 @@ def quantize_head(
 
     # Phase 3: the report, in V, Q, K order, with each number checked once.
     names = [_LETTER_TO_NAME[letter] for letter in letters]
-    deltas = [dequantize(quantized[letter]) - weights[letter] for letter in letters]
+    joint = head  # the dequantized head; it shares the reference's full-precision arrays
+    for letter, name in zip(letters, names):
+        joint = joint.replace(name, dequantize(quantized[letter]))
+    deltas = [joint.projection(name) - weights[letter] for letter, name in zip(letters, names)]
     with np.errstate(all="ignore"):  # an overflow is reported by the check below
         losses = [loss(contexts[letter], delta) for letter, delta in zip(letters, deltas)]
     doc = {
@@ -231,7 +235,7 @@ def quantize_head(
         },
     }
     variants = [perturbed(head, name, delta) for name, delta in zip(names, deltas)]
-    errors, _ = output_errors(head, [*variants, dequantized_head(doc)], sequences)
+    errors, _ = output_errors(head, [*variants, joint], sequences)
     n = len(sequences)
     report_rows = {}
     for letter, name, refined, err in zip(letters, names, losses, errors):

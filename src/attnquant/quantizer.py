@@ -44,7 +44,10 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 def round_half_away(x):
     """Round to nearest integer with halves going away from zero."""
     x = np.asarray(x, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    # one new array, then in place; positional outs keep small calls cheap
+    r = np.abs(x, np.empty_like(x))
+    r += 0.5
+    return np.copysign(np.floor(r, r), x, r)[()]  # a scalar x gives a scalar
 
 
 @dataclass
@@ -93,10 +96,11 @@ class QuantizedWeight:
             raise DataError("integer weight outside the grid")
 
 
-def _rtn_int(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    s = spec.scale[:, None]
-    z = spec.zero_point[:, None]
-    return np.clip(round_half_away(w / s) + z, 0, spec.grid_max).astype(np.int64)
+def _grid_int(x: np.ndarray, z: np.ndarray, grid_max: int) -> np.ndarray:
+    """Grid integers clip(round_half_away(x) + z, 0, grid_max) of x = w / s, as float64."""
+    g = round_half_away(x)
+    g += z
+    return np.clip(g, 0, grid_max, g)
 
 
 def rtn_quantize(w: np.ndarray, spec: QuantSpec) -> QuantizedWeight:
@@ -104,7 +108,8 @@ def rtn_quantize(w: np.ndarray, spec: QuantSpec) -> QuantizedWeight:
     w = np.asarray(w, dtype=np.float64)
     if w.shape[0] != spec.n_rows:
         raise DataError(f"weight has {w.shape[0]} rows, spec has {spec.n_rows}")
-    return QuantizedWeight(w_int=_rtn_int(w, spec), spec=spec)
+    g = _grid_int(w / spec.scale[:, None], spec.zero_point[:, None], spec.grid_max)
+    return QuantizedWeight(w_int=g.astype(np.int64), spec=spec)
 
 
 def dequantize(qw: QuantizedWeight) -> np.ndarray:
@@ -135,22 +140,22 @@ def _candidate_grids(w: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray
 
 def _candidate_errors(rows: np.ndarray, scale: np.ndarray, zero_point: np.ndarray, grid_max: int) -> np.ndarray:
     """Nearest-rounding errors s * (g - z) - row, shape (rows, candidates, d),
-    built in place, with g each entry's grid integer under ``_rtn_int``'s
-    rule."""
+    built in place, with g each entry's grid integer (``_grid_int``)."""
     s = scale[:, :, None]
     z = zero_point[:, :, None]
-    x = rows[:, None, :] / s
-    err = np.abs(x)
-    err += 0.5
-    np.floor(err, out=err)
-    np.copysign(err, x, out=err)
-    del x
-    err += z
-    np.clip(err, 0, grid_max, out=err)
+    err = _grid_int(rows[:, None, :] / s, z, grid_max)
     err -= z
     err *= s
     err -= rows[:, None, :]
     return err
+
+
+def _screen_values(err: np.ndarray, hessian: np.ndarray, norm_bound: float, underflow: float):
+    """Per row e_k of ``err``, the screen value O_k = sum((e_k @ H) * e_k) and the margin
+    m_k = norm_bound ||e_k||^2 + underflow that bounds |O_k - e_k @ H @ e_k| (``fit_step_size``)."""
+    weighted = err @ hessian
+    weighted *= err
+    return weighted.sum(axis=1), norm_bound * np.einsum("ij,ij->i", err, err) + underflow
 
 
 def _best_candidate(row, hessian, scale, zero_point, grid_max):
@@ -228,11 +233,9 @@ def fit_step_size(w: np.ndarray, hessian: np.ndarray, n_bits: int) -> QuantSpec:
         ok = valid[idx]
         scale = np.where(ok, cand_scale[idx], 1.0)
         err = _candidate_errors(w[idx], scale, cand_zero[idx], grid_max).reshape(-1, d)
-        margin = 4 * gamma * h_norm * np.einsum("ij,ij->i", err, err) + underflow
-        weighted = err @ hessian
-        weighted *= err
+        screen, margin = _screen_values(err, hessian, 4 * gamma * h_norm, underflow)
         del err
-        screen = weighted.sum(axis=1).reshape(ok.shape)
+        screen = screen.reshape(ok.shape)
         screen[~np.isfinite(screen)] = np.nan  # overflow: the bound does not hold
         screen[~ok] = np.inf
         margin = margin.reshape(ok.shape)
@@ -303,7 +306,7 @@ def optq_compensate(
     s, z = spec.scale, spec.zero_point
     for j in range(n_cols):
         col = work[j]
-        g = _rtn_int(col[:, None], spec)[:, 0]
+        g = _grid_int(col / s, z, spec.grid_max).astype(np.int64)
         w_int[j] = g
         err = (col - s * (g - z)) / upper[j, j]
         rest = update[: n_cols - j - 1]

@@ -38,6 +38,7 @@ __all__ = [
     "SoftQuantConfig",
     "rectified_sigmoid",
     "rounding_regularizer",
+    "regularizer_gradient",
     "RoundingStack",
     "rounding_objective",
     "optimize_rounding",
@@ -115,47 +116,42 @@ def rectified_sigmoid(b, out=None) -> tuple[np.ndarray, np.ndarray]:
     return h, dh_db
 
 
-def rounding_regularizer(
-    h: np.ndarray, dh_db: np.ndarray, lam: float, beta: float, work=None, value: bool = True
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """lam * sum(1 - |2h - 1|^beta) and its gradient with respect to b; on
-    a (P, d_h, d) stack the sum is taken per slab.
+def rounding_regularizer(h: np.ndarray, lam: float, beta: float) -> np.ndarray:
+    """lam * sum(1 - |2h - 1|^beta), taken per slab on a (P, d_h, d) stack;
+    zero exactly when every h sits at 0 or 1. beta must be >= 1."""
+    if not beta >= 1.0:
+        raise DataError(f"regularizer exponent beta must be >= 1, got {beta}")
+    term = np.multiply(h, 2.0)
+    term -= 1.0
+    np.abs(term, out=term)
+    # `**=` picks the same ufunc for a scalar exponent as `term ** beta`.
+    term **= beta
+    np.subtract(1.0, term, out=term)
+    return lam * _slab_sums(term)
 
-    Zero exactly when every h sits at 0 or 1; the gradient vanishes on the
+
+def regularizer_gradient(h: np.ndarray, dh_db: np.ndarray, lam: float, beta: float, work=None) -> np.ndarray:
+    """Gradient of ``rounding_regularizer`` with respect to b, zero on the
     clamped (saturated) entries. ``work`` is an optional triple of float64
-    arrays shaped like ``h``; the gradient is returned in the last one.
-    ``value=False`` skips the value and returns None in its place.
-    """
-    if beta <= 0:
-        raise DataError("regularizer exponent beta must be positive")
+    arrays shaped like ``h``; the gradient is returned in the last one."""
+    if not beta >= 1.0:
+        raise DataError(f"regularizer exponent beta must be >= 1, got {beta}")
     t, abs_t, grad = work if work is not None else (np.empty_like(h) for _ in range(3))
     np.multiply(h, 2.0, out=t)
     t -= 1.0
     np.abs(t, out=abs_t)
-    reg = None
-    if value:
-        # `**=` picks the same ufunc for a scalar exponent as `abs_t ** beta`.
-        np.copyto(grad, abs_t)
-        grad **= beta
-        np.subtract(1.0, grad, out=grad)
-        reg = lam * _slab_sums(grad)
-    # d/dh [1 - |2h-1|^beta] = -2 beta |2h-1|^(beta-1) sign(2h-1), 0 at 2h = 1
+    # d/dh [1 - |2h-1|^beta] = -2 beta |2h-1|^(beta-1) sign(2h-1), 0 at 2h = 1:
+    # pow(+0, beta - 1) is +0 for beta > 1 and 1 for beta = 1, and the sign
+    # factor +0 below turns either into a signed zero
     np.copyto(grad, abs_t)
-    if beta >= 1.0:
-        # pow(+0, beta - 1) is +0 for beta > 1 and 1 for beta = 1; times the
-        # sign factor +0 below, either is the masked form's signed zero
-        grad **= beta - 1.0
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad **= beta - 1.0
-        np.copyto(grad, 0.0, where=~(abs_t > 0))
+    grad **= beta - 1.0
     grad *= -2.0 * beta
     # abs_t is dead here; an out-of-place sign is several times faster than
     # np.sign(t, out=t) on mixed-sign data, and gives the same values
     grad *= np.sign(t, out=abs_t)
     grad *= lam
     grad *= dh_db
-    return reg, grad
+    return grad
 
 
 class RoundingStack:
@@ -223,11 +219,10 @@ def rounding_objective(
     b: np.ndarray,
     lam: float,
     beta: float,
-    value: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """One rounding step over the stack: per-slab reconstruction and
-    regularizer, each (P,), and the (P, d_h, d) gradient with respect to b.
-    ``value=False`` skips the regularizer's value and returns None for it.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One rounding step over the stack: the per-slab reconstruction, (P,),
+    and the (P, d_h, d) gradient of it plus the regularizer with respect to
+    b. The regularizer's value is ``rounding_regularizer(stack.h, lam, beta)``.
 
     The gradient lives in the stack's buffers and the next step overwrites
     it. Every in-place operation repeats the IEEE operations, in the same
@@ -252,9 +247,8 @@ def rounding_objective(
     grad *= stack.s
     grad *= inside
     grad *= dh_db
-    regularizer, grad_reg = rounding_regularizer(h, dh_db, lam, beta, work=stack.work, value=value)
-    grad += grad_reg
-    return reconstruction, regularizer, grad
+    grad += regularizer_gradient(h, dh_db, lam, beta, work=stack.work)
+    return reconstruction, grad
 
 
 def _write_trace(path: str | Path, reconstruction: list[float], regularizer: list[float]) -> None:
@@ -286,38 +280,39 @@ def optimize_rounding(
     ``trace_csv`` entry the per-iteration (total, reconstruction,
     regularizer) rows, that it would get on its own. Fully deterministic:
     the objective is evaluated over pre-computed statistics with no
-    sampling, so identical inputs give identical integer weights.
-    ``iterations == 0`` returns the plain nearest-rounding results.
+    sampling, so identical inputs give identical integer weights. The last
+    bits of a trace's reconstruction column can change with the BLAS thread
+    count (seen at d = 128 and 768). ``iterations == 0`` returns the plain
+    nearest-rounding results.
 
-    Raises NonFiniteRounding, naming the slab and the first iteration, when
-    a slab's loss or final logits are not finite. The regularizer's value
-    is computed only when a trace is written or when lam could make it
-    overflow. Otherwise its value is non-finite only where some h is NaN,
-    and then the slab's reconstruction is NaN in the same iteration, so
-    the check names the same iteration and slab with or without traces.
+    Raises DataError before any work when lam times the weights per slab
+    overflows. Raises NonFiniteRounding, naming the slab and the first
+    iteration, when a slab's loss or final logits are not finite. The
+    regularizer's value, computed only for a trace, then lies in [0, lam *
+    weights] unless some h is NaN, which makes the slab's reconstruction NaN
+    in the same iteration: traced or not, the check names the same one.
     """
     if len(w) != len(spec) or (trace_csv is not None and len(trace_csv) != len(w)):
         raise DataError("w, spec and trace_csv need one entry per slab")
     if cfg.iterations == 0 or len(w) == 0:
         return [rtn_quantize(x, sp) for x, sp in zip(w, spec)]
+    if not np.isfinite(cfg.lam * np.size(w[0])):
+        raise DataError(f"lam (rounding weight) {cfg.lam!r} times {np.size(w[0])} weights per slab overflows")
     stack = RoundingStack(w, spec, ctx, w_reference)
     b = stack.logits
     m = np.zeros_like(b)
     v = np.zeros_like(b)
     step, m_hat, v_hat = stack.work
-    # Each term of the regularizer's sum lies in [0, 1] unless its h is NaN,
-    # so lam * sum can overflow only when lam * (entries per slab) does.
     traced = any(path is not None for path in trace_csv or ())
-    value = traced or not np.isfinite(cfg.lam * b[0].size)
     recon = np.empty((cfg.iterations, len(b)))
-    reg = np.empty((cfg.iterations, len(b))) if value else None
+    reg = np.empty((cfg.iterations, len(b))) if traced else None
     # A diverging run may overflow inside the loop. numpy stays quiet: the
     # check after the loop is the one guard against non-finite results.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(cfg.iterations):
-            recon[it], reg_it, grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it), value)
-            if value:
-                reg[it] = reg_it
+            recon[it], grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it))
+            if traced:
+                reg[it] = rounding_regularizer(stack.h, cfg.lam, cfg.beta_at(it))
             # m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
             m *= ADAM_BETA1
             m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
@@ -339,8 +334,6 @@ def optimize_rounding(
     # One check after the loop: a non-finite value propagates into every
     # later loss, or at last into the logits.
     bad = ~np.isfinite(recon)
-    if value:
-        bad |= ~np.isfinite(reg)
     bad[-1] |= ~np.isfinite(b).reshape(len(b), -1).all(axis=1)
     if bad.any():
         it, p = np.argwhere(bad)[0]

@@ -10,7 +10,8 @@ with traces, and both runs must give the same document, report and count.
 
 Digests depend on the numpy build and its BLAS, so the file stores both
 next to the digests. Regenerate it only when a change alters outputs on
-purpose, and list every changed case when doing so:
+purpose, and list every changed case when doing so; the script prints
+their names:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -115,12 +116,19 @@ def case_digests(case: Case) -> dict:
 
 
 def main() -> None:
-    golden = {
-        "environment": environment(),
-        "cases": {case.name: case_digests(case) for case in CASES},
-    }
+    """Rewrite ``golden.json`` and print each case whose record changed (a
+    new case counts as changed) or that is no longer in ``CASES``."""
+    before = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["cases"] if GOLDEN_PATH.exists() else {}
+    cases = {case.name: case_digests(case) for case in CASES}
+    golden = {"environment": environment(), "cases": cases}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(CASES)} cases to {GOLDEN_PATH}")
+    changed = [name for name, record in cases.items() if before.get(name) != record]
+    removed = [name for name in before if name not in cases]
+    print(f"wrote {len(CASES)} cases to {GOLDEN_PATH}: {len(changed)} changed, {len(removed)} removed")
+    for name in changed:
+        print(f"changed: {name}")
+    for name in removed:
+        print(f"removed: {name}")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from attnquant.objectives import LossContext, ProjectionKind, loss, loss_gradien
 from attnquant.oracle import exact_error
 from attnquant.pipeline import PipelineConfig, quantize_head
 from attnquant.quantizer import dequantize, fit_step_size, rtn_quantize
-from attnquant.rounding import rectified_sigmoid, rounding_regularizer
+from attnquant.rounding import rectified_sigmoid, regularizer_gradient, rounding_regularizer
 from attnquant.stats import accumulate_stats
 from conftest import random_psd, rng_for
 
@@ -109,14 +109,14 @@ def test_criterion_06_gradient_checks():
 
     worst_reg_grad = 0.0
     b = rng.uniform(-1.5, 1.5, size=(4, 8))
-    _, reg_grad = rounding_regularizer(*rectified_sigmoid(b), 1.5, 2.0)
+    reg_grad = regularizer_gradient(*rectified_sigmoid(b), 1.5, 2.0)
     for _ in range(20):
         i, j = int(rng.integers(0, 4)), int(rng.integers(0, 8))
         bp, bm = b.copy(), b.copy()
         bp[i, j] += eps
         bm[i, j] -= eps
-        vp, _ = rounding_regularizer(*rectified_sigmoid(bp), 1.5, 2.0)
-        vm, _ = rounding_regularizer(*rectified_sigmoid(bm), 1.5, 2.0)
+        vp = rounding_regularizer(rectified_sigmoid(bp)[0], 1.5, 2.0)
+        vm = rounding_regularizer(rectified_sigmoid(bm)[0], 1.5, 2.0)
         fd = (vp - vm) / (2 * eps)
         worst_reg_grad = max(worst_reg_grad, abs(fd - reg_grad[i, j]) / max(abs(fd), 1e-12))
 

@@ -145,6 +145,25 @@ class TestPipeline:
                     head, seqs, kind, delta
                 )
 
+    def test_value_only_run_shares_the_reference_map(self, monkeypatch):
+        # the joint head keeps the reference's W_Q and W_K arrays, so with V
+        # alone quantized only the stats pass and the reference run forwards
+        cfg = PipelineConfig(bits=2, method="aespa", projections="V", soft=SoftQuantConfig(iterations=20))
+        head, seqs = generate_synthetic(12, 8, 4, 6, 5)
+        calls = []
+
+        def counting(h, s, out=None):
+            calls.append(s)
+            return attention_forward(h, s, out=out)
+
+        with monkeypatch.context() as m:
+            for module in (stats_module, oracle, pipeline):
+                m.setattr(module, "attention_forward", counting)
+            doc, report = quantize_head(head, seqs, cfg)
+        assert len(calls) == 2 * len(seqs)
+        joint = evaluate_quantized(head, dequantized_head(doc), seqs)
+        assert report["calibration_attention_error"] == joint["mean_attention_error"]
+
     def test_peak_memory_flat_in_sequence_count(self):
         # no per-sequence output is kept, so 4x the calibration and held-out
         # sequences (built before tracing) leave the peak where it was
@@ -557,6 +576,21 @@ class TestCli:
         )
         assert res.exit_code == 3, res.output
         assert not out.exists()
+
+    def test_quantize_refuses_an_overflowing_rounding_weight(self, tmp_path):
+        # 1e308 is finite, but 1e308 times the weights per projection is not
+        _, _, model, calib = make_files(tmp_path, seed=12)
+        out = tmp_path / "q.json"
+        res = CliRunner().invoke(
+            main,
+            ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out),
+             "--iterations", "5", "--rounding-weight", "1e308",
+             "--trace-prefix", str(tmp_path / "trace")],
+        )
+        assert res.exit_code == 3, res.output
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "rounding weight" in res.stderr
+        assert not out.exists() and not list(tmp_path.glob("trace*"))
 
     def test_quantize_defaults_come_from_the_dataclasses(self, tmp_path, monkeypatch):
         _, _, model, calib = make_files(tmp_path, seed=12)

@@ -1,11 +1,13 @@
 import json
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from attnquant import quantizer
 from attnquant.errors import DataError
 from attnquant.pipeline import VALID_BITS
 from attnquant.quantizer import (
@@ -110,6 +112,10 @@ class TestQuantizeValue:
     def test_ties_away_from_zero(self):
         assert quantize_value(0.5, 1.0, 1, 3) == 1.0
         assert quantize_value(-0.5, 1.0, 1, 3) == -1.0
+
+    def test_round_half_away_keeps_scalars_scalar(self):
+        assert type(round_half_away(-2.5)) is np.float64 and round_half_away(-2.5) == -3.0
+        np.testing.assert_array_equal(round_half_away(np.array([0.5, -0.5, 1.49, -0.0])), [1.0, -1.0, 1.0, -0.0])
 
     def test_idempotent(self):
         rng = rng_for(0)
@@ -313,6 +319,44 @@ class TestFitStepSize:
         w = rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-3, 3)
         w[rng.random(rows) < zero_frac] = 0.0
         assert_matches_reference(w, curvature(kind, d, rng), bits)
+
+    @settings(max_examples=60, deadline=None)
+    @example(rows=2, d=5, bits=3, kind="zero", push="odd-up", seed=0)
+    @given(
+        rows=st.integers(1, 6),
+        d=st.integers(1, 24),
+        bits=st.sampled_from(VALID_BITS),
+        kind=st.sampled_from(["zero", "psd", "rank1", "ill", "up", "down"]),
+        push=st.sampled_from(["odd-up", "even-up", "random"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force_with_screen_pushed_within_its_margin(
+        self, rows, d, bits, kind, push, seed
+    ):
+        # The certification holds for any screen value within its margin of
+        # the exact err @ H @ err, so a screen pushed anywhere inside that
+        # band must still give the brute-force grids. At zero curvature every
+        # candidate ties at 0 and only the underflow term is left: pushing
+        # the largest scale (the last, odd-indexed ratio) up and its
+        # neighbours down makes a screen that ignores the margin drop the
+        # winner.
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-3, 3)
+        h = np.zeros((d, d)) if kind == "zero" else curvature(kind, d, rng)
+        screen_values = quantizer._screen_values
+
+        def pushed(err, hessian, norm_bound, underflow):
+            _, margin = screen_values(err, hessian, norm_bound, underflow)
+            exact = np.array([float(e @ hessian @ e) for e in err])
+            if push == "random":
+                theta = rng.uniform(-0.75, 0.75, size=len(err))
+            else:
+                odd = np.arange(len(err)) % 2 == 1
+                theta = np.where(odd == (push == "odd-up"), 0.75, -0.75)
+            return exact + theta * margin, margin
+
+        with mock.patch.object(quantizer, "_screen_values", pushed):
+            assert_matches_reference(w, h, bits)
 
     def test_wide_block_memory_is_bounded(self):
         # one unblocked (64*128, 768) candidate array alone is 50 MB

@@ -36,6 +36,7 @@ from attnquant.rounding import (
     SoftQuantConfig,
     optimize_rounding,
     rectified_sigmoid,
+    regularizer_gradient,
     rounding_objective,
     rounding_regularizer,
 )
@@ -111,10 +112,11 @@ def reference_optimize_rounding(w, spec, ctx, cfg, w_reference=None, counter=Non
 
 
 def one_slab_objective(b, w, spec, ctx, lam, beta, w_reference=None):
-    """rounding_objective on a stack of one slab, unstacked."""
+    """rounding_objective on a stack of one slab, unstacked, with the
+    regularizer's value read from the step's h as optimize_rounding reads it."""
     stack = RoundingStack([w], [spec], [ctx], [w_reference])
-    recon, reg, grad = rounding_objective(stack, np.asarray(b, dtype=np.float64)[None], lam, beta)
-    return recon[0], reg[0], grad[0]
+    recon, grad = rounding_objective(stack, np.asarray(b, dtype=np.float64)[None], lam, beta)
+    return recon[0], rounding_regularizer(stack.h, lam, beta)[0], grad[0]
 
 
 def value_setup(seed=0, d=12, d_h=4, length=6, n=8, bits=2):
@@ -171,26 +173,26 @@ class TestRoundingObjective:
 
 class TestRegularizer:
     def test_zero_at_hard_assignments(self):
-        value, grad = rounding_regularizer(*rectified_sigmoid(np.array([[-50.0, 50.0]])), 1.5, 4.0)
-        assert value == 0.0
-        np.testing.assert_array_equal(grad, np.zeros((1, 2)))
+        h, dh_db = rectified_sigmoid(np.array([[-50.0, 50.0]]))
+        assert rounding_regularizer(h, 1.5, 4.0) == 0.0
+        np.testing.assert_array_equal(regularizer_gradient(h, dh_db, 1.5, 4.0), np.zeros((1, 2)))
 
     def test_single_midpoint_entry(self):
-        value, _ = rounding_regularizer(*rectified_sigmoid(np.array([[0.0]])), 1.5, 7.0)
-        assert value == 1.5
+        h, _ = rectified_sigmoid(np.array([[0.0]]))
+        assert rounding_regularizer(h, 1.5, 7.0) == 1.5
 
     def test_gradient_matches_finite_differences(self):
         rng = rng_for(1)
         b = rng.uniform(-1.5, 1.5, size=(3, 4))
-        _, grad = rounding_regularizer(*rectified_sigmoid(b), 1.5, 2.0)
+        grad = regularizer_gradient(*rectified_sigmoid(b), 1.5, 2.0)
         eps = 1e-6
         for i in range(3):
             for j in range(4):
                 bp, bm = b.copy(), b.copy()
                 bp[i, j] += eps
                 bm[i, j] -= eps
-                vp, _ = rounding_regularizer(*rectified_sigmoid(bp), 1.5, 2.0)
-                vm, _ = rounding_regularizer(*rectified_sigmoid(bm), 1.5, 2.0)
+                vp = rounding_regularizer(rectified_sigmoid(bp)[0], 1.5, 2.0)
+                vm = rounding_regularizer(rectified_sigmoid(bm)[0], 1.5, 2.0)
                 fd = (vp - vm) / (2 * eps)
                 assert abs(fd - grad[i, j]) <= 1e-5 * max(1.0, abs(fd))
 
@@ -213,29 +215,26 @@ class TestRegularizer:
         h[interior] = rng.uniform(0.0, 1.0, size=int(interior.sum()))
         dh_db = rng.uniform(0.0, 0.3, size=shape)
         dh_db[h == 0.0] = 0.0  # saturated entries have a zero derivative
-        value, grad = rounding_regularizer(h, dh_db, lam, beta)
+        value = rounding_regularizer(h, lam, beta)
+        grad = regularizer_gradient(h, dh_db, lam, beta)
+        # the stack's work buffers give the same bits as fresh arrays
+        work = tuple(np.full(shape, np.nan) for _ in range(3))
+        in_work = regularizer_gradient(h, dh_db, lam, beta, work=work)
+        assert in_work is work[2]
+        np.testing.assert_array_equal(in_work.view(np.int64), grad.view(np.int64))
         for p in range(shape[0]):
             expected_value, expected_grad = reference_regularizer(h[p], dh_db[p], lam, beta)
             assert value[p] == expected_value
             np.testing.assert_array_equal(grad[p].view(np.int64), expected_grad.view(np.int64))
-        skipped, grad_only = rounding_regularizer(h, dh_db, lam, beta, value=False)
-        assert skipped is None
-        np.testing.assert_array_equal(grad_only.view(np.int64), grad.view(np.int64))
-
-    def test_exponent_below_one_gives_finite_zero_gradient_at_midpoint(self):
-        # |2h - 1|^(beta - 1) is inf at h = 0.5 for beta < 1; the gradient
-        # there is still the reference's signed zero
-        h = np.array([[0.5, 0.25]])
-        dh_db = np.array([[0.3, 0.2]])
-        value, grad = rounding_regularizer(h, dh_db, 1.5, 0.5)
-        expected_value, expected_grad = reference_regularizer(h, dh_db, 1.5, 0.5)
-        assert value == expected_value
-        assert np.isfinite(grad).all() and grad[0, 0] == 0.0
-        np.testing.assert_array_equal(grad.view(np.int64), expected_grad.view(np.int64))
 
     def test_rejects_nonpositive_beta(self):
-        with pytest.raises(DataError):
-            rounding_regularizer(*rectified_sigmoid(np.zeros((1, 1))), 1.5, 0.0)
+        # and every beta below 1, which the annealed schedule never reaches
+        h, dh_db = rectified_sigmoid(np.zeros((1, 1)))
+        for beta in (0.0, 0.5, np.nextafter(1.0, 0.0), -1.0, np.nan):
+            with pytest.raises(DataError, match="beta"):
+                rounding_regularizer(h, 1.5, beta)
+            with pytest.raises(DataError, match="beta"):
+                regularizer_gradient(h, dh_db, 1.5, beta)
 
 
 class TestTotalObjectiveGradient:
@@ -488,20 +487,39 @@ class TestNonFinite:
         assert not path.exists()
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-    def test_overflowing_regularizer_names_the_slab_and_iteration(self, tmp_path, traced):
-        # lam = 1e308 on 6 entries per slab: the first regularizer value
-        # overflows while every reconstruction stays finite
+    def test_overflowing_rounding_weight_is_refused_before_any_work(self, tmp_path, traced):
+        # lam = 1e308 on 6 entries per slab: lam * 6 overflows, so the
+        # regularizer's value could; the run stops before its first step
         rng = rng_for(5)
         w = rng.standard_normal((2, 3))
         spec = fit_step_size(w, np.eye(3), 2)
         ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
-        with pytest.raises(NonFiniteRounding, match="iteration 0") as info:
+        path = tmp_path / "trace.csv"
+        counter = FlopCounter()
+        with pytest.raises(DataError, match="rounding weight") as info:
             optimize_rounding(
                 [w, w], [spec, spec], [ctx, ctx], SoftQuantConfig(iterations=3, lam=1e308),
-                trace_csv=[tmp_path / "trace.csv", None] if traced else None,
+                counter=counter, trace_csv=[path, None] if traced else None,
             )
-        assert info.value.slab == 0
+        assert not isinstance(info.value, NumericalError)
+        assert counter.count == 0
+        assert not path.exists()
 
+    def test_large_finite_rounding_weight_fails_alike_traced_or_not(self, tmp_path):
+        # lam * 6 is finite, so no regularizer value overflows, but the
+        # regularizer's gradient does, and Adam turns it into NaN logits: the
+        # next iteration's reconstruction is NaN, traced or not
+        rng = rng_for(5)
+        w = rng.standard_normal((2, 3))
+        spec = fit_step_size(w, np.eye(3), 2)
+        ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
+        named = []
+        for trace_csv in (None, [tmp_path / "trace.csv"]):
+            with pytest.raises(NonFiniteRounding) as info:
+                optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=3, lam=1e307),
+                                  trace_csv=trace_csv)
+            named.append((str(info.value), info.value.slab))
+        assert named[0] == named[1] == ("learned rounding went non-finite at iteration 1", 0)
 
 
 class TestConfig:
