@@ -2,11 +2,12 @@
 
 Each projection is quantized separately with the others held at full
 precision: statistics are accumulated once from the full-precision forward
-pass, whose outputs the report's exact errors reuse. Then per projection a
-grid is fitted against the row curvature, and integer warm starts are
-produced by column compensation, once per distinct curvature; for the
-learned method one loop then optimizes the rounding logits of all
-projections together, each under its own trace loss.
+pass, whose outputs the report's exact errors reuse. Then grids are fitted
+against the row curvature, and integer warm starts are produced by column
+compensation, once per distinct curvature over the stacked rows of the
+projections that share it; for the learned method one loop then optimizes
+the rounding logits of all projections together, each under its own trace
+loss.
 
 Method semantics:
   rtn            naive baseline: grid fitted by plain rounding error
@@ -108,48 +109,39 @@ def _warm_starts(
     weights: dict[str, np.ndarray],
     contexts: dict[str, LossContext],
     cfg: PipelineConfig,
-) -> tuple[dict[str, QuantizedWeight], dict[str, np.ndarray | None]]:
+) -> tuple[dict[str, QuantizedWeight], dict[str, np.ndarray]]:
     """Fit each projection's grid, then return its warm-start integers and
     the column-compensated weights whose grid cells learned rounding starts
-    from (None for rtn).
+    from (under rtn, the weights themselves).
 
     Projections whose contexts share a right factor share a curvature (Q
-    and K share E[XX^T]; under rtn and optq all three do). Column
-    compensation treats rows independently, so it runs once over the
-    stacked rows of each such group, and each curvature is formed and
-    factored once.
+    and K share E[XX^T]; under rtn and optq all three do). Grid fitting and
+    column compensation treat rows independently, so each curvature is
+    formed, fitted, factored and compensated once, over the stacked rows of
+    its group, and each projection gets the result it gets alone.
     """
     groups: dict[int, list[str]] = {}
     for letter in letters:
         groups.setdefault(id(contexts[letter].right), []).append(letter)
     quantized: dict[str, QuantizedWeight] = {}
-    compensated: dict[str, np.ndarray | None] = {}
+    compensated: dict[str, np.ndarray] = {}
     for group in groups.values():
-        ws = [weights[letter] for letter in group]
+        w = np.vstack([weights[letter] for letter in group])
         if cfg.method == "rtn":
-            hessian = np.eye(ws[0].shape[1])
+            hessian = np.eye(w.shape[1])
         else:
             hessian = row_hessian(contexts[group[0]])
-        specs = []
-        for letter, w in zip(group, ws):
-            try:
-                specs.append(fit_step_size(w, hessian, cfg.bits))
-            except AttnQuantError as exc:
-                raise type(exc)(f"{_stage(cfg, letter)}: {exc}") from exc
+        try:
+            spec = fit_step_size(w, hessian, cfg.bits)
+        except AttnQuantError as exc:
+            raise type(exc)(f"{', '.join(_stage(cfg, letter) for letter in group)}: {exc}") from exc
         if cfg.method == "rtn":
-            for letter, w, spec in zip(group, ws, specs):
-                quantized[letter], compensated[letter] = rtn_quantize(w, spec), None
-            continue
-        stacked_spec = QuantSpec(
-            cfg.bits,
-            np.concatenate([spec.scale for spec in specs]),
-            np.concatenate([spec.zero_point for spec in specs]),
-        )
-        qw, comp = optq_compensate(np.vstack(ws), hessian, stacked_spec)
-        for letter, spec, w_int, rows in zip(
-            group, specs, np.split(qw.w_int, len(ws)), np.split(comp, len(ws))
-        ):
-            quantized[letter] = QuantizedWeight(w_int, spec, qw.fallback_rtn)
+            qw, comp = rtn_quantize(w, spec), w
+        else:
+            qw, comp = optq_compensate(w, hessian, spec)
+        splits = (np.split(a, len(group)) for a in (spec.scale, spec.zero_point, qw.w_int, comp))
+        for letter, scale, zero_point, w_int, rows in zip(group, *splits):
+            quantized[letter] = QuantizedWeight(w_int, QuantSpec(cfg.bits, scale, zero_point), qw.fallback_rtn)
             compensated[letter] = rows
     return quantized, compensated
 
@@ -170,14 +162,16 @@ def quantize_head(
     sequence: the statistics pass, the full-precision reference, one each
     for the perturbed Q and K, and one with the dequantized head (the
     perturbed V shares the reference's attention map). Quantizing V alone
-    costs 2: the dequantized head then shares that map too.
+    costs 2: the dequantized head then shares that map too. Each distinct
+    curvature (Q and K share one) is fitted, factored and compensated once,
+    over its group's stacked rows.
     """
     stats = accumulate_stats(head, sequences)
 
-    # Phase 1: per projection a grid fit, then the column-compensated warm
-    # starts, once per distinct curvature. Each projection holds the others
-    # at full precision, so the order in which they run changes no result;
-    # it is fixed at V, Q, K.
+    # Phase 1: a grid fit and the column-compensated warm starts, once per
+    # distinct curvature over its projections' stacked rows. Each projection
+    # holds the others at full precision, so the order in which they run
+    # changes no result; it is fixed at V, Q, K.
     letters = [letter for letter in "VQK" if letter in cfg.projections]
     weights = {letter: head.projection(_LETTER_TO_NAME[letter]) for letter in letters}
     contexts = {letter: context_for(_loss_kind(cfg, letter), stats) for letter in letters}

@@ -35,9 +35,7 @@ CLIP_RATIO_LO = 0.4
 CLIP_RATIO_HI = 1.0
 N_CLIP_RATIOS = 128
 OPTQ_DAMPING = 0.01
-# fit_step_size screens rows in blocks whose candidate errors take about this
-# many bytes; u is the float64 unit roundoff of its certification bound.
-_SCREEN_BLOCK_BYTES = 256 << 10
+# The float64 unit roundoff u of fit_step_size's certification bound.
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -138,15 +136,16 @@ def _candidate_grids(w: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray
     return scale, np.where(valid, zero_point, 0).astype(np.int64)
 
 
-def _candidate_errors(rows: np.ndarray, scale: np.ndarray, zero_point: np.ndarray, grid_max: int) -> np.ndarray:
-    """Nearest-rounding errors s * (g - z) - row, shape (rows, candidates, d),
-    built in place, with g each entry's grid integer (``_grid_int``)."""
-    s = scale[:, :, None]
-    z = zero_point[:, :, None]
-    err = _grid_int(rows[:, None, :] / s, z, grid_max)
+def _candidate_errors(row: np.ndarray, scale: np.ndarray, zero_point: np.ndarray, grid_max: int) -> np.ndarray:
+    """Nearest-rounding errors s * (g - z) - row of one row, shape
+    (candidates, d), built in place, with g each entry's grid integer
+    (``_grid_int``)."""
+    s = scale[:, None]
+    z = zero_point[:, None]
+    err = _grid_int(row / s, z, grid_max)
     err -= z
     err *= s
-    err -= rows[:, None, :]
+    err -= row
     return err
 
 
@@ -158,11 +157,11 @@ def _screen_values(err: np.ndarray, hessian: np.ndarray, norm_bound: float, unde
     return weighted.sum(axis=1), norm_bound * np.einsum("ij,ij->i", err, err) + underflow
 
 
-def _best_candidate(row, hessian, scale, zero_point, grid_max):
-    """(scale, zero_point) of the given candidates that wins under the exact
-    per-candidate objective err @ H @ err, taken in ratio order: the lower
-    objective wins, and on an exact tie the larger scale wins."""
-    errors = _candidate_errors(row[None], scale[None], zero_point[None], grid_max)[0]
+def _best_candidate(errors, hessian, scale, zero_point):
+    """(scale, zero_point) of the candidates with these errors that wins
+    under the exact per-candidate objective err @ H @ err, taken in ratio
+    order: the lower objective wins, and on an exact tie the larger scale
+    wins."""
     best = None
     for s, z, err in zip(scale, zero_point.tolist(), errors):
         obj = float(err @ hessian @ err)
@@ -178,13 +177,15 @@ def fit_step_size(w: np.ndarray, hessian: np.ndarray, n_bits: int) -> QuantSpec:
     Ties break toward the larger scale. A row with no candidate of positive
     scale (all zeros, or so small that every scale underflows) gets a tiny
     fixed scale and a mid-grid zero-point; its loss contribution is zero.
+    Rows are independent, so the rows of several weights that share one
+    curvature can be fitted in one call.
 
-    The search screens, then certifies. Rows are taken in blocks of about
-    ``_SCREEN_BLOCK_BYTES`` of candidate errors. One GEMM per block gives
-    every candidate k a screen value O_k = sum((E @ H) * E) of its error
-    e_k. Only the candidates that the screen cannot rule out are scored
-    again with the exact per-candidate expression ``err @ H @ err`` (R_k),
-    and the tie rule above is applied to those in ratio order.
+    The search screens, then certifies, one row at a time. One GEMM gives
+    each of the row's candidates k a screen value O_k = sum((E @ H) * E)
+    of its error e_k. Only the candidates that the screen cannot rule out
+    are scored again with the exact per-candidate expression
+    ``err @ H @ err`` (R_k), and the tie rule above is applied to those in
+    ratio order.
 
     Why the result equals scoring every candidate exactly: O_k and R_k both
     evaluate e_k^T H e_k with d-term dot products, then one more d-term
@@ -219,33 +220,21 @@ def fit_step_size(w: np.ndarray, hessian: np.ndarray, n_bits: int) -> QuantSpec:
     zero_points = np.full(n_rows, 1 << (n_bits - 1), dtype=np.int64)
     cand_scale, cand_zero = _candidate_grids(w, n_bits)
     valid = cand_scale > 0
-    fitted = np.flatnonzero(valid.any(axis=1))
 
     n = 2 * d + 2
     gamma = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
     abs_h = np.abs(hessian)
     h_norm = max(abs_h.sum(axis=0).max(initial=0.0), abs_h.sum(axis=1).max(initial=0.0))
     underflow = 4 * (d + 1) ** 2 * np.finfo(np.float64).smallest_subnormal
-    block = max(1, _SCREEN_BLOCK_BYTES // (N_CLIP_RATIOS * max(d, 1) * 8))
 
-    for start in range(0, fitted.size, block):
-        idx = fitted[start : start + block]
-        ok = valid[idx]
-        scale = np.where(ok, cand_scale[idx], 1.0)
-        err = _candidate_errors(w[idx], scale, cand_zero[idx], grid_max).reshape(-1, d)
+    for i in np.flatnonzero(valid.any(axis=1)):
+        ok = valid[i]
+        err = _candidate_errors(w[i], np.where(ok, cand_scale[i], 1.0), cand_zero[i], grid_max)
         screen, margin = _screen_values(err, hessian, 4 * gamma * h_norm, underflow)
-        del err
-        screen = screen.reshape(ok.shape)
         screen[~np.isfinite(screen)] = np.nan  # overflow: the bound does not hold
         screen[~ok] = np.inf
-        margin = margin.reshape(ok.shape)
-        ceiling = (screen + margin).min(axis=1, keepdims=True)
-        keep = ok & ~(screen - margin > ceiling)
-        for r, i in enumerate(idx):
-            k = np.flatnonzero(keep[r])
-            scales[i], zero_points[i] = _best_candidate(
-                w[i], hessian, cand_scale[i, k], cand_zero[i, k], grid_max
-            )
+        k = np.flatnonzero(ok & ~(screen - margin > (screen + margin).min()))
+        scales[i], zero_points[i] = _best_candidate(err[k], hessian, cand_scale[i, k], cand_zero[i, k])
     return QuantSpec(n_bits=n_bits, scale=scales, zero_point=zero_points)
 
 

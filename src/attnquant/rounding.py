@@ -195,7 +195,7 @@ class RoundingStack:
         # fractional grid position, clamped away from the sigmoid's
         # saturation; optimize_rounding updates them in place.
         frac = np.clip(w_over_s - self.base, 0.01, 0.99)
-        inner = np.clip((frac - GAMMA) / (ZETA - GAMMA), 1e-4, 1 - 1e-4)
+        inner = (frac - GAMMA) / (ZETA - GAMMA)
         self.logits = np.log(inner / (1.0 - inner))
         self.base += self.z  # floor(w/s) + z: where h = 0 puts each weight
         self.ref = np.stack(ref)
@@ -286,11 +286,12 @@ def optimize_rounding(
     nearest-rounding results.
 
     Raises DataError before any work when lam times the weights per slab
-    overflows. Raises NonFiniteRounding, naming the slab and the first
-    iteration, when a slab's loss or final logits are not finite. The
-    regularizer's value, computed only for a trace, then lies in [0, lam *
-    weights] unless some h is NaN, which makes the slab's reconstruction NaN
-    in the same iteration: traced or not, the check names the same one.
+    overflows, or lam times 2 * BETA_START, the largest factor of the
+    regularizer's gradient. Raises NonFiniteRounding, naming the slab and
+    the first iteration, when a slab's loss or final logits are not finite.
+    The regularizer's value, computed only for a trace, then lies in [0, lam
+    * weights] unless some h is NaN, which makes the slab's reconstruction
+    NaN in the same iteration: traced or not, the check names the same one.
     """
     if len(w) != len(spec) or (trace_csv is not None and len(trace_csv) != len(w)):
         raise DataError("w, spec and trace_csv need one entry per slab")
@@ -298,6 +299,8 @@ def optimize_rounding(
         return [rtn_quantize(x, sp) for x, sp in zip(w, spec)]
     if not np.isfinite(cfg.lam * np.size(w[0])):
         raise DataError(f"lam (rounding weight) {cfg.lam!r} times {np.size(w[0])} weights per slab overflows")
+    if not np.isfinite(2 * BETA_START * cfg.lam):
+        raise DataError(f"lam (rounding weight) {cfg.lam!r} times the regularizer gradient's 2 * beta <= {2 * BETA_START:g} overflows")
     stack = RoundingStack(w, spec, ctx, w_reference)
     b = stack.logits
     m = np.zeros_like(b)

@@ -2,6 +2,10 @@
 ``golden.json`` (see ``golden.py``, which also regenerates the file)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +18,39 @@ def test_every_case_has_a_digest():
     assert sorted(GOLDEN["cases"]) == sorted(case.name for case in CASES)
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
-def test_outputs_match_golden_digests(case):
+def require_golden_environment():
     if GOLDEN["environment"] != environment():
         pytest.fail(
             f"the environment differs from the one the golden digests were made in: "
             f"{environment()} here, {GOLDEN['environment']} in {GOLDEN_PATH.name}"
         )
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
+def test_outputs_match_golden_digests(case):
+    require_golden_environment()
     assert case_digests(case) == GOLDEN["cases"][case.name]
+
+
+def test_one_blas_thread_gives_the_golden_documents_and_reports():
+    # numpy reads OPENBLAS_NUM_THREADS only at import, so the cases run in a
+    # child process. At d = 128 the final logits differ in their last bits
+    # between one thread and two or more; the integers must not.
+    require_golden_environment()
+    names = [case.name for case in CASES if case.d == 128]
+    assert len(names) == 2
+    tests = Path(__file__).resolve().parent
+    script = (
+        "import json, sys\n"
+        "from golden import CASES, case_digests\n"
+        "print(json.dumps({c.name: case_digests(c) for c in CASES if c.name in sys.argv[1:]}))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, *names], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    digests = json.loads(out)
+    for name in names:
+        for key in ("doc", "report"):
+            assert digests[name][key] == GOLDEN["cases"][name][key], (name, key)

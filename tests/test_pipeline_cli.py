@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from attnquant import checks, cli, oracle, pipeline, quantizer
 from attnquant import stats as stats_module
@@ -22,6 +23,7 @@ from attnquant.pipeline import (
 )
 from attnquant.objectives import LossContext, ProjectionKind, context_for, row_hessian
 from attnquant.quantizer import (
+    VALID_BITS,
     QuantSpec,
     QuantizedWeight,
     dequantize,
@@ -29,6 +31,7 @@ from attnquant.quantizer import (
     optq_compensate,
     quantized_from_json,
     quantized_to_json,
+    rtn_quantize,
 )
 from attnquant.rounding import SoftQuantConfig
 from test_rounding import reference_optimize_rounding
@@ -301,9 +304,79 @@ class TestStackedRounding:
 
 
 class TestWarmStarts:
-    """Projections that share a curvature are compensated in one call over
-    their stacked rows: the curvature is factored once, and each projection
-    gets the warm start that compensating it alone gives."""
+    """Projections that share a curvature are fitted and compensated in one
+    call each over their stacked rows: the curvature is factored once, and
+    each projection gets the grid and warm start that it gets alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(4, 10),
+        d_h=st.integers(1, 4),
+        bits=st.sampled_from(VALID_BITS),
+        method=st.sampled_from(METHODS),
+        value_kind=st.sampled_from(["value", "other"]),
+        projections=st.sampled_from(["VQK", "VQ", "VK", "QK", "V", "Q", "K"]),
+        calib_scale=st.sampled_from([1.0, 1e-160]),
+    )
+    def test_stacked_groups_equal_per_projection_calls(
+        self, seed, d, d_h, bits, method, value_kind, projections, calib_scale
+    ):
+        # 1e-160 makes every curvature's factor non-finite, so compensation
+        # falls back to nearest rounding for the whole group
+        head, seqs = generate_synthetic(seed, d, d_h, 3, 4)
+        seqs = [CalibSequence(s.x * calib_scale) for s in seqs]
+        cfg = PipelineConfig(bits=bits, method=method, projections=projections, value_kind=value_kind)
+        stats = stats_module.accumulate_stats(head, seqs)
+        letters = [letter for letter in "VQK" if letter in projections]
+        weights = {letter: head.projection(pipeline._LETTER_TO_NAME[letter]) for letter in letters}
+        contexts = {letter: context_for(pipeline._loss_kind(cfg, letter), stats) for letter in letters}
+        quantized, compensated = pipeline._warm_starts(letters, weights, contexts, cfg)
+        assert sorted(quantized) == sorted(compensated) == sorted(letters)
+        for letter in letters:
+            w = weights[letter]
+            if method == "rtn":
+                spec = fit_step_size(w, np.eye(d), bits)
+                qw, rows = rtn_quantize(w, spec), w
+            else:
+                h = row_hessian(contexts[letter])
+                qw, rows = optq_compensate(w, h, fit_step_size(w, h, bits))
+            got = quantized[letter]
+            np.testing.assert_array_equal(got.spec.scale, qw.spec.scale)
+            np.testing.assert_array_equal(got.spec.zero_point, qw.spec.zero_point)
+            assert got.spec.n_bits == bits
+            np.testing.assert_array_equal(got.w_int, qw.w_int)
+            assert got.fallback_rtn == qw.fallback_rtn
+            np.testing.assert_array_equal(compensated[letter], rows)
+
+    @pytest.mark.parametrize(
+        "method, calls", [("rtn", 1), ("optq", 1), ("aespa-noround", 2), ("aespa", 2)]
+    )
+    def test_one_grid_fit_per_curvature(self, monkeypatch, method, calls):
+        rows = []
+        real = pipeline.fit_step_size
+
+        def counting(w, *args):
+            rows.append(w.shape[0])
+            return real(w, *args)
+
+        monkeypatch.setattr(pipeline, "fit_step_size", counting)
+        head, seqs = generate_synthetic(24, 8, 4, 6, 5)
+        quantize_head(head, seqs, PipelineConfig(bits=2, method=method, soft=SoftQuantConfig(iterations=5)))
+        assert len(rows) == calls and sum(rows) == 3 * head.d_h
+
+    @pytest.mark.parametrize(
+        "method, projections, named",
+        [("optq", "VQK", "W_V (optq, other stage), W_Q (optq, other stage), W_K (optq, other stage)"),
+         ("aespa", "QK", "W_Q (aespa, query stage), W_K (aespa, key stage)")],
+    )
+    def test_fit_error_names_every_projection_of_its_group(self, monkeypatch, method, projections, named):
+        monkeypatch.setattr(pipeline, "row_hessian", lambda ctx: np.full((ctx.right.shape[0],) * 2, np.inf))
+        head, seqs = generate_synthetic(25, 8, 4, 6, 5)
+        cfg = PipelineConfig(bits=2, method=method, projections=projections)
+        with pytest.raises(DataError) as info:
+            quantize_head(head, seqs, cfg)
+        assert str(info.value) == f"{named}: fit_step_size needs finite weights and curvature"
 
     @pytest.mark.parametrize(
         "method, value_kind, factors",
@@ -579,12 +652,20 @@ class TestCli:
 
     def test_quantize_refuses_an_overflowing_rounding_weight(self, tmp_path):
         # 1e308 is finite, but 1e308 times the weights per projection is not
+        self.check_refused_rounding_weight(tmp_path, "1e308")
+
+    def test_quantize_refuses_a_rounding_weight_whose_gradient_overflows(self, tmp_path):
+        # 1e307 times the weights per projection is finite, but 1e307 times
+        # the regularizer gradient's 2 * beta = 40 is not
+        self.check_refused_rounding_weight(tmp_path, "1e307")
+
+    def check_refused_rounding_weight(self, tmp_path, value):
         _, _, model, calib = make_files(tmp_path, seed=12)
         out = tmp_path / "q.json"
         res = CliRunner().invoke(
             main,
             ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out),
-             "--iterations", "5", "--rounding-weight", "1e308",
+             "--iterations", "5", "--rounding-weight", value,
              "--trace-prefix", str(tmp_path / "trace")],
         )
         assert res.exit_code == 3, res.output

@@ -358,6 +358,23 @@ class TestFitStepSize:
         with mock.patch.object(quantizer, "_screen_values", pushed):
             assert_matches_reference(w, h, bits)
 
+    def test_candidate_errors_built_once_per_fitted_row(self):
+        # the screen and the recheck share each row's candidate errors; an
+        # all-zero row has no candidate and builds none
+        rng = rng_for(14)
+        w = rng.standard_normal((5, 7))
+        w[2] = 0.0
+        calls = []
+        real = quantizer._candidate_errors
+
+        def counting(row, *args):
+            calls.append(row.shape)
+            return real(row, *args)
+
+        with mock.patch.object(quantizer, "_candidate_errors", counting):
+            assert_matches_reference(w, curvature("psd", 7, rng), 3)
+        assert calls == [(7,)] * 4
+
     def test_wide_block_memory_is_bounded(self):
         # one unblocked (64*128, 768) candidate array alone is 50 MB
         rng = rng_for(13)

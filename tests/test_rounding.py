@@ -506,20 +506,49 @@ class TestNonFinite:
         assert not path.exists()
 
     def test_large_finite_rounding_weight_fails_alike_traced_or_not(self, tmp_path):
-        # lam * 6 is finite, so no regularizer value overflows, but the
-        # regularizer's gradient does, and Adam turns it into NaN logits: the
-        # next iteration's reconstruction is NaN, traced or not
+        # lam * 6 is finite, so no regularizer value could overflow, but
+        # 2 * beta * lam = 40 * lam, the regularizer gradient's factor at the
+        # first iteration, does: the run stops before its first step
         rng = rng_for(5)
         w = rng.standard_normal((2, 3))
         spec = fit_step_size(w, np.eye(3), 2)
         ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
-        named = []
-        for trace_csv in (None, [tmp_path / "trace.csv"]):
-            with pytest.raises(NonFiniteRounding) as info:
+        assert np.isfinite(1e307 * w.size) and not np.isfinite(40.0 * 1e307)
+        for traced in (False, True):
+            path = tmp_path / "trace.csv"
+            counter = FlopCounter()
+            with pytest.raises(DataError, match="rounding weight.*gradient") as info:
                 optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=3, lam=1e307),
-                                  trace_csv=trace_csv)
-            named.append((str(info.value), info.value.slab))
-        assert named[0] == named[1] == ("learned rounding went non-finite at iteration 1", 0)
+                                  counter=counter, trace_csv=[path] if traced else None)
+            assert not isinstance(info.value, NumericalError)
+            assert counter.count == 0
+            assert not path.exists()
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_final_logits_alone_non_finite_name_the_last_iteration(self, tmp_path, traced):
+        # One iteration at learning rate 1e308 and no regularizer: slab 1's
+        # reference sits 100 away, so its gradient has entries above 1.8 and
+        # the update's lr * m_hat overflows after the iteration's finite
+        # reconstruction was recorded; slab 0's gradient is about 0 and its
+        # logits stay finite. Only the check of the final logits sees this.
+        rng = rng_for(5)
+        w = rng.standard_normal((2, 3))
+        spec = fit_step_size(w, np.eye(3), 2)
+        ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
+        reference = [w, w + 100.0]
+        stack = RoundingStack([w, w], [spec, spec], [ctx, ctx], reference)
+        recon, grad = rounding_objective(stack, stack.logits, 0.0, SoftQuantConfig().beta_at(0))
+        assert np.isfinite(recon).all()
+        assert np.abs(grad[0]).max() < 1.0 < 1.8 < np.abs(grad[1]).max()
+        path = tmp_path / "trace.csv"
+        with pytest.raises(NonFiniteRounding, match="iteration 0$") as info:
+            optimize_rounding(
+                [w, w], [spec, spec], [ctx, ctx],
+                SoftQuantConfig(iterations=1, learning_rate=1e308, lam=0.0),
+                w_reference=reference, trace_csv=[path, None] if traced else None,
+            )
+        assert info.value.slab == 1
+        assert not path.exists()
 
 
 class TestConfig:
