@@ -17,6 +17,7 @@ __all__ = [
     "CostParams",
     "FlopCounter",
     "matmul_flops",
+    "trace_loss_flops",
     "flops_refined",
     "flops_existing",
     "refined_projection_flops",
@@ -70,14 +71,21 @@ def matmul_flops(m: int, k: int, n: int) -> int:
     return m * n * (2 * k - 1)
 
 
-def refined_projection_flops(p: CostParams) -> dict[str, int]:
-    """Per-iteration loss cost for each projection under the trace losses.
+def trace_loss_flops(d_h: int, d: int, identity_left: bool) -> tuple[int, int]:
+    """Flops of one trace loss tr(left @ DW @ right @ DW^T) and of its gradient
+    2 * left @ DW @ right, for a d_h x d DW: the product left @ DW @ right
+    (no left product when left is I), then a multiply-reduce or a doubling."""
+    product = matmul_flops(d_h, d, d)
+    if not identity_left:
+        product += matmul_flops(d_h, d_h, d)
+    return product + 2 * d_h * d - 1, product + d_h * d
 
-    value: one d_h*d @ d*d product plus the elementwise multiply-reduce.
-    query/key: an extra d_h*d_h left weighting product each.
-    """
-    value = 2 * p.d_h * p.d**2 + p.d_h * p.d - 1
-    query_key = 2 * p.d_h * p.d**2 + 2 * p.d_h**2 * p.d - 1
+
+def refined_projection_flops(p: CostParams) -> dict[str, int]:
+    """Per-iteration loss cost for each projection under the trace losses;
+    only the query and key losses have a left factor other than I."""
+    value, _ = trace_loss_flops(p.d_h, p.d, identity_left=True)
+    query_key, _ = trace_loss_flops(p.d_h, p.d, identity_left=False)
     return {"value": value, "query": query_key, "key": query_key}
 
 

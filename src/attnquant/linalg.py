@@ -13,13 +13,12 @@ from .errors import DataError, NumericalError, SizeBudgetError
 
 __all__ = [
     "as_matrix",
-    "softmax_rows",
     "softmax_jacobian_row",
     "kron",
     "vec",
 ]
 
-DEFAULT_KRON_BUDGET = 4_000_000  # elements (~32 MB of float64)
+KRON_BUDGET = 4_000_000  # elements (~32 MB of float64)
 PROB_SUM_TOL = 1e-9  # how far a probability row may sum from 1
 
 
@@ -50,17 +49,6 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by subtracting each row's maximum.
-
-    Every output row sums to 1 and all entries lie in (0, 1].
-    """
-    m = as_matrix(m, "softmax input")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_jacobian_row(a: np.ndarray) -> np.ndarray:
     """Jacobian of softmax evaluated at a probability row ``a``.
 
@@ -79,7 +67,7 @@ def softmax_jacobian_row(a: np.ndarray) -> np.ndarray:
     return np.diag(a) - np.outer(a, a)
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_elements: int = DEFAULT_KRON_BUDGET) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Explicit Kronecker product, guarded by an element budget.
 
     The dense product has shape (a.rows*b.rows, a.cols*b.cols); this is the
@@ -89,9 +77,9 @@ def kron(a: np.ndarray, b: np.ndarray, max_elements: int = DEFAULT_KRON_BUDGET) 
     a = as_matrix(a, "kron left")
     b = as_matrix(b, "kron right")
     n_out = a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1]
-    if n_out > max_elements:
+    if n_out > KRON_BUDGET:
         raise SizeBudgetError(
-            f"kron: result would hold {n_out} elements, budget is {max_elements}"
+            f"kron: result would hold {n_out} elements, budget is {KRON_BUDGET}"
         )
     return np.kron(a, b)
 

@@ -111,8 +111,7 @@ def attention_forward(
     C-ordered array, see ``map_buffer``), so a loop over sequences can reuse
     one buffer; the returned ``a`` is then ``out``, and the next forward
     into it overwrites it. Softmax rows are stabilized by subtracting each
-    row's maximum, with the same operations as ``linalg.softmax_rows``, so
-    the result is bit-identical to it.
+    row's maximum.
     """
     if seq.d != head.d:
         raise DataError(

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError
-from .flops import FlopCounter, matmul_flops
+from .flops import FlopCounter, trace_loss_flops
 from .linalg import as_matrix
 from .stats import SYM_TOL, CalibStats
 
@@ -27,6 +27,7 @@ __all__ = [
     "ProjectionKind",
     "LossContext",
     "context_for",
+    "as_delta",
     "weighted",
     "loss",
     "loss_gradient",
@@ -68,6 +69,8 @@ class LossContext:
                 raise DataError(f"LossContext.{name} must be symmetric")
         # An attribute, not a property: the rounding loop reads it per step.
         self.identity_left = self.kind in (ProjectionKind.VALUE, ProjectionKind.OTHER)
+        if self.identity_left and not np.array_equal(self.left, np.eye(len(self.left))):
+            raise DataError(f"LossContext.left must be the identity for the {self.kind.value} kind")
 
 
 def context_for(kind: ProjectionKind, stats: CalibStats) -> LossContext:
@@ -82,51 +85,38 @@ def context_for(kind: ProjectionKind, stats: CalibStats) -> LossContext:
     return LossContext(kind, eye, stats.exx)
 
 
-def _check_shape(ctx: LossContext, delta_w: np.ndarray) -> np.ndarray:
+def as_delta(delta_w: np.ndarray, d_h: int, d: int) -> np.ndarray:
+    """``delta_w`` as a float64 array, refused unless it is d_h x d: the one
+    check of a weight perturbation's shape."""
     delta_w = np.asarray(delta_w, dtype=np.float64)
-    d_h, d = ctx.left.shape[0], ctx.right.shape[0]
     if delta_w.shape != (d_h, d):
-        raise DataError(
-            f"delta_w has shape {delta_w.shape}, context expects {d_h}x{d}"
-        )
+        raise DataError(f"delta_w has shape {delta_w.shape}, expected {d_h}x{d}")
     return delta_w
 
 
 def weighted(ctx: LossContext, delta_w: np.ndarray, out=None, work=None) -> np.ndarray:
     """left @ DW @ right, the product that the loss and its gradient are made
-    of; the left product is skipped when left = I. ``out`` receives the
-    result and ``work`` the left product, both d_h x d, when given."""
+    of; the left product is skipped for the value and layer kinds, whose
+    left factor is the identity. ``out`` receives the result and ``work``
+    the left product, both d_h x d, when given."""
     if not ctx.identity_left:
         delta_w = np.matmul(ctx.left, delta_w, out=work)
     return np.matmul(delta_w, ctx.right, out=out)
 
 
-def _product_flops(ctx: LossContext) -> int:
-    """Flops of ``weighted``."""
-    d_h, d = ctx.left.shape[0], ctx.right.shape[0]
-    flops = matmul_flops(d_h, d, d)
-    if not ctx.identity_left:
-        flops += matmul_flops(d_h, d_h, d)
-    return flops
-
-
 def loss_flops(ctx: LossContext) -> int:
-    """Flops of one ``loss`` evaluation: the product plus the multiply-reduce."""
-    return _product_flops(ctx) + 2 * ctx.left.shape[0] * ctx.right.shape[0] - 1
+    """Flops of one ``loss`` evaluation."""
+    return trace_loss_flops(ctx.left.shape[0], ctx.right.shape[0], ctx.identity_left)[0]
 
 
 def gradient_flops(ctx: LossContext) -> int:
-    """Flops of one ``loss_gradient`` evaluation: the product plus the doubling."""
-    return _product_flops(ctx) + ctx.left.shape[0] * ctx.right.shape[0]
+    """Flops of one ``loss_gradient`` evaluation."""
+    return trace_loss_flops(ctx.left.shape[0], ctx.right.shape[0], ctx.identity_left)[1]
 
 
 def loss(ctx: LossContext, delta_w: np.ndarray, counter: FlopCounter | None = None) -> float:
-    """tr(left @ DW @ right @ DW^T), evaluated as sum(weighted(DW) * DW).
-
-    The value/layer path costs one matmul plus one multiply-reduce and the
-    query/key paths cost two matmuls plus one multiply-reduce.
-    """
-    delta_w = _check_shape(ctx, delta_w)
+    """tr(left @ DW @ right @ DW^T), evaluated as sum(weighted(DW) * DW)."""
+    delta_w = as_delta(delta_w, ctx.left.shape[0], ctx.right.shape[0])
     if counter is not None:
         counter.add(loss_flops(ctx))
     return float(np.sum(weighted(ctx, delta_w) * delta_w))
@@ -136,7 +126,7 @@ def loss_gradient(
     ctx: LossContext, delta_w: np.ndarray, counter: FlopCounter | None = None
 ) -> np.ndarray:
     """Gradient of the trace form with respect to DW: 2 * left @ DW @ right."""
-    delta_w = _check_shape(ctx, delta_w)
+    delta_w = as_delta(delta_w, ctx.left.shape[0], ctx.right.shape[0])
     if counter is not None:
         counter.add(gradient_flops(ctx))
     return 2.0 * weighted(ctx, delta_w)

@@ -16,7 +16,7 @@ from .errors import DataError
 from .flops import matmul_flops
 from .linalg import kron, softmax_jacobian_row, vec
 from .model import AttentionHead, CalibSequence, attention_forward, map_buffer
-from .objectives import ProjectionKind
+from .objectives import ProjectionKind, as_delta
 
 __all__ = [
     "output_errors",
@@ -34,15 +34,6 @@ _KIND_TO_PROJECTION = {
     ProjectionKind.QUERY: "W_Q",
     ProjectionKind.KEY: "W_K",
 }
-
-
-def _check_delta(head: AttentionHead, delta_w: np.ndarray) -> np.ndarray:
-    delta_w = np.asarray(delta_w, dtype=np.float64)
-    if delta_w.shape != (head.d_h, head.d):
-        raise DataError(
-            f"delta_w has shape {delta_w.shape}, expected {head.d_h}x{head.d}"
-        )
-    return delta_w
 
 
 def output_errors(
@@ -96,7 +87,7 @@ def exact_error(
 def perturbed(head: AttentionHead, name: str, delta_w: np.ndarray) -> AttentionHead:
     """``head`` with ``delta_w`` added to projection ``name`` and the other
     two projections shared, not copied."""
-    delta_w = _check_delta(head, delta_w)
+    delta_w = as_delta(delta_w, head.d_h, head.d)
     return head.replace(name, head.projection(name) + delta_w)
 
 
@@ -125,7 +116,7 @@ def taylor_error(
         raise DataError("taylor_error is defined for query/key perturbations only")
     if not sequences:
         raise DataError("taylor_error needs at least one sequence")
-    delta_w = _check_delta(head, delta_w)
+    delta_w = as_delta(delta_w, head.d_h, head.d)
     scale = 1.0 / math.sqrt(head.d_h)
     total = 0.0
     for seq in sequences:
@@ -152,7 +143,7 @@ def kron_exact_query_loss(
     """
     if not sequences:
         raise DataError("kron_exact_query_loss needs at least one sequence")
-    delta_w = _check_delta(head, delta_w)
+    delta_w = as_delta(delta_w, head.d_h, head.d)
     acc = None
     for seq in sequences:
         trace = attention_forward(head, seq)
@@ -174,7 +165,7 @@ def upper_bound_ratio(
     with M = K dW X (column m_l per token). The bound holds when the ratio
     is at most 1.
     """
-    delta_w = _check_delta(head, delta_w)
+    delta_w = as_delta(delta_w, head.d_h, head.d)
     trace = attention_forward(head, sequence)
     m = trace.k @ delta_w @ sequence.x
     lhs = 0.0
@@ -204,8 +195,8 @@ def joint_qk_cost_demo(
     """
     if not sequences:
         raise DataError("joint_qk_cost_demo needs at least one sequence")
-    delta_wq = _check_delta(head, delta_wq)
-    delta_wk = _check_delta(head, delta_wk)
+    delta_wq = as_delta(delta_wq, head.d_h, head.d)
+    delta_wk = as_delta(delta_wk, head.d_h, head.d)
     d, d_h = head.d, head.d_h
     total = 0.0
     ops = 0

@@ -55,6 +55,8 @@ GAMMA = -0.1
 BETA_START = 20.0
 BETA_END = 2.0
 BETA_ANNEAL_FRAC = 0.8
+# Iterations between two checks for a non-finite loss.
+CHECK_BLOCK = 100
 
 
 @dataclass
@@ -285,10 +287,12 @@ def optimize_rounding(
     count (seen at d = 128 and 768). ``iterations == 0`` returns the plain
     nearest-rounding results.
 
-    Raises DataError before any work when lam times the weights per slab
-    overflows, or lam times 2 * BETA_START, the largest factor of the
-    regularizer's gradient. Raises NonFiniteRounding, naming the slab and
-    the first iteration, when a slab's loss or final logits are not finite.
+    Raises DataError before any work when lam times the larger of the
+    weights per slab and 2 * BETA_START, the largest factor of the
+    regularizer's gradient, overflows. Raises NonFiniteRounding, naming the
+    slab and the first iteration, when a slab's loss or final logits are
+    not finite; such a run stops at the end of the first block of
+    CHECK_BLOCK iterations that holds a non-finite loss.
     The regularizer's value, computed only for a trace, then lies in [0, lam
     * weights] unless some h is NaN, which makes the slab's reconstruction
     NaN in the same iteration: traced or not, the check names the same one.
@@ -297,10 +301,11 @@ def optimize_rounding(
         raise DataError("w, spec and trace_csv need one entry per slab")
     if cfg.iterations == 0 or len(w) == 0:
         return [rtn_quantize(x, sp) for x, sp in zip(w, spec)]
-    if not np.isfinite(cfg.lam * np.size(w[0])):
-        raise DataError(f"lam (rounding weight) {cfg.lam!r} times {np.size(w[0])} weights per slab overflows")
-    if not np.isfinite(2 * BETA_START * cfg.lam):
-        raise DataError(f"lam (rounding weight) {cfg.lam!r} times the regularizer gradient's 2 * beta <= {2 * BETA_START:g} overflows")
+    # A rounded product is monotone in its multiplier: this refuses lam when either product overflows.
+    factor = max(np.size(w[0]), 2 * BETA_START)
+    if not np.isfinite(cfg.lam * factor):
+        raise DataError(f"lam (rounding weight) {cfg.lam!r} times max(weights per slab, the regularizer "
+                        f"gradient's 2 * beta) = {factor:g} overflows")
     stack = RoundingStack(w, spec, ctx, w_reference)
     b = stack.logits
     m = np.zeros_like(b)
@@ -310,34 +315,39 @@ def optimize_rounding(
     recon = np.empty((cfg.iterations, len(b)))
     reg = np.empty((cfg.iterations, len(b))) if traced else None
     # A diverging run may overflow inside the loop. numpy stays quiet: the
-    # check after the loop is the one guard against non-finite results.
+    # checks after each block and after the loop are the guards.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(cfg.iterations):
-            recon[it], grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it))
-            if traced:
-                reg[it] = rounding_regularizer(stack.h, cfg.lam, cfg.beta_at(it))
-            # m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
-            m *= ADAM_BETA1
-            m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
-            v *= ADAM_BETA2
-            np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
-            step *= grad
-            v += step
-            # b -= lr * m_hat / (sqrt(v_hat) + eps)
-            np.divide(m, 1.0 - ADAM_BETA1 ** (it + 1), out=m_hat)
-            np.divide(v, 1.0 - ADAM_BETA2 ** (it + 1), out=v_hat)
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += ADAM_EPS
-            m_hat *= cfg.learning_rate
-            m_hat /= v_hat
-            b -= m_hat
-    if counter is not None:  # before the check: a run that raises ran every iteration
-        counter.add(cfg.iterations * stack.iter_flops)
+        for start in range(0, cfg.iterations, CHECK_BLOCK):
+            for it in range(start, min(start + CHECK_BLOCK, cfg.iterations)):
+                recon[it], grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it))
+                if traced:
+                    reg[it] = rounding_regularizer(stack.h, cfg.lam, cfg.beta_at(it))
+                # m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
+                m *= ADAM_BETA1
+                m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+                v *= ADAM_BETA2
+                np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+                step *= grad
+                v += step
+                # b -= lr * m_hat / (sqrt(v_hat) + eps)
+                np.divide(m, 1.0 - ADAM_BETA1 ** (it + 1), out=m_hat)
+                np.divide(v, 1.0 - ADAM_BETA2 ** (it + 1), out=v_hat)
+                np.sqrt(v_hat, out=v_hat)
+                v_hat += ADAM_EPS
+                m_hat *= cfg.learning_rate
+                m_hat /= v_hat
+                b -= m_hat
+            if not np.isfinite(recon[start : it + 1]).all():
+                break
+    ran = it + 1
+    if counter is not None:  # before the check: a run that raises counts the iterations it ran
+        counter.add(ran * stack.iter_flops)
 
-    # One check after the loop: a non-finite value propagates into every
-    # later loss, or at last into the logits.
-    bad = ~np.isfinite(recon)
-    bad[-1] |= ~np.isfinite(b).reshape(len(b), -1).all(axis=1)
+    # A non-finite value propagates into every later loss, or at last into
+    # the logits, which count only when every iteration ran.
+    bad = ~np.isfinite(recon[:ran])
+    if ran == cfg.iterations:
+        bad[-1] |= ~np.isfinite(b).reshape(len(b), -1).all(axis=1)
     if bad.any():
         it, p = np.argwhere(bad)[0]
         raise NonFiniteRounding(

@@ -7,6 +7,9 @@ repr), the ``FlopCounter`` total and, for learned rounding, the digest of
 every per-projection trace CSV (small shapes only, see
 ``TRACE_DIGEST_MAX_D``). Learned-rounding cases run twice, without and
 with traces, and both runs must give the same document, report and count.
+Two more records, ``RECORDS``, pin outputs that do not come from
+``quantize_head``: what ``attnquant check --seed 0`` prints, and the rows
+of the published cost table.
 
 Digests depend on the numpy build and its BLAS, so the file stores both
 next to the digests. Regenerate it only when a change alters outputs on
@@ -25,8 +28,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
-from attnquant.flops import FlopCounter
+from attnquant.cli import main as cli_main
+from attnquant.flops import FlopCounter, cost_table
 from attnquant.model import CalibSequence, generate_synthetic
 from attnquant.pipeline import METHODS, PipelineConfig, quantize_head
 from attnquant.rounding import SoftQuantConfig
@@ -100,6 +105,19 @@ def _run(case: Case, trace_dir: Path | None) -> dict:
     return {"doc": _json_digest(doc), "report": _json_digest(report), "flops": counter.count}
 
 
+def _check_output_digest() -> str:
+    res = CliRunner().invoke(cli_main, ["check", "--seed", "0"])
+    assert res.exit_code == 0, res.output
+    return _sha256(res.stdout.encode())
+
+
+# Golden records that are not quantize_head cases: name -> digest function.
+RECORDS = {
+    "check-seed0": _check_output_digest,
+    "cost-table": lambda: _json_digest(cost_table()),
+}
+
+
 def case_digests(case: Case) -> dict:
     """The golden record of ``case``. Raises AssertionError when the traced
     run's document, report or flop count differs from the untraced run's."""
@@ -120,11 +138,12 @@ def main() -> None:
     new case counts as changed) or that is no longer in ``CASES``."""
     before = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["cases"] if GOLDEN_PATH.exists() else {}
     cases = {case.name: case_digests(case) for case in CASES}
+    cases.update((name, digest()) for name, digest in RECORDS.items())
     golden = {"environment": environment(), "cases": cases}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     changed = [name for name, record in cases.items() if before.get(name) != record]
     removed = [name for name in before if name not in cases]
-    print(f"wrote {len(CASES)} cases to {GOLDEN_PATH}: {len(changed)} changed, {len(removed)} removed")
+    print(f"wrote {len(cases)} cases to {GOLDEN_PATH}: {len(changed)} changed, {len(removed)} removed")
     for name in changed:
         print(f"changed: {name}")
     for name in removed:

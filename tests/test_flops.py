@@ -12,6 +12,7 @@ from attnquant.flops import (
     flops_refined,
     gflops_str,
     refined_projection_flops,
+    trace_loss_flops,
 )
 
 # published cost-comparison cells, two significant figures
@@ -40,6 +41,16 @@ class TestRefined:
             p = CostParams(d=d, d_h=d_h)
             per = refined_projection_flops(p)
             assert per["value"] + per["query"] + per["key"] == flops_refined(p)
+
+    def test_trace_loss_and_gradient_counts(self):
+        # the loss counts are the published closed forms; the gradient
+        # doubles the product (d_h d) where the loss multiplies and
+        # reduces it against DW (2 d_h d - 1)
+        for d, d_h in ((1, 1), (17, 3), (768, 64)):
+            value = 2 * d_h * d**2 + d_h * d - 1
+            query_key = 2 * d_h * d**2 + 2 * d_h**2 * d - 1
+            assert trace_loss_flops(d_h, d, identity_left=True) == (value, value - d_h * d + 1)
+            assert trace_loss_flops(d_h, d, identity_left=False) == (query_key, query_key - d_h * d + 1)
 
     def test_independent_of_batch(self):
         a = flops_refined(CostParams(d=64, d_h=8, B=1))

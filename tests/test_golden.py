@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from golden import CASES, GOLDEN_PATH, case_digests, environment
+from golden import CASES, GOLDEN_PATH, RECORDS, case_digests, environment
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def test_every_case_has_a_digest():
-    assert sorted(GOLDEN["cases"]) == sorted(case.name for case in CASES)
+    assert sorted(GOLDEN["cases"]) == sorted([*(case.name for case in CASES), *RECORDS])
 
 
 def require_golden_environment():
@@ -30,6 +30,12 @@ def require_golden_environment():
 def test_outputs_match_golden_digests(case):
     require_golden_environment()
     assert case_digests(case) == GOLDEN["cases"][case.name]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_matches_golden_digest(name):
+    require_golden_environment()
+    assert RECORDS[name]() == GOLDEN["cases"][name]
 
 
 def test_one_blas_thread_gives_the_golden_documents_and_reports():

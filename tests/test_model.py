@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnquant.errors import DataError, NumericalError
-from attnquant.linalg import softmax_rows
 from attnquant.model import (
     AttentionHead,
     CalibSequence,
@@ -38,6 +37,12 @@ def straight_line_attention(head, x):
         probs = [w / total for w in weights]
         sa.append([sum(probs[j] * v[j][r] for j in range(L)) for r in range(d_h)])
     return np.array(sa)
+
+
+def softmax_rows(m):
+    """Row-wise softmax stabilized by subtracting each row's maximum."""
+    e = np.exp(m - m.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 class TestAttentionForward:

@@ -58,6 +58,12 @@ class TestContextStorage:
             np.testing.assert_array_equal(ctx.right, np.eye(3))
 
 
+    @pytest.mark.parametrize("kind", [ProjectionKind.VALUE, ProjectionKind.OTHER])
+    def test_identity_kinds_refuse_another_left_factor(self, kind):
+        # these kinds skip the left product, so any other left would be ignored
+        with pytest.raises(DataError, match="LossContext.left must be the identity"):
+            LossContext(kind, 2 * np.eye(3), np.eye(4))
+
     def test_non_finite_factor_rejected_by_name(self):
         left = np.eye(3)
         left[1, 1] = np.nan

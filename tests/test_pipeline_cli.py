@@ -253,6 +253,27 @@ def head_with_large_key(seed):
     return big, seqs
 
 
+class TestScaleInvariance:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**16), k=st.integers(-20, 20))
+    def test_power_of_two_rescaling_scales_only_the_grids(self, seed, k):
+        # Weights times 2^k and calibration times 2^-k leave every attention
+        # output and loss unchanged, and every operation stays exact: with
+        # |k| <= 20 no value nears the subnormal range, where it would round.
+        head, seqs = generate_synthetic(seed, 16, 4, 8, 32)
+        scaled_head = AttentionHead(head.d, head.d_h, *(w * 2.0**k for w in (head.w_q, head.w_k, head.w_v)))
+        scaled_seqs = [CalibSequence(seq.x * 2.0**-k) for seq in seqs]
+        for method in METHODS:
+            cfg = PipelineConfig(bits=2, method=method, soft=SoftQuantConfig(iterations=20))
+            doc, report = quantize_head(head, seqs, cfg)
+            scaled_doc, scaled_report = quantize_head(scaled_head, scaled_seqs, cfg)
+            assert json.dumps(scaled_report) == json.dumps(report)
+            for name, proj in doc["projections"].items():
+                scaled = scaled_doc["projections"][name]
+                assert scaled["scale"] == [s * 2.0**k for s in proj["scale"]]
+                assert {**scaled, "scale": None} == {**proj, "scale": None}
+
+
 class TestStackedRounding:
     @pytest.mark.parametrize("method", METHODS)
     def test_one_rounding_call_per_head(self, monkeypatch, method):

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -304,6 +305,32 @@ class TestFitStepSize:
         w = np.array([[-2, 5, 0, -1, 5, -3, -6, -6, -4, 6, -6, 6, 2,
                        -2, 1, 5, -2, 1, -6, 1, -1, 6, -4, -3, -1]], dtype=float)
         assert_matches_reference(w, np.eye(w.shape[1]), 4)
+
+    def test_screen_that_rounds_once_keeps_a_winner_whose_products_underflow(self):
+        # The winner's error products each round to 0 in err @ H @ err, so it
+        # ties at 0 with smaller-scale candidates and wins as the largest. A
+        # screen whose products are fused, as FMA-based BLAS kernels fuse
+        # them, is a legal evaluation that rounds once and gives the winner 1 subnormal ulp,
+        # more than the tied candidates' 0. The margin's relative term
+        # underflows to 0, so only its absolute term 4 (d+1)^2 2^-1074 keeps
+        # the winner through the screen.
+        w = np.array([[7.0, -12.0, -23.0]]) * 2.0**-540
+        h = np.diag([4.0, 4.0, 0.0])
+        screen_values = quantizer._screen_values
+
+        def rounded_once(err, hessian, norm_bound, underflow):
+            _, margin = screen_values(err, hessian, norm_bound, underflow)
+            exact = [[Fraction(x) for x in e] for e in err]
+            quad = [sum(a * Fraction(h_ab) * b for a, row in zip(e, hessian) for h_ab, b in zip(row, e)) for e in exact]
+            return np.array([float(q) for q in quad]), margin
+
+        with mock.patch.object(quantizer, "_screen_values", rounded_once):
+            spec = assert_matches_reference(w, h, 2)
+        scale, zero_point = _candidate_grids(w, 2)
+        errors = quantizer._candidate_errors(w[0], scale[0], zero_point[0], 3)
+        screen, _ = rounded_once(errors, h, 0.0, 0.0)
+        (won,) = np.flatnonzero(scale[0] == spec.scale[0])
+        assert errors[won] @ h @ errors[won] == screen.min() == 0.0 < screen[won]
 
     @settings(max_examples=150, deadline=None)
     @given(

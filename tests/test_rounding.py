@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from attnquant import rounding
 from attnquant.errors import DataError, NonFiniteRounding, NumericalError
 from attnquant.flops import FlopCounter, matmul_flops
 from attnquant.model import generate_synthetic
@@ -30,6 +31,7 @@ from attnquant.rounding import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    CHECK_BLOCK,
     GAMMA,
     ZETA,
     RoundingStack,
@@ -461,7 +463,11 @@ class TestNonFinite:
     def test_overflowing_loss_names_the_slab_and_iteration_untraced(self, tmp_path):
         self.check_overflowing_loss(tmp_path, traced=False)
 
-    def check_overflowing_loss(self, tmp_path, traced):
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_diverged_run_stops_after_its_first_block(self, tmp_path, traced):
+        self.check_overflowing_loss(tmp_path, traced, iterations=3 * CHECK_BLOCK + 1)
+
+    def check_overflowing_loss(self, tmp_path, traced, iterations=5):
         # slab 1's right factor is 1e308 I and its weights sit 10 away from
         # the reference: the first loss overflows to inf
         rng = rng_for(5)
@@ -475,30 +481,50 @@ class TestNonFinite:
         counter = FlopCounter()
         with pytest.raises(NonFiniteRounding, match="iteration 0") as info:
             optimize_rounding(
-                [w, w], [spec, spec], [fine, huge], SoftQuantConfig(iterations=5),
+                [w, w], [spec, spec], [fine, huge], SoftQuantConfig(iterations=iterations),
                 w_reference=[w, w + 10.0], counter=counter,
                 trace_csv=[path, None] if traced else None,
             )
-        # a run that raises still counts every iteration it ran
+        # a run that raises counts the iterations it ran: its first block
         per_iter = RoundingStack([w, w], [spec, spec], [fine, huge]).iter_flops
-        assert counter.count == 5 * per_iter
+        assert counter.count == min(iterations, CHECK_BLOCK) * per_iter
         assert info.value.slab == 1
         assert isinstance(info.value, NumericalError)
         assert not path.exists()
 
-    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-    def test_overflowing_rounding_weight_is_refused_before_any_work(self, tmp_path, traced):
-        # lam = 1e308 on 6 entries per slab: lam * 6 overflows, so the
-        # regularizer's value could; the run stops before its first step
+    @pytest.mark.parametrize("block", [1, CHECK_BLOCK])
+    def test_first_bad_loss_outranks_logits_gone_bad_beside_it(self, monkeypatch, block):
+        # At iteration 0 slab 1's loss overflows while slab 0's is finite,
+        # and the update at learning rate 1e308 takes slab 0's logits out of
+        # range. Whether or not the block ends there, the run names slab 1.
+        monkeypatch.setattr(rounding, "CHECK_BLOCK", block)
         rng = rng_for(5)
         w = rng.standard_normal((2, 3))
         spec = fit_step_size(w, np.eye(3), 2)
-        ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
+        fine = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
+        huge = LossContext(ProjectionKind.OTHER, np.eye(2), 1e308 * np.eye(3))
+        with pytest.raises(NonFiniteRounding, match="iteration 0$") as info:
+            optimize_rounding(
+                [w, w], [spec, spec], [fine, huge], SoftQuantConfig(iterations=3, learning_rate=1e308, lam=0.0),
+                w_reference=[w + 100.0, w + 10.0],
+            )
+        assert info.value.slab == 1
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_overflowing_rounding_weight_is_refused_before_any_work(self, tmp_path, traced):
+        # lam = 4e306 on 60 entries per slab: lam * 60 overflows, so the
+        # regularizer's value could, while the gradient's factor 40 * lam
+        # does not; the run stops before its first step
+        rng = rng_for(5)
+        w = rng.standard_normal((2, 30))
+        assert np.isfinite(40.0 * 4e306) and not np.isfinite(4e306 * w.size)
+        spec = fit_step_size(w, np.eye(30), 2)
+        ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(30))
         path = tmp_path / "trace.csv"
         counter = FlopCounter()
         with pytest.raises(DataError, match="rounding weight") as info:
             optimize_rounding(
-                [w, w], [spec, spec], [ctx, ctx], SoftQuantConfig(iterations=3, lam=1e308),
+                [w, w], [spec, spec], [ctx, ctx], SoftQuantConfig(iterations=3, lam=4e306),
                 counter=counter, trace_csv=[path, None] if traced else None,
             )
         assert not isinstance(info.value, NumericalError)
