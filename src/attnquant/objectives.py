@@ -19,7 +19,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError
-from .flops import FlopCounter, trace_loss_flops
 from .linalg import as_matrix
 from .stats import SYM_TOL, CalibStats
 
@@ -31,8 +30,6 @@ __all__ = [
     "weighted",
     "loss",
     "loss_gradient",
-    "loss_flops",
-    "gradient_flops",
     "row_hessian",
 ]
 
@@ -104,31 +101,15 @@ def weighted(ctx: LossContext, delta_w: np.ndarray, out=None, work=None) -> np.n
     return np.matmul(delta_w, ctx.right, out=out)
 
 
-def loss_flops(ctx: LossContext) -> int:
-    """Flops of one ``loss`` evaluation."""
-    return trace_loss_flops(ctx.left.shape[0], ctx.right.shape[0], ctx.identity_left)[0]
-
-
-def gradient_flops(ctx: LossContext) -> int:
-    """Flops of one ``loss_gradient`` evaluation."""
-    return trace_loss_flops(ctx.left.shape[0], ctx.right.shape[0], ctx.identity_left)[1]
-
-
-def loss(ctx: LossContext, delta_w: np.ndarray, counter: FlopCounter | None = None) -> float:
+def loss(ctx: LossContext, delta_w: np.ndarray) -> float:
     """tr(left @ DW @ right @ DW^T), evaluated as sum(weighted(DW) * DW)."""
     delta_w = as_delta(delta_w, ctx.left.shape[0], ctx.right.shape[0])
-    if counter is not None:
-        counter.add(loss_flops(ctx))
     return float(np.sum(weighted(ctx, delta_w) * delta_w))
 
 
-def loss_gradient(
-    ctx: LossContext, delta_w: np.ndarray, counter: FlopCounter | None = None
-) -> np.ndarray:
+def loss_gradient(ctx: LossContext, delta_w: np.ndarray) -> np.ndarray:
     """Gradient of the trace form with respect to DW: 2 * left @ DW @ right."""
     delta_w = as_delta(delta_w, ctx.left.shape[0], ctx.right.shape[0])
-    if counter is not None:
-        counter.add(gradient_flops(ctx))
     return 2.0 * weighted(ctx, delta_w)
 
 

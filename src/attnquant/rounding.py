@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NonFiniteRounding
-from .flops import FlopCounter
-from .objectives import LossContext, gradient_flops, loss_flops, weighted
+from .flops import FlopCounter, trace_loss_flops
+from .objectives import LossContext, weighted
 # Not called here; bound because bench/spans.py PATCHES wraps these names.
 from .objectives import loss, loss_gradient  # noqa: F401
 from .quantizer import QuantSpec, QuantizedWeight, rtn_quantize
@@ -207,7 +207,7 @@ class RoundingStack:
         # Flops of one iteration: one loss plus one gradient evaluation per
         # slab (the paper's cost model, which the fused step shares), then 6
         # elementwise operations per weight for the step and 10 for Adam.
-        self.iter_flops = sum(loss_flops(c) + gradient_flops(c) for c in ctx) + 16 * self.ref.size
+        self.iter_flops = sum(sum(trace_loss_flops(*shape, c.identity_left)) for c in ctx) + 16 * self.ref.size
 
     def hard_assignment(self, b: np.ndarray) -> list[QuantizedWeight]:
         """The integer weights of logits ``b`` (h thresholded at 0.5)."""

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from attnquant.errors import DataError, NumericalError
-from attnquant.flops import FlopCounter
 from attnquant.linalg import kron, vec
 from attnquant.model import attention_forward, generate_synthetic
 from attnquant.objectives import (
@@ -190,32 +189,3 @@ class TestRowHessian:
             h = row_hessian(context_for(kind, stats))
             np.testing.assert_allclose(h, h.T, atol=1e-12)
             assert np.linalg.eigvalsh(h).min() >= -1e-8
-
-
-class TestInstrumentation:
-    def test_loss_op_count_matches_formula(self):
-        head, seqs = generate_synthetic(15, 8, 4, 6, 2)
-        stats = accumulate_stats(head, seqs)
-        delta = np.zeros((4, 8))
-        from attnquant.flops import CostParams, refined_projection_flops
-
-        per = refined_projection_flops(CostParams(d=8, d_h=4))
-        for kind, key in (
-            (ProjectionKind.VALUE, "value"),
-            (ProjectionKind.QUERY, "query"),
-            (ProjectionKind.KEY, "key"),
-        ):
-            counter = FlopCounter()
-            loss(context_for(kind, stats), delta, counter)
-            assert counter.count == per[key]
-
-    def test_count_independent_of_calibration_size(self):
-        delta = rng_for(16).standard_normal((4, 8))
-        head, seqs = generate_synthetic(17, 8, 4, 6, 64)
-        for n in (8, 64):
-            stats = accumulate_stats(head, seqs[:n])
-            counter = FlopCounter()
-            loss(context_for(ProjectionKind.QUERY, stats), delta, counter)
-            if n == 8:
-                first = counter.count
-        assert counter.count == first

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from attnquant import rounding
 from attnquant.errors import DataError, NonFiniteRounding, NumericalError
-from attnquant.flops import FlopCounter, matmul_flops
+from attnquant.flops import FlopCounter, matmul_flops, trace_loss_flops
 from attnquant.model import generate_synthetic
 from attnquant.objectives import (
     LossContext,
@@ -70,10 +70,10 @@ def reference_objective(b, w, spec, ctx, lam, beta, w_reference=None, counter=No
     g_raw = np.floor(w / s) + z + h
     inside = (g_raw > 0.0) & (g_raw < spec.grid_max)
     delta = ref - s * (np.clip(g_raw, 0, spec.grid_max) - z)
-    reconstruction = loss(ctx, delta, counter)
-    grad_recon = -loss_gradient(ctx, delta, counter) * s * inside * dh_db
-    if counter is not None:
-        counter.add(6 * w.size)
+    reconstruction = loss(ctx, delta)
+    grad_recon = -loss_gradient(ctx, delta) * s * inside * dh_db
+    if counter is not None:  # one loss and one gradient, then 6 ops per weight
+        counter.add(sum(trace_loss_flops(*w.shape, ctx.identity_left)) + 6 * w.size)
     regularizer, grad_reg = reference_regularizer(h, dh_db, lam, beta)
     return reconstruction, regularizer, grad_recon + grad_reg
 
@@ -345,6 +345,20 @@ class TestOptimizeRounding:
             counter = FlopCounter()
             optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=iterations), counter=counter)
             assert counter.count == iterations * per_iter
+
+    def test_stack_iteration_flops(self):
+        # the desk-shape V+Q+K stack counts the 17 341 flops per iteration
+        # that the traced bench reads; a V-only stack counts one loss and one
+        # gradient (2111 + 2048) plus 16 elementwise ops per weight
+        head, seqs = generate_synthetic(0, 16, 4, 8, 8)
+        stats = accumulate_stats(head, seqs)
+        kinds = [ProjectionKind.VALUE, ProjectionKind.QUERY, ProjectionKind.KEY]
+        ctxs = [context_for(kind, stats) for kind in kinds]
+        ws = [head.projection(name) for name in ("W_V", "W_Q", "W_K")]
+        specs = [fit_step_size(w, row_hessian(c), 2) for w, c in zip(ws, ctxs)]
+        refs = [None] * 3
+        assert RoundingStack(ws, specs, ctxs, refs).iter_flops == 17341
+        assert RoundingStack(ws[:1], specs[:1], ctxs[:1], refs[:1]).iter_flops == 4159 + 16 * 64 == 5183
 
     def test_per_iteration_cost_independent_of_calibration_size(self):
         head, seqs = generate_synthetic(8, 16, 4, 8, 64)
