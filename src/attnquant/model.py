@@ -114,20 +114,21 @@ def attention_forward(
     row's maximum.
     """
     if seq.d != head.d:
-        raise DataError(
-            f"sequence has {seq.d} feature rows but head expects d={head.d}"
-        )
-    q = (head.w_q @ seq.x).T
-    k = (head.w_k @ seq.x).T
+        raise DataError(f"sequence has {seq.d} feature rows but head expects d={head.d}")
+    # The logit check refuses an overflow in q, k or the logits; a shift
+    # that overflows gives -Inf, whose exp is the correct 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (head.w_q @ seq.x).T
+        k = (head.w_k @ seq.x).T
+        a = np.matmul(q, k.T, out=out)
+        a /= math.sqrt(head.d_h)
+        peak = a.max(axis=1, keepdims=True)
+        # max and min propagate NaN, so both finite means every logit is; a
+        # -Inf logit in a row with a finite max shows only in the min
+        if not (np.isfinite(peak).all() and np.isfinite(a.min(axis=1)).all()):
+            raise NumericalError("softmax input: contains NaN or Inf entries")
+        a -= peak
     v = (head.w_v @ seq.x).T
-    a = np.matmul(q, k.T, out=out)
-    a /= math.sqrt(head.d_h)
-    peak = a.max(axis=1, keepdims=True)
-    # max and min propagate NaN, so both finite means every logit is; a
-    # -Inf logit in a row with a finite max shows only in the min
-    if not (np.isfinite(peak).all() and np.isfinite(a.min(axis=1)).all()):
-        raise NumericalError("softmax input: contains NaN or Inf entries")
-    a -= peak
     np.exp(a, out=a)
     a /= a.sum(axis=1, keepdims=True)
     return AttentionTrace(q=q, k=k, v=v, a=a, sa=a @ v)

@@ -120,4 +120,5 @@ def row_hessian(ctx: LossContext) -> np.ndarray:
     column-compensation quantizer; the left weighting couples rows and is
     seen only by the rounding optimizer.
     """
-    return 2.0 * ctx.right
+    with np.errstate(over="ignore", invalid="ignore"):  # fit_step_size refuses an overflow
+        return 2.0 * ctx.right

@@ -210,8 +210,10 @@ def quantize_head(
     for letter, name in zip(letters, names):
         joint = joint.replace(name, dequantize(quantized[letter]))
     deltas = [joint.projection(name) - weights[letter] for letter, name in zip(letters, names)]
-    with np.errstate(all="ignore"):  # an overflow is reported by the check below
+    variants = [perturbed(head, name, delta) for name, delta in zip(names, deltas)]
+    with np.errstate(all="ignore"):  # an overflow is reported by the checks below
         losses = [loss(contexts[letter], delta) for letter, delta in zip(letters, deltas)]
+        errors, _ = output_errors(head, [*variants, joint], sequences)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "d": head.d,
@@ -228,8 +230,6 @@ def quantize_head(
             if letter not in cfg.projections
         },
     }
-    variants = [perturbed(head, name, delta) for name, delta in zip(names, deltas)]
-    errors, _ = output_errors(head, [*variants, joint], sequences)
     n = len(sequences)
     report_rows = {}
     for letter, name, refined, err in zip(letters, names, losses, errors):
@@ -290,14 +290,16 @@ def evaluate_quantized(
         raise DataError("evaluation needs at least one sequence")
     if (reference.d, reference.d_h) != (quantized.d, quantized.d_h):
         raise DataError("reference and quantized heads disagree on dimensions")
-    (err,), ref_norm = output_errors(reference, [quantized], sequences)
-    mean_err = err / len(sequences)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        (err,), ref_norm = output_errors(reference, [quantized], sequences)
+    if not (np.isfinite(err) and np.isfinite(ref_norm)):
+        raise NumericalError(f"held-out attention error {err!r} or reference norm {ref_norm!r} is not finite")
     relative = float(np.sqrt(err / ref_norm)) if ref_norm > 0 else 0.0
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "eval",
         "n_sequences": len(sequences),
-        "mean_attention_error": mean_err,
+        "mean_attention_error": err / len(sequences),
         "relative_output_error": relative,
     }
 

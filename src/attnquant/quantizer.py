@@ -201,8 +201,9 @@ def fit_step_size(w: np.ndarray, hessian: np.ndarray, n_bits: int) -> QuantSpec:
     screen. Every candidate tied with the minimum survives the same way,
     and the non-minimal survivors cannot win, so the tie rule over the
     survivors picks what it picks over all candidates. The bound assumes no
-    overflow, so a row with a screen value that is not finite keeps every
-    candidate.
+    overflow, so a row with a screen value or margin (or ||H||) that is not
+    finite keeps every candidate: NaN and Inf rule nothing out. An exact
+    objective that overflows is +Inf, and loses to every finite one.
     """
     w = np.asarray(w, dtype=np.float64)
     hessian = np.asarray(hessian, dtype=np.float64)
@@ -224,17 +225,19 @@ def fit_step_size(w: np.ndarray, hessian: np.ndarray, n_bits: int) -> QuantSpec:
     n = 2 * d + 2
     gamma = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
     abs_h = np.abs(hessian)
-    h_norm = max(abs_h.sum(axis=0).max(initial=0.0), abs_h.sum(axis=1).max(initial=0.0))
+    with np.errstate(over="ignore"):  # an infinite ||H|| keeps every candidate
+        h_norm = max(abs_h.sum(axis=0).max(initial=0.0), abs_h.sum(axis=1).max(initial=0.0))
     underflow = 4 * (d + 1) ** 2 * np.finfo(np.float64).smallest_subnormal
 
     for i in np.flatnonzero(valid.any(axis=1)):
         ok = valid[i]
         err = _candidate_errors(w[i], np.where(ok, cand_scale[i], 1.0), cand_zero[i], grid_max)
-        screen, margin = _screen_values(err, hessian, 4 * gamma * h_norm, underflow)
-        screen[~np.isfinite(screen)] = np.nan  # overflow: the bound does not hold
-        screen[~ok] = np.inf
-        k = np.flatnonzero(ok & ~(screen - margin > (screen + margin).min()))
-        scales[i], zero_points[i] = _best_candidate(err[k], hessian, cand_scale[i, k], cand_zero[i, k])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled as above
+            screen, margin = _screen_values(err, hessian, 4 * gamma * h_norm, underflow)
+            screen[~np.isfinite(screen)] = np.nan  # overflow: the bound does not hold
+            screen[~ok] = np.inf
+            k = np.flatnonzero(ok & ~(screen - margin > (screen + margin).min()))
+            scales[i], zero_points[i] = _best_candidate(err[k], hessian, cand_scale[i, k], cand_zero[i, k])
     return QuantSpec(n_bits=n_bits, scale=scales, zero_point=zero_points)
 
 
@@ -242,9 +245,11 @@ def _inverse_factor(hessian: np.ndarray) -> np.ndarray | None:
     """Upper Cholesky factor of the damped inverse of ``hessian``, or None
     when the factorization fails or gives a factor that is not finite."""
     n_cols = hessian.shape[0]
-    mean_diag = float(np.trace(hessian)) / n_cols
-    damping = OPTQ_DAMPING * mean_diag if mean_diag > 0 else 1e-12
-    damped = hessian + damping * np.eye(n_cols)
+    # a trace that overflows gives a factor that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_diag = float(np.trace(hessian)) / n_cols
+        damping = OPTQ_DAMPING * mean_diag if mean_diag > 0 else 1e-12
+        damped = hessian + damping * np.eye(n_cols)
     try:
         upper = np.linalg.cholesky(np.linalg.inv(damped)).T
     except np.linalg.LinAlgError:

@@ -100,10 +100,11 @@ def accumulate_stats(head: AttentionHead, sequences: list[CalibSequence]) -> Cal
             xa = np.empty_like(seq.x)
         trace = attention_forward(head, seq, out=a)
         np.matmul(seq.x, trace.a.T, out=xa)
-        exx += np.matmul(seq.x, seq.x.T, out=term)
-        exax += np.matmul(xa, xa.T, out=term)
-        ektk += trace.k.T @ trace.k
-        eqtq += trace.q.T @ trace.q
+        with np.errstate(over="ignore", invalid="ignore"):  # CalibStats refuses a non-finite sum
+            exx += np.matmul(seq.x, seq.x.T, out=term)
+            exax += np.matmul(xa, xa.T, out=term)
+            ektk += trace.k.T @ trace.k
+            eqtq += trace.q.T @ trace.q
     del trace, a, xa, term  # freed before CalibStats checks the sums
     for acc in (exx, exax, ektk, eqtq):
         acc /= len(sequences)

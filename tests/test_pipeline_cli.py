@@ -1,10 +1,11 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attnquant import checks, cli, oracle, pipeline, quantizer
 from attnquant import stats as stats_module
@@ -272,6 +273,64 @@ class TestScaleInvariance:
                 scaled = scaled_doc["projections"][name]
                 assert scaled["scale"] == [s * 2.0**k for s in proj["scale"]]
                 assert {**scaled, "scale": None} == {**proj, "scale": None}
+
+
+class TestFiniteOrRefused:
+    @settings(max_examples=40, deadline=None)
+    # the logits of x 1e155 calibration overflow inside the forward's matmul,
+    # before its own check can refuse them
+    @example(seed=1, d=8, d_h=2, length=4, n_calib=3, n_eval=3, bits=2, k_calib=155.0, k_eval=0.0)
+    # a statistics sum that overflows after a forward that does not
+    @example(seed=0, d=2, d_h=1, length=8, n_calib=1, n_eval=1, bits=2, k_calib=153.5, k_eval=0.0)
+    # a curvature whose row sums and trace overflow in grid fitting and the
+    # column-compensation factor
+    @example(seed=0, d=8, d_h=2, length=4, n_calib=1, n_eval=1, bits=2, k_calib=153.5, k_eval=0.0)
+    # grid-fitting screen values and exact objectives that overflow
+    @example(seed=14210, d=2, d_h=2, length=7, n_calib=1, n_eval=1, bits=8, k_calib=153.5, k_eval=0.0)
+    # a held-out reference norm that overflows, while the error sum does not
+    @example(seed=0, d=8, d_h=2, length=4, n_calib=3, n_eval=3, bits=2, k_calib=0.0, k_eval=153.5)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(1, 16),
+        d_h=st.integers(1, 4),
+        length=st.integers(1, 8),
+        n_calib=st.integers(1, 3),
+        n_eval=st.integers(1, 3),
+        bits=st.sampled_from(VALID_BITS),
+        k_calib=st.integers(-340, 340).map(lambda k: k / 2),
+        k_eval=st.integers(-340, 340).map(lambda k: k / 2),
+    )
+    def test_every_number_is_finite_or_the_run_is_refused(
+        self, seed, d, d_h, length, n_calib, n_eval, bits, k_calib, k_eval
+    ):
+        # Calibration and held-out sets each scaled by 10^k: every number in
+        # the checkpoint, the report and the evaluation is finite, or the run
+        # raises NumericalError or DataError. No warning may escape either.
+        head, seqs = generate_synthetic(seed, d, min(d_h, d), length, n_calib + n_eval)
+        calib = [CalibSequence(seq.x * 10.0**k_calib) for seq in seqs[:n_calib]]
+        held_out = [CalibSequence(seq.x * 10.0**k_eval) for seq in seqs[n_calib:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in METHODS:
+                cfg = PipelineConfig(bits=bits, method=method, soft=SoftQuantConfig(iterations=20))
+                try:
+                    doc, report = quantize_head(head, calib, cfg)
+                    evaluation = evaluate_quantized(head, dequantized_head(doc), held_out)
+                except (NumericalError, DataError):
+                    continue
+                json.dumps([doc, report, evaluation], allow_nan=False)  # raises on NaN or Inf
+
+    def test_eval_refuses_an_overflowing_reference_norm(self):
+        # The squared outputs of the x 10^153.5 held-out set overflow in the
+        # reference norm while the error sum stays finite; sqrt(err / inf)
+        # would report a perfect relative error of 0.
+        head, seqs = generate_synthetic(0, 8, 2, 4, 6)
+        doc, _ = quantize_head(head, seqs[:3], PipelineConfig(bits=2, method="optq"))
+        held_out = [CalibSequence(seq.x * 10.0**153.5) for seq in seqs[3:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="reference"):
+                evaluate_quantized(head, dequantized_head(doc), held_out)
 
 
 class TestStackedRounding:
