@@ -245,8 +245,7 @@ def _inverse_factor(hessian: np.ndarray) -> np.ndarray | None:
     """Upper Cholesky factor of the damped inverse of ``hessian``, or None
     when the factorization fails or gives a factor that is not finite."""
     n_cols = hessian.shape[0]
-    # a trace that overflows gives a factor that is not finite, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trace: refused below
         mean_diag = float(np.trace(hessian)) / n_cols
         damping = OPTQ_DAMPING * mean_diag if mean_diag > 0 else 1e-12
         damped = hessian + damping * np.eye(n_cols)
