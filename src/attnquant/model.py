@@ -221,7 +221,12 @@ def load_calibration(path: str | Path) -> list[CalibSequence]:
     raw = require_field(obj, "sequences", what)
     if not isinstance(raw, list) or not raw:
         raise DataError(f"{what}: field 'sequences' must be a non-empty list")
-    return [
-        CalibSequence(json_matrix(entry, f"{what}: sequences[{i}]", (d, length)))
-        for i, entry in enumerate(raw)
-    ]
+    seqs = []
+    for i, entry in enumerate(raw):
+        name = f"{what}: sequences[{i}]"
+        x = json_matrix(entry, name, (d, length))
+        try:
+            seqs.append(CalibSequence(x))
+        except DataError as exc:
+            raise DataError(f"{name}: {exc}") from exc
+    return seqs

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .linalg import as_matrix
-from .stats import SYM_TOL, CalibStats
+from .stats import CalibStats
 
 __all__ = [
     "ProjectionKind",
@@ -47,8 +47,10 @@ class LossContext:
 
     left is d_h x d_h (key Gram for QUERY, query Gram for KEY, identity
     otherwise); right is d x d (attention-weighted second moment for VALUE,
-    plain input second moment otherwise). Both symmetric PSD, and both
-    stored by ``as_matrix``, so CalibStats matrices are shared, not copied.
+    plain input second moment otherwise). Both are symmetric PSD when they
+    come from ``context_for`` (the statistics are, by construction), and
+    both are stored by ``as_matrix``, so CalibStats matrices are shared,
+    not copied.
     """
 
     kind: ProjectionKind
@@ -58,12 +60,6 @@ class LossContext:
     def __post_init__(self):
         self.left = as_matrix(self.left, "LossContext.left")
         self.right = as_matrix(self.right, "LossContext.right")
-        for name, m in (("left", self.left), ("right", self.right)):
-            if m.shape[0] != m.shape[1]:
-                raise DataError(f"LossContext.{name} must be square")
-            scale = max(1.0, float(np.abs(m).max()))
-            if float(np.abs(m - m.T).max()) > SYM_TOL * scale:
-                raise DataError(f"LossContext.{name} must be symmetric")
         # An attribute, not a property: the rounding loop reads it per step.
         self.identity_left = self.kind in (ProjectionKind.VALUE, ProjectionKind.OTHER)
         if self.identity_left and not np.array_equal(self.left, np.eye(len(self.left))):

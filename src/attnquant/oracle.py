@@ -3,7 +3,9 @@
 Everything here recomputes attention outputs, per-row softmax Jacobians or
 explicit Kronecker products from scratch, so these functions are slow and
 memory-hungry by design; they exist to certify the fast trace-form losses
-on small instances, never to run inside the optimization loop.
+on small instances, never to run inside the optimization loop. The
+functions that average over sequences need at least one: an empty list
+fails in the division by its length.
 """
 
 from __future__ import annotations
@@ -77,8 +79,6 @@ def exact_error(
 ) -> float:
     """Mean over sequences of ||SA(perturbed) - SA(full precision)||_F^2,
     recomputing the softmax forward pass with the perturbed projection."""
-    if not sequences:
-        raise DataError("exact_error needs at least one sequence")
     name = _KIND_TO_PROJECTION[kind]
     (err,), _ = output_errors(head, [perturbed(head, name, delta_w)], sequences)
     return err / len(sequences)
@@ -114,8 +114,6 @@ def taylor_error(
     logit change (which carries the 1/sqrt(d_h) scaling)."""
     if kind not in (ProjectionKind.QUERY, ProjectionKind.KEY):
         raise DataError("taylor_error is defined for query/key perturbations only")
-    if not sequences:
-        raise DataError("taylor_error needs at least one sequence")
     delta_w = as_delta(delta_w, head.d_h, head.d)
     scale = 1.0 / math.sqrt(head.d_h)
     total = 0.0
@@ -141,8 +139,6 @@ def kron_exact_query_loss(
     Exact for any number of sequences (no mean-field factorization); the
     element budget keeps this on oracle-scale problems.
     """
-    if not sequences:
-        raise DataError("kron_exact_query_loss needs at least one sequence")
     delta_w = as_delta(delta_w, head.d_h, head.d)
     acc = None
     for seq in sequences:
@@ -193,8 +189,6 @@ def joint_qk_cost_demo(
     the trace-form losses whose cost is constant; quantifying that gap is
     this function's whole purpose.
     """
-    if not sequences:
-        raise DataError("joint_qk_cost_demo needs at least one sequence")
     delta_wq = as_delta(delta_wq, head.d_h, head.d)
     delta_wk = as_delta(delta_wk, head.d_h, head.d)
     d, d_h = head.d, head.d_h

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import AttnQuantError, DataError, NonFiniteRounding, NumericalError
 from .flops import FlopCounter
 from .jsonio import atomic_write_json, load_json, require_field, require_int
-from .model import AttentionHead, CalibSequence, json_matrix
+from .model import AttentionHead, CalibSequence, attention_forward, json_matrix
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
 from .oracle import output_errors, perturbed
 from .quantizer import (
@@ -47,8 +47,7 @@ from .quantizer import (
 from .rounding import SoftQuantConfig, optimize_rounding
 from .stats import accumulate_stats
 
-# Not called here; bound because bench/spans.py PATCHES wraps these names.
-from .model import attention_forward  # noqa: F401
+# Not called here; bound because bench/spans.py PATCHES wraps this name.
 from .oracle import exact_error  # noqa: F401
 
 __all__ = [
@@ -294,6 +293,10 @@ def evaluate_quantized(
         (err,), ref_norm = output_errors(reference, [quantized], sequences)
     if not (np.isfinite(err) and np.isfinite(ref_norm)):
         raise NumericalError(f"held-out attention error {err!r} or reference norm {ref_norm!r} is not finite")
+    # A zero norm reads as a perfect 0 below; it must come from zero outputs,
+    # not from nonzero outputs whose squares underflow.
+    if ref_norm == 0 and any(attention_forward(reference, seq).sa.any() for seq in sequences):
+        raise NumericalError("held-out reference outputs are nonzero, but their squared norm underflows to 0")
     relative = float(np.sqrt(err / ref_norm)) if ref_norm > 0 else 0.0
     return {
         "schema_version": SCHEMA_VERSION,

@@ -104,7 +104,7 @@ def _grid_int(x: np.ndarray, z: np.ndarray, grid_max: int) -> np.ndarray:
 def rtn_quantize(w: np.ndarray, spec: QuantSpec) -> QuantizedWeight:
     """Nearest-grid assignment, row by row."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape[0] != spec.n_rows:
+    if w.shape[0] != spec.n_rows:  # else a 1-row weight would broadcast over every grid row
         raise DataError(f"weight has {w.shape[0]} rows, spec has {spec.n_rows}")
     g = _grid_int(w / spec.scale[:, None], spec.zero_point[:, None], spec.grid_max)
     return QuantizedWeight(w_int=g.astype(np.int64), spec=spec)
@@ -207,8 +207,6 @@ def fit_step_size(w: np.ndarray, hessian: np.ndarray, n_bits: int) -> QuantSpec:
     """
     w = np.asarray(w, dtype=np.float64)
     hessian = np.asarray(hessian, dtype=np.float64)
-    if w.ndim != 2:
-        raise DataError("fit_step_size expects a 2-D weight matrix")
     if hessian.shape != (w.shape[1], w.shape[1]):
         raise DataError(
             f"hessian is {hessian.shape}, expected {w.shape[1]}x{w.shape[1]}"
@@ -247,6 +245,12 @@ def _inverse_factor(hessian: np.ndarray) -> np.ndarray | None:
     n_cols = hessian.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trace: refused below
         mean_diag = float(np.trace(hessian)) / n_cols
+        # The fallback's value changes no result. A PSD curvature with a zero
+        # diagonal is all zero, so the damped matrix is a multiple of I and
+        # the factor's off-diagonal entries are 0: every column update
+        # vanishes, and any positive fallback gives the same integers and
+        # compensated weights. (A mean that underflows to 0 leaves entries
+        # near 5e-324, whose updates stay below 1e-300 times the error.)
         damping = OPTQ_DAMPING * mean_diag if mean_diag > 0 else 1e-12
         damped = hessian + damping * np.eye(n_cols)
     try:
@@ -280,10 +284,6 @@ def optq_compensate(
     w = np.asarray(w, dtype=np.float64)
     hessian = np.asarray(hessian, dtype=np.float64)
     n_rows, n_cols = w.shape
-    if spec.n_rows != n_rows:
-        raise DataError("spec rows do not match the weight matrix")
-    if hessian.shape != (n_cols, n_cols):
-        raise DataError("hessian must be square with one row per weight column")
 
     upper = _inverse_factor(hessian)
     if upper is None:

@@ -164,7 +164,8 @@ class RoundingStack:
     compensated warm start can be rounded against the original weights.
     The stack holds the grid constants, the loss contexts (not copied;
     slabs may share a factor) and the work buffers of one step, so a step
-    allocates no (P, d_h, d) array.
+    allocates no (P, d_h, d) array. Every argument needs one entry per slab;
+    ``optimize_rounding``, which builds the stack, checks that.
     """
 
     def __init__(
@@ -177,8 +178,6 @@ class RoundingStack:
         w = [np.asarray(x, dtype=np.float64) for x in w]
         if w_reference is None:
             w_reference = [None] * len(w)
-        if len(w) == 0 or not len(w) == len(spec) == len(ctx) == len(w_reference):
-            raise DataError("w, spec, ctx and w_reference need one entry per slab")
         ref = [x if r is None else np.asarray(r, dtype=np.float64) for x, r in zip(w, w_reference)]
         shape = w[0].shape
         for x, r, sp, c in zip(w, ref, spec, ctx):
@@ -297,8 +296,9 @@ def optimize_rounding(
     * weights] unless some h is NaN, which makes the slab's reconstruction
     NaN in the same iteration: traced or not, the check names the same one.
     """
-    if len(w) != len(spec) or (trace_csv is not None and len(trace_csv) != len(w)):
-        raise DataError("w, spec and trace_csv need one entry per slab")
+    # zip would silently drop the slabs past the shortest argument
+    if any(arg is not None and len(arg) != len(w) for arg in (spec, ctx, w_reference, trace_csv)):
+        raise DataError("spec, ctx, w_reference and trace_csv need one entry per slab of w")
     if cfg.iterations == 0 or len(w) == 0:
         return [rtn_quantize(x, sp) for x, sp in zip(w, spec)]
     # A rounded product is monotone in its multiplier: this refuses lam when either product overflows.

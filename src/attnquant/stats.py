@@ -12,6 +12,13 @@ sequences were used:
 E[.] is the arithmetic mean over sequences. Any positive normalization
 yields the same argmin for every quantization decision; the mean fixes the
 reported loss magnitudes.
+
+Each expectation is a mean of Gram products Y Y^T, so it is symmetric
+positive semidefinite by construction, up to rounding; nothing re-checks
+that at run time.
+The property ``test_all_statistics_symmetric_psd`` in tests/test_stats.py
+certifies it: every sum comes out exactly symmetric, and its lowest
+eigenvalue is within a stated rounding bound of 0.
 """
 
 from __future__ import annotations
@@ -21,47 +28,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .linalg import as_matrix
 from .model import AttentionHead, CalibSequence, attention_forward, map_buffer
 
 __all__ = ["CalibStats", "accumulate_stats"]
 
-SYM_TOL = 1e-9
-PSD_TOL = 1e-8
-
-
-def _check_stat(m, name: str) -> np.ndarray:
-    m = as_matrix(m, f"statistic {name}")
-    if m.shape[0] != m.shape[1]:
-        raise DataError(f"statistic {name} is not square")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > SYM_TOL * scale:
-        raise NumericalError(f"statistic {name} is not symmetric")
-    eigmin = float(np.linalg.eigvalsh(m).min())
-    if eigmin < -PSD_TOL * scale:
-        raise NumericalError(f"statistic {name} has eigenvalue {eigmin:.3e} < 0")
-    return m
-
 
 @dataclass
 class CalibStats:
-    """The four pre-computed expectation matrices for one head, stored by
-    ``as_matrix``, so frozen sums are shared, not copied."""
+    """The four pre-computed expectation matrices for one head, as
+    ``accumulate_stats`` makes them: read-only, finite, symmetric PSD
+    (by construction; see the module docstring), exx and exax d x d, ektk
+    and eqtq d_h x d_h."""
 
     exx: np.ndarray
     exax: np.ndarray
     ektk: np.ndarray
     eqtq: np.ndarray
-
-    def __post_init__(self):
-        self.exx = _check_stat(self.exx, "exx")
-        self.exax = _check_stat(self.exax, "exax")
-        self.ektk = _check_stat(self.ektk, "ektk")
-        self.eqtq = _check_stat(self.eqtq, "eqtq")
-        if self.exx.shape != self.exax.shape:
-            raise DataError("exx and exax disagree on the hidden size")
-        if self.ektk.shape != self.eqtq.shape:
-            raise DataError("ektk and eqtq disagree on the head dimension")
 
     @property
     def d(self) -> int:
@@ -100,13 +82,15 @@ def accumulate_stats(head: AttentionHead, sequences: list[CalibSequence]) -> Cal
             xa = np.empty_like(seq.x)
         trace = attention_forward(head, seq, out=a)
         np.matmul(seq.x, trace.a.T, out=xa)
-        with np.errstate(over="ignore", invalid="ignore"):  # CalibStats refuses a non-finite sum
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
             exx += np.matmul(seq.x, seq.x.T, out=term)
             exax += np.matmul(xa, xa.T, out=term)
             ektk += trace.k.T @ trace.k
             eqtq += trace.q.T @ trace.q
-    del trace, a, xa, term  # freed before CalibStats checks the sums
-    for acc in (exx, exax, ektk, eqtq):
+    del trace, a, xa, term  # the loop's buffers, freed before the checks allocate
+    for name, acc in (("exx", exx), ("exax", exax), ("ektk", ektk), ("eqtq", eqtq)):
+        if not np.isfinite(acc).all():
+            raise NumericalError(f"statistic {name}: contains NaN or Inf entries")
         acc /= len(sequences)
-        acc.setflags(write=False)  # so CalibStats takes the sums without a copy
+        acc.setflags(write=False)  # so LossContext shares the sums without a copy
     return CalibStats(exx=exx, exax=exax, ektk=ektk, eqtq=eqtq)

@@ -332,6 +332,27 @@ class TestFiniteOrRefused:
             with pytest.raises(NumericalError, match="reference"):
                 evaluate_quantized(head, dequantized_head(doc), held_out)
 
+    def test_eval_refuses_an_underflowing_reference_norm(self):
+        # The squared outputs of the x 10^-162 held-out set underflow to a
+        # reference norm of 0 (and an error sum of 0), which would read as a
+        # perfect relative error of 0; at x 10^-160 the error reads 0.2359.
+        head, seqs = generate_synthetic(0, 8, 2, 4, 6)
+        quantized = dequantized_head(quantize_head(head, seqs[:3], PipelineConfig(bits=2, method="optq"))[0])
+        visible = evaluate_quantized(head, quantized, [CalibSequence(seq.x * 1e-160) for seq in seqs[3:]])
+        assert visible["relative_output_error"] > 0.2
+        held_out = [CalibSequence(seq.x * 1e-162) for seq in seqs[3:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="underflows"):
+                evaluate_quantized(head, quantized, held_out)
+
+    def test_eval_of_all_zero_outputs_reads_zero(self):
+        # a zero norm from outputs that are exactly zero is not an underflow
+        head, seqs = generate_synthetic(0, 8, 2, 4, 6)
+        quantized = dequantized_head(quantize_head(head, seqs[:3], PipelineConfig(bits=2, method="optq"))[0])
+        evaluation = evaluate_quantized(head, quantized, [CalibSequence(np.zeros((8, 4)))] * 2)
+        assert evaluation["relative_output_error"] == 0.0 == evaluation["mean_attention_error"]
+
 
 class TestStackedRounding:
     @pytest.mark.parametrize("method", METHODS)
@@ -820,6 +841,14 @@ class TestCli:
              "quantized checkpoint: W_V: field 'fallback_rtn' must be a JSON boolean, got \"false\""),
             ("quantized", ["projections", "W_Q", "fallback_rtn"], 0,
              "quantized checkpoint: W_Q: field 'fallback_rtn' must be a JSON boolean, got 0"),
+            ("quantized", ["projections", "W_V", "zero_point"], [1],
+             "quantized checkpoint: W_V: scale and zero_point must have matching length"),
+            ("quantized", ["projections", "W_V", "w_int"], [1, 2, 3],
+             "quantized checkpoint: W_V: w_int must be a 2-D integer matrix"),
+            ("quantized", ["projections", "W_V", "w_int"], [[1] * 8] * 3,
+             "quantized checkpoint: W_V: w_int row count must match the spec's row count"),
+            ("quantized", ["projections", "W_Q", "w_int"], [[1] * 7] * 4,
+             "quantized checkpoint: W_Q has the wrong shape"),
         ],
         ids=["d-string", "d_h-float", "L-string", "d-null", "quantized-d-string",
              "quantized-d_h-bool", "n_bits-float", "w_int-string", "w_int-float", "w_int-ragged",
@@ -827,7 +856,7 @@ class TestCli:
              "zero_point-bool", "n_bits-100", "n_bits-5", "zero_point-off-grid", "w_int-off-grid",
              "scale-negative", "W_Q-bool", "W_V-numeric-string", "sequence-bool", "full_precision-bool",
              "full_precision-string", "full_precision-ragged", "fallback_rtn-string",
-             "fallback_rtn-int"],
+             "fallback_rtn-int", "zero_point-length", "w_int-1d", "w_int-rows", "w_int-width"],
     )
     def test_malformed_numeric_fields_exit_code_three(self, tmp_path, target, path, value, message):
         head, seqs, model, calib = make_files(tmp_path, seed=18)
@@ -852,6 +881,31 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)  # handled: no traceback
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
         assert message in res.stderr
+
+    @pytest.mark.parametrize(
+        "target, content, message",
+        [
+            ("config", "{", "config file: invalid JSON in "),
+            ("model", "[1]", "checkpoint: expected a JSON object at top level in "),
+            ("config", '{"value_kind": "keys"}', "value_kind must be 'value' or 'other'"),
+            ("calib", json.dumps({"d": 8, "L": 0, "sequences": [[[]] * 8]}),
+             "calibration file: sequences[0]: calibration sequence must contain at least one token"),
+        ],
+        ids=["invalid-json", "top-level-list", "value-kind", "no-tokens"],
+    )
+    def test_malformed_files_exit_code_three(self, tmp_path, target, content, message):
+        _, _, model, calib = make_files(tmp_path, seed=18)
+        files = {"model": model, "calib": calib, "config": tmp_path / "cfg.json"}
+        files[target].write_text(content)
+        out = tmp_path / "q.json"
+        args = ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out)]
+        if target == "config":
+            args += ["--config", str(files["config"])]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 3, res.output
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert message in res.stderr
+        assert not out.exists()
 
     def test_flops_table_and_csv(self, tmp_path):
         csv_out = tmp_path / "table.csv"

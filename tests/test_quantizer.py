@@ -147,6 +147,13 @@ class TestRtn:
         errs = np.abs(dequantize(qw) - [[0.5, -0.5, -1.5]])
         np.testing.assert_array_equal(errs, 0.5 * np.ones((1, 3)))
 
+    def test_row_count_must_match_the_spec(self):
+        # a 1-row weight would otherwise broadcast over both grid rows
+        spec = QuantSpec(n_bits=2, scale=np.array([0.5, 1.0]), zero_point=np.array([1, 1]))
+        for w in (np.ones((1, 3)), np.ones((3, 3))):
+            with pytest.raises(DataError, match="weight has"):
+                rtn_quantize(w, spec)
+
     def test_error_within_half_step_of_clamped_value(self):
         rng = rng_for(1)
         w = rng.standard_normal((4, 16)) * 2

@@ -464,6 +464,18 @@ class TestStackedEqualsPerProjection:
         with pytest.raises(DataError):
             optimize_rounding([w[:, :-1]], [spec], [ctx], cfg)
 
+    @pytest.mark.parametrize("iterations", [0, 2])
+    @pytest.mark.parametrize("short", ["spec", "ctx", "w_reference", "trace_csv"])
+    def test_every_argument_needs_one_entry_per_slab(self, tmp_path, short, iterations):
+        # zip would drop the second slab silently, with or without a loop
+        _, _, ctx, w, spec = value_setup()
+        args = {"spec": [spec, spec], "ctx": [ctx, ctx], "w_reference": [w, w],
+                "trace_csv": [tmp_path / "a.csv", tmp_path / "b.csv"]}
+        args[short] = args[short][:1]
+        with pytest.raises(DataError, match="one entry per slab"):
+            optimize_rounding([w, w], args["spec"], args["ctx"], SoftQuantConfig(iterations=iterations),
+                              w_reference=args["w_reference"], trace_csv=args["trace_csv"])
+
     def test_no_slabs_no_results(self):
         assert optimize_rounding([], [], [], SoftQuantConfig(iterations=3)) == []
 
@@ -480,6 +492,10 @@ class TestNonFinite:
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     def test_diverged_run_stops_after_its_first_block(self, tmp_path, traced):
         self.check_overflowing_loss(tmp_path, traced, iterations=3 * CHECK_BLOCK + 1)
+
+    def test_diverged_run_stops_after_100_iterations(self, tmp_path):
+        # a literal count, so that a change of the block size shows
+        assert self.check_overflowing_loss(tmp_path, traced=False, iterations=250) == 100
 
     def check_overflowing_loss(self, tmp_path, traced, iterations=5):
         # slab 1's right factor is 1e308 I and its weights sit 10 away from
@@ -505,6 +521,7 @@ class TestNonFinite:
         assert info.value.slab == 1
         assert isinstance(info.value, NumericalError)
         assert not path.exists()
+        return counter.count // per_iter
 
     @pytest.mark.parametrize("block", [1, CHECK_BLOCK])
     def test_first_bad_loss_outranks_logits_gone_bad_beside_it(self, monkeypatch, block):
