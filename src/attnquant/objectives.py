@@ -47,10 +47,10 @@ class LossContext:
 
     left is d_h x d_h (key Gram for QUERY, query Gram for KEY, identity
     otherwise); right is d x d (attention-weighted second moment for VALUE,
-    plain input second moment otherwise). Both are symmetric PSD when they
-    come from ``context_for`` (the statistics are, by construction), and
-    both are stored by ``as_matrix``, so CalibStats matrices are shared,
-    not copied.
+    plain input second moment otherwise). Both must be square, and both are
+    symmetric PSD when they come from ``context_for`` (the statistics are,
+    by construction). Both are stored by ``as_matrix``, so CalibStats
+    matrices are shared, not copied.
     """
 
     kind: ProjectionKind
@@ -60,6 +60,8 @@ class LossContext:
     def __post_init__(self):
         self.left = as_matrix(self.left, "LossContext.left")
         self.right = as_matrix(self.right, "LossContext.right")
+        if any(m.shape[0] != m.shape[1] for m in (self.left, self.right)):
+            raise DataError(f"LossContext factors must be square, got {self.left.shape} and {self.right.shape}")
         # An attribute, not a property: the rounding loop reads it per step.
         self.identity_left = self.kind in (ProjectionKind.VALUE, ProjectionKind.OTHER)
         if self.identity_left and not np.array_equal(self.left, np.eye(len(self.left))):

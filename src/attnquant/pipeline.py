@@ -32,7 +32,7 @@ from .flops import FlopCounter
 from .jsonio import atomic_write_json, load_json, require_field, require_int
 from .model import AttentionHead, CalibSequence, attention_forward, json_matrix
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
-from .oracle import output_errors, perturbed
+from .oracle import output_errors
 from .quantizer import (
     VALID_BITS,
     QuantizedWeight,
@@ -65,7 +65,8 @@ SCHEMA_VERSION = 1
 METHODS = ("rtn", "optq", "aespa", "aespa-noround")
 
 _LETTER_TO_NAME = {"V": "W_V", "Q": "W_Q", "K": "W_K"}
-_ATTENTION_KIND = {"V": ProjectionKind.VALUE, "Q": ProjectionKind.QUERY, "K": ProjectionKind.KEY}
+# Every projection name, in the fixed V, Q, K order, with its attention kind.
+_ATTENTION_KIND = {"W_V": ProjectionKind.VALUE, "W_Q": ProjectionKind.QUERY, "W_K": ProjectionKind.KEY}
 
 
 @dataclass
@@ -89,29 +90,24 @@ class PipelineConfig:
             raise DataError("value_kind must be 'value' or 'other'")
 
 
-def _loss_kind(cfg: PipelineConfig, letter: str) -> ProjectionKind:
+def _loss_kind(cfg: PipelineConfig, name: str) -> ProjectionKind:
     """Kind that drives the fitted curvature and loss context."""
-    if cfg.method in ("rtn", "optq"):
+    if cfg.method in ("rtn", "optq") or (name == "W_V" and cfg.value_kind == "other"):
         return ProjectionKind.OTHER
-    if letter == "V":
-        return ProjectionKind.VALUE if cfg.value_kind == "value" else ProjectionKind.OTHER
-    return _ATTENTION_KIND[letter]
+    return _ATTENTION_KIND[name]
 
 
-def _stage(cfg: PipelineConfig, letter: str) -> str:
+def _stage(cfg: PipelineConfig, name: str) -> str:
     """How errors name a projection's quantization: 'W_V (aespa, value stage)'."""
-    return f"{_LETTER_TO_NAME[letter]} ({cfg.method}, {_loss_kind(cfg, letter).value} stage)"
+    return f"{name} ({cfg.method}, {_loss_kind(cfg, name).value} stage)"
 
 
 def _warm_starts(
-    letters: list[str],
-    weights: dict[str, np.ndarray],
-    contexts: dict[str, LossContext],
-    cfg: PipelineConfig,
+    weights: dict[str, np.ndarray], contexts: dict[str, LossContext], cfg: PipelineConfig
 ) -> tuple[dict[str, QuantizedWeight], dict[str, np.ndarray]]:
     """Fit each projection's grid, then return its warm-start integers and
     the column-compensated weights whose grid cells learned rounding starts
-    from (under rtn, the weights themselves).
+    from (under rtn, the weights themselves), each keyed like ``weights``.
 
     Projections whose contexts share a right factor share a curvature (Q
     and K share E[XX^T]; under rtn and optq all three do). Grid fitting and
@@ -120,28 +116,25 @@ def _warm_starts(
     its group, and each projection gets the result it gets alone.
     """
     groups: dict[int, list[str]] = {}
-    for letter in letters:
-        groups.setdefault(id(contexts[letter].right), []).append(letter)
+    for name in weights:
+        groups.setdefault(id(contexts[name].right), []).append(name)
     quantized: dict[str, QuantizedWeight] = {}
     compensated: dict[str, np.ndarray] = {}
     for group in groups.values():
-        w = np.vstack([weights[letter] for letter in group])
-        if cfg.method == "rtn":
-            hessian = np.eye(w.shape[1])
-        else:
-            hessian = row_hessian(contexts[group[0]])
+        w = np.vstack([weights[name] for name in group])
+        hessian = np.eye(w.shape[1]) if cfg.method == "rtn" else row_hessian(contexts[group[0]])
         try:
             spec = fit_step_size(w, hessian, cfg.bits)
         except AttnQuantError as exc:
-            raise type(exc)(f"{', '.join(_stage(cfg, letter) for letter in group)}: {exc}") from exc
+            raise type(exc)(f"{', '.join(_stage(cfg, name) for name in group)}: {exc}") from exc
         if cfg.method == "rtn":
             qw, comp = rtn_quantize(w, spec), w
         else:
             qw, comp = optq_compensate(w, hessian, spec)
         splits = (np.split(a, len(group)) for a in (spec.scale, spec.zero_point, qw.w_int, comp))
-        for letter, scale, zero_point, w_int, rows in zip(group, *splits):
-            quantized[letter] = QuantizedWeight(w_int, QuantSpec(cfg.bits, scale, zero_point), qw.fallback_rtn)
-            compensated[letter] = rows
+        for name, scale, zero_point, w_int, rows in zip(group, *splits):
+            quantized[name] = QuantizedWeight(w_int, QuantSpec(cfg.bits, scale, zero_point), qw.fallback_rtn)
+            compensated[name] = rows
     return quantized, compensated
 
 
@@ -159,11 +152,12 @@ def quantize_head(
     calibration sequences that keeps no per-sequence output, so memory does
     not grow with their number. Quantizing V, Q and K costs 5 forwards per
     sequence: the statistics pass, the full-precision reference, one each
-    for the perturbed Q and K, and one with the dequantized head (the
-    perturbed V shares the reference's attention map). Quantizing V alone
-    costs 2: the dequantized head then shares that map too. Each distinct
-    curvature (Q and K share one) is fitted, factored and compensated once,
-    over its group's stacked rows.
+    for the head with only Q or only K dequantized, and one with the
+    dequantized head (the head with only V dequantized shares the
+    reference's attention map). Quantizing V alone costs 2: the dequantized
+    head then shares that map too. Each exact error is that of the weights
+    the checkpoint holds. Each distinct curvature (Q and K share one) is
+    fitted, factored and compensated once, over its group's stacked rows.
     """
     stats = accumulate_stats(head, sequences)
 
@@ -171,10 +165,10 @@ def quantize_head(
     # distinct curvature over its projections' stacked rows. Each projection
     # holds the others at full precision, so the order in which they run
     # changes no result; it is fixed at V, Q, K.
-    letters = [letter for letter in "VQK" if letter in cfg.projections]
-    weights = {letter: head.projection(_LETTER_TO_NAME[letter]) for letter in letters}
-    contexts = {letter: context_for(_loss_kind(cfg, letter), stats) for letter in letters}
-    quantized, compensated = _warm_starts(letters, weights, contexts, cfg)
+    names = [name for letter, name in _LETTER_TO_NAME.items() if letter in cfg.projections]
+    weights = {name: head.projection(name) for name in names}
+    contexts = {name: context_for(_loss_kind(cfg, name), stats) for name in names}
+    quantized, compensated = _warm_starts(weights, contexts, cfg)
 
     # Phase 2: one learned-rounding loop for all of them. The problems are
     # independent (each holds the others at full precision), so stacking
@@ -182,36 +176,35 @@ def quantize_head(
     if cfg.method == "aespa":
         try:
             learned = optimize_rounding(
-                [compensated[letter] for letter in letters],
-                [quantized[letter].spec for letter in letters],
-                [contexts[letter] for letter in letters],
+                [compensated[name] for name in names],
+                [quantized[name].spec for name in names],
+                [contexts[name] for name in names],
                 cfg.soft,
-                w_reference=[weights[letter] for letter in letters],
+                w_reference=[weights[name] for name in names],
                 counter=counter,
                 trace_csv=[
-                    Path(f"{trace_prefix}_{_LETTER_TO_NAME[letter]}.csv")
-                    if trace_prefix is not None
-                    else None
-                    for letter in letters
+                    Path(f"{trace_prefix}_{name}.csv") if trace_prefix is not None else None
+                    for name in names
                 ],
             )
         except NonFiniteRounding as exc:
-            raise NumericalError(f"{_stage(cfg, letters[exc.slab])}: {exc}") from exc
+            raise NumericalError(f"{_stage(cfg, names[exc.slab])}: {exc}") from exc
         # a warm start that fell back to nearest rounding stays flagged
         quantized.update(
-            (letter, QuantizedWeight(qw.w_int, qw.spec, quantized[letter].fallback_rtn))
-            for letter, qw in zip(letters, learned)
+            (name, QuantizedWeight(qw.w_int, qw.spec, quantized[name].fallback_rtn))
+            for name, qw in zip(names, learned)
         )
 
     # Phase 3: the report, in V, Q, K order, with each number checked once.
-    names = [_LETTER_TO_NAME[letter] for letter in letters]
-    joint = head  # the dequantized head; it shares the reference's full-precision arrays
-    for letter, name in zip(letters, names):
-        joint = joint.replace(name, dequantize(quantized[letter]))
-    deltas = [joint.projection(name) - weights[letter] for letter, name in zip(letters, names)]
-    variants = [perturbed(head, name, delta) for name, delta in zip(names, deltas)]
+    # Each projection is dequantized once, into the array that the joint
+    # head and its own variant share; both share the reference's other arrays.
+    dequantized = {name: dequantize(quantized[name]) for name in names}
+    joint = head
+    for name in names:
+        joint = joint.replace(name, dequantized[name])
+    variants = [head.replace(name, dequantized[name]) for name in names]
     with np.errstate(all="ignore"):  # an overflow is reported by the checks below
-        losses = [loss(contexts[letter], delta) for letter, delta in zip(letters, deltas)]
+        losses = [loss(contexts[name], dequantized[name] - weights[name]) for name in names]
         errors, _ = output_errors(head, [*variants, joint], sequences)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -220,25 +213,19 @@ def quantize_head(
         "n_bits": cfg.bits,
         "method": cfg.method,
         "order": "VQK",  # fixed; schema version 1 keeps the key
-        "projections": {
-            name: quantized_to_json(quantized[letter]) for letter, name in zip(letters, names)
-        },
+        "projections": {name: quantized_to_json(quantized[name]) for name in names},
         "full_precision": {
-            name: head.projection(name).tolist()
-            for letter, name in _LETTER_TO_NAME.items()
-            if letter not in cfg.projections
+            name: head.projection(name).tolist() for name in _ATTENTION_KIND if name not in quantized
         },
     }
     n = len(sequences)
     report_rows = {}
-    for letter, name, refined, err in zip(letters, names, losses, errors):
+    for name, refined, err in zip(names, losses, errors):
         report_rows[name] = {
-            "kind": contexts[letter].kind.value,
-            "refined_loss": _finite(refined, f"{_stage(cfg, letter)}: refined_loss"),
-            "exact_attention_error": _finite(
-                err / n, f"{_stage(cfg, letter)}: exact_attention_error"
-            ),
-            "fallback_rtn": quantized[letter].fallback_rtn,
+            "kind": contexts[name].kind.value,
+            "refined_loss": _finite(refined, f"{_stage(cfg, name)}: refined_loss"),
+            "exact_attention_error": _finite(err / n, f"{_stage(cfg, name)}: exact_attention_error"),
+            "fallback_rtn": quantized[name].fallback_rtn,
         }
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -284,7 +271,13 @@ def dequantized_head(doc: dict) -> AttentionHead:
 def evaluate_quantized(
     reference: AttentionHead, quantized: AttentionHead, sequences: list[CalibSequence]
 ) -> dict:
-    """Compare attention outputs of the quantized and reference heads."""
+    """Compare attention outputs of the quantized and reference heads.
+
+    A reference norm (summed squared outputs) in (0, 2^-1022), below the
+    normal range, is refused. At or above it, each of the m squared entries
+    summed into the error or the norm loses at most 2^-1075 to underflow,
+    which moves err / ref_norm by at most m * 2^-53 * (1 + err / ref_norm).
+    """
     if not sequences:
         raise DataError("evaluation needs at least one sequence")
     if (reference.d, reference.d_h) != (quantized.d, quantized.d_h):
@@ -297,6 +290,8 @@ def evaluate_quantized(
     # not from nonzero outputs whose squares underflow.
     if ref_norm == 0 and any(attention_forward(reference, seq).sa.any() for seq in sequences):
         raise NumericalError("held-out reference outputs are nonzero, but their squared norm underflows to 0")
+    if 0 < ref_norm < np.finfo(np.float64).tiny:
+        raise NumericalError(f"held-out reference norm {ref_norm!r} is subnormal, so the relative error loses bits")
     relative = float(np.sqrt(err / ref_norm)) if ref_norm > 0 else 0.0
     return {
         "schema_version": SCHEMA_VERSION,

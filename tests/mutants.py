@@ -1,7 +1,7 @@
 """One-line mutants of the guards and constants of the quantize path, each
 run against the tier-1 suite.
 
-    python tests/mutants.py            # every mutant, about 6 minutes on 2 cores
+    python tests/mutants.py            # every mutant, about 8 minutes on 2 cores
     python tests/mutants.py stats      # only mutants whose file or note holds "stats"
 
 For each mutant the script copies ``src/``, ``tests/``, ``bench/spans.py``
@@ -11,11 +11,17 @@ there with ``-x``. It prints one markdown row per mutant: killed, with the
 first failing test, or survived. A survivor marked equivalent states why no
 test can kill it. The exit status is 1 when any other mutant survives.
 
+A run of every mutant also writes ``MUTATION.json`` at the repository root:
+one record per mutant (file, mutant, what it guards, verdict, first failing
+test, equivalence reason) and the counts of each verdict, so that two runs
+can be compared with a plain diff.
+
 The file has no ``test_`` prefix, so tier-1 does not collect it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shutil
@@ -26,6 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+MUTATION_PATH = ROOT / "MUTATION.json"
 
 
 class Mutant(NamedTuple):
@@ -43,6 +50,8 @@ MUTANTS = (
            "accumulate_stats: empty sequence list"),
     Mutant("objectives.py", "if self.identity_left and not np.array_equal", "if False and not np.array_equal",
            "LossContext: identity left factor for the value and layer kinds"),
+    Mutant("objectives.py", "if any(m.shape[0] != m.shape[1] for m in (self.left, self.right)):", "if False:",
+           "LossContext: square factors"),
     Mutant("objectives.py", "if delta_w.shape != (d_h, d):", "if False:",
            "as_delta: weight perturbation shape"),
     Mutant("oracle.py", "if kind not in (ProjectionKind.QUERY, ProjectionKind.KEY):", "if False:",
@@ -71,6 +80,11 @@ MUTANTS = (
            "optimize_rounding: rounding weight that overflows"),
     Mutant("pipeline.py", "if ref_norm == 0 and any(", "if False and any(",
            "evaluate_quantized: reference norm that underflows"),
+    Mutant("pipeline.py", "if 0 < ref_norm < np.finfo(np.float64).tiny:", "if False:",
+           "evaluate_quantized: subnormal reference norm"),
+    Mutant("pipeline.py", "variants = [head.replace(name, dequantized[name]) for name in names]",
+           "variants = [head.replace(name, weights[name] + (dequantized[name] - weights[name])) for name in names]",
+           "quantize_head: exact errors of the checkpoint's own weights"),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
@@ -101,15 +115,23 @@ def main(argv: list[str]) -> int:
     chosen = [m for m in MUTANTS if not argv or any(a in m.file or a in m.note for a in argv)]
     print("| file | mutant | guards | outcome | first failing test or reason |")
     print("|---|---|---|---|---|")
-    bad = 0
+    records = []
     for m in chosen:
         outcome, detail = run_mutant(m)
         if outcome == "survived" and m.equivalent:
             outcome, detail = "equivalent", m.equivalent
-        bad += outcome in ("survived", "stale")
         change = f"`{m.old.strip()}` -> `{m.new.strip()}`"
         print(f"| {m.file} | {change} | {m.note} | {outcome} | {detail} |", flush=True)
-    return 1 if bad else 0
+        records.append({
+            "file": m.file, "mutant": change, "guards": m.note, "verdict": outcome,
+            "first_failing_test": detail if outcome == "killed" else None,
+            "equivalence_reason": m.equivalent if outcome == "equivalent" else None,
+        })
+    verdicts = [r["verdict"] for r in records]
+    if not argv:
+        score = {v: verdicts.count(v) for v in ("killed", "equivalent", "survived", "stale")}
+        MUTATION_PATH.write_text(json.dumps({"score": score, "mutants": records}, indent=1) + "\n", encoding="utf-8")
+    return 1 if {"survived", "stale"} & set(verdicts) else 0
 
 
 if __name__ == "__main__":

@@ -22,13 +22,13 @@ from attnquant.checks import (
 )
 from attnquant.flops import cost_table
 from attnquant.model import generate_synthetic
-from attnquant.objectives import LossContext, ProjectionKind, loss, loss_gradient
+from attnquant.objectives import LossContext, ProjectionKind, row_hessian
 from attnquant.oracle import exact_error
 from attnquant.pipeline import PipelineConfig, quantize_head
-from attnquant.quantizer import dequantize, fit_step_size, rtn_quantize
+from attnquant.quantizer import dequantize, fit_step_size, optq_compensate, rtn_quantize
 from attnquant.rounding import rectified_sigmoid, regularizer_gradient, rounding_regularizer
 from attnquant.stats import accumulate_stats
-from conftest import random_psd, rng_for
+from conftest import objective_gradient_gap, random_psd, rng_for
 
 PUBLISHED_CELLS = {
     "125M": ("6.7", "0.24"),
@@ -95,17 +95,14 @@ def test_criterion_06_gradient_checks():
     t0 = time.perf_counter()
     rng = rng_for(6)
     eps = 1e-6
-    worst_loss_grad = 0.0
+    # The gradient that the rounding loop steps along: rounding_objective's,
+    # with respect to the logits, on a compensated warm start measured
+    # against the original weights; lam = 0 leaves the loss alone.
     ctx = LossContext(ProjectionKind.KEY, random_psd(rng, 4), random_psd(rng, 8))
-    delta = rng.standard_normal((4, 8))
-    grad = loss_gradient(ctx, delta)
-    for _ in range(20):
-        i, j = int(rng.integers(0, 4)), int(rng.integers(0, 8))
-        dp, dm = delta.copy(), delta.copy()
-        dp[i, j] += eps
-        dm[i, j] -= eps
-        fd = (loss(ctx, dp) - loss(ctx, dm)) / (2 * eps)
-        worst_loss_grad = max(worst_loss_grad, abs(fd - grad[i, j]) / max(abs(fd), 1e-12))
+    w = rng.standard_normal((4, 8))
+    spec = fit_step_size(w, row_hessian(ctx), 2)
+    _, warm = optq_compensate(w, row_hessian(ctx), spec)
+    worst_loss_grad = objective_gradient_gap(rng, warm, spec, ctx, lam=0.0, w_reference=w)
 
     worst_reg_grad = 0.0
     b = rng.uniform(-1.5, 1.5, size=(4, 8))

@@ -63,6 +63,15 @@ class TestContextStorage:
         with pytest.raises(DataError, match="LossContext.left must be the identity"):
             LossContext(kind, 2 * np.eye(3), np.eye(4))
 
+    @pytest.mark.parametrize(
+        "kind, left, right",
+        [(ProjectionKind.OTHER, np.eye(2), np.ones((3, 1))), (ProjectionKind.KEY, np.ones((2, 1)), np.eye(3))],
+    )
+    def test_non_square_factor_refused(self, kind, left, right):
+        # numpy would broadcast it: with the first pair the loss read 18.0
+        with pytest.raises(DataError, match="LossContext factors must be square"):
+            loss(LossContext(kind, left, right), np.ones((2, 3)))
+
     def test_non_finite_factor_rejected_by_name(self):
         left = np.eye(3)
         left[1, 1] = np.nan

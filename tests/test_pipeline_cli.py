@@ -139,15 +139,30 @@ class TestPipeline:
                 for module in (stats_module, oracle, pipeline):
                     m.setattr(module, "attention_forward", counting)
                 doc, report = quantize_head(head, seqs, cfg)
-            # per sequence: the stats pass, the reference, perturbed Q and K and
-            # the dequantized head; perturbed V reuses the reference's map
+            # per sequence: the stats pass, the reference, the heads with only Q
+            # or only K dequantized and the dequantized head; the head with only
+            # V dequantized reuses the reference's map
             assert len(calls) == 5 * len(seqs)
-            for letter, kind in (("V", ProjectionKind.VALUE), ("Q", ProjectionKind.QUERY), ("K", ProjectionKind.KEY)):
-                name = f"W_{letter}"
-                delta = dequantize(quantized_from_json(doc["projections"][name])) - head.projection(name)
-                assert report["projections"][name]["exact_attention_error"] == oracle.exact_error(
-                    head, seqs, kind, delta
-                )
+            # each exact error is that of the checkpoint's own weights, as eval reads them
+            for name in ("W_V", "W_Q", "W_K"):
+                variant = head.replace(name, dequantize(quantized_from_json(doc["projections"][name])))
+                assert report["projections"][name]["exact_attention_error"] == evaluate_quantized(
+                    head, variant, seqs
+                )["mean_attention_error"]
+
+    @pytest.mark.parametrize("projection", ["V", "Q", "K"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_projection_error_is_the_calibration_error(self, method, projection):
+        # With one projection quantized, its variant and the joint head are
+        # the same head, so the two errors must agree bit for bit. Before the
+        # variants were built from the checkpoint's own weights, 6 of these
+        # 120 runs differed in the last bit (optq, Q, seed 2, for one).
+        cfg = PipelineConfig(bits=2, method=method, projections=projection, soft=SoftQuantConfig(iterations=200))
+        for seed in range(10):
+            head, seqs = generate_synthetic(seed, 16, 4, 8, 32)
+            _, report = quantize_head(head, seqs, cfg)
+            row = report["projections"][f"W_{projection}"]
+            assert row["exact_attention_error"] == report["calibration_attention_error"], seed
 
     def test_value_only_run_shares_the_reference_map(self, monkeypatch):
         # the joint head keeps the reference's W_Q and W_K arrays, so with V
@@ -335,16 +350,38 @@ class TestFiniteOrRefused:
     def test_eval_refuses_an_underflowing_reference_norm(self):
         # The squared outputs of the x 10^-162 held-out set underflow to a
         # reference norm of 0 (and an error sum of 0), which would read as a
-        # perfect relative error of 0; at x 10^-160 the error reads 0.2359.
+        # perfect relative error of 0; at x 10^-153 the error reads 0.2359.
         head, seqs = generate_synthetic(0, 8, 2, 4, 6)
         quantized = dequantized_head(quantize_head(head, seqs[:3], PipelineConfig(bits=2, method="optq"))[0])
-        visible = evaluate_quantized(head, quantized, [CalibSequence(seq.x * 1e-160) for seq in seqs[3:]])
+        visible = evaluate_quantized(head, quantized, [CalibSequence(seq.x * 1e-153) for seq in seqs[3:]])
         assert visible["relative_output_error"] > 0.2
         held_out = [CalibSequence(seq.x * 1e-162) for seq in seqs[3:]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="underflows"):
                 evaluate_quantized(head, quantized, held_out)
+
+    @pytest.mark.parametrize("k", [-153, -155, -159, -161])
+    def test_eval_refuses_a_subnormal_reference_norm(self, tmp_path, k):
+        # From 10^-155 on, the summed squares of the held-out outputs are
+        # subnormal and the relative error drifts (10^-159 read 0.23599400,
+        # 10^-161 0.24254, against 0.23599114 at 10^-140): eval exits 4. At
+        # 10^-153 the norm is normal and the error is the one of 10^-140.
+        head, seqs = generate_synthetic(0, 8, 2, 4, 6)
+        model, calib, held_out, out = (tmp_path / f"{f}.json" for f in ("model", "calib", "held_out", "q"))
+        save_checkpoint(head, model)
+        save_calibration(seqs[:3], calib)
+        save_calibration([CalibSequence(seq.x * 10.0**k) for seq in seqs[3:]], held_out)
+        runner = CliRunner()
+        quantize = ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out)]
+        assert runner.invoke(main, [*quantize, "--bits", "2", "--method", "optq"]).exit_code == 0
+        res = runner.invoke(main, ["eval", "--model", str(model), "--quantized", str(out), "--data", str(held_out)])
+        if k == -153:
+            assert res.exit_code == 0, res.output
+            assert json.loads(res.stdout)["relative_output_error"] == 0.2359911435232265
+        else:
+            assert res.exit_code == 4, res.output
+            assert "is subnormal" in res.stderr
 
     def test_eval_of_all_zero_outputs_reads_zero(self):
         # a zero norm from outputs that are exactly zero is not an underflow
@@ -429,26 +466,26 @@ class TestWarmStarts:
         seqs = [CalibSequence(s.x * calib_scale) for s in seqs]
         cfg = PipelineConfig(bits=bits, method=method, projections=projections, value_kind=value_kind)
         stats = stats_module.accumulate_stats(head, seqs)
-        letters = [letter for letter in "VQK" if letter in projections]
-        weights = {letter: head.projection(pipeline._LETTER_TO_NAME[letter]) for letter in letters}
-        contexts = {letter: context_for(pipeline._loss_kind(cfg, letter), stats) for letter in letters}
-        quantized, compensated = pipeline._warm_starts(letters, weights, contexts, cfg)
-        assert sorted(quantized) == sorted(compensated) == sorted(letters)
-        for letter in letters:
-            w = weights[letter]
+        names = [f"W_{letter}" for letter in "VQK" if letter in projections]
+        weights = {name: head.projection(name) for name in names}
+        contexts = {name: context_for(pipeline._loss_kind(cfg, name), stats) for name in names}
+        quantized, compensated = pipeline._warm_starts(weights, contexts, cfg)
+        assert sorted(quantized) == sorted(compensated) == sorted(names)
+        for name in names:
+            w = weights[name]
             if method == "rtn":
                 spec = fit_step_size(w, np.eye(d), bits)
                 qw, rows = rtn_quantize(w, spec), w
             else:
-                h = row_hessian(contexts[letter])
+                h = row_hessian(contexts[name])
                 qw, rows = optq_compensate(w, h, fit_step_size(w, h, bits))
-            got = quantized[letter]
+            got = quantized[name]
             np.testing.assert_array_equal(got.spec.scale, qw.spec.scale)
             np.testing.assert_array_equal(got.spec.zero_point, qw.spec.zero_point)
             assert got.spec.n_bits == bits
             np.testing.assert_array_equal(got.w_int, qw.w_int)
             assert got.fallback_rtn == qw.fallback_rtn
-            np.testing.assert_array_equal(compensated[letter], rows)
+            np.testing.assert_array_equal(compensated[name], rows)
 
     @pytest.mark.parametrize(
         "method, calls", [("rtn", 1), ("optq", 1), ("aespa-noround", 2), ("aespa", 2)]
@@ -494,8 +531,8 @@ class TestWarmStarts:
         stats = stats_module.accumulate_stats(head, seqs)
         names = ("W_V", "W_Q", "W_K")
         expected = {}
-        for letter, name in zip("VQK", names):
-            h = row_hessian(context_for(pipeline._loss_kind(cfg, letter), stats))
+        for name in names:
+            h = row_hessian(context_for(pipeline._loss_kind(cfg, name), stats))
             w = head.projection(name)
             expected[name] = optq_compensate(w, h, fit_step_size(w, h, cfg.bits))
 
