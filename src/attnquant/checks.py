@@ -77,7 +77,7 @@ def check_value_objective_exactness(seed: int = 0) -> CheckResult:
         stats = accumulate_stats(head, seqs)
         ctx = context_for(ProjectionKind.VALUE, stats)
         delta = rng.standard_normal((d_h, d)) * float(rng.uniform(0.01, 0.5))
-        worst = max(worst, rel_gap(loss(ctx, delta), exact_error(head, seqs, ProjectionKind.VALUE, delta)))
+        worst = max(worst, rel_gap(loss(ctx, delta), exact_error(head, seqs, "W_V", delta)))
     return CheckResult(
         "value objective exactness",
         worst <= 1e-9,
@@ -131,15 +131,15 @@ def check_taylor_convergence(seed: int = 0) -> CheckResult:
     base = _rng(seed, 7).standard_normal((4, 10)) / np.sqrt(10)
     ok = True
     details = []
-    for kind, head_seed in ((ProjectionKind.QUERY, 42), (ProjectionKind.KEY, 43)):
+    for name, label, head_seed in (("W_Q", "query", 42), ("W_K", "key", 43)):
         head, seqs = generate_synthetic(_shift(seed, head_seed), 10, 4, 6, 4)
         gaps = []
         for eps in (0.1, 0.05, 0.025):
-            e = exact_error(head, seqs, kind, eps * base)
-            t = taylor_error(head, seqs, kind, eps * base)
+            e = exact_error(head, seqs, name, eps * base)
+            t = taylor_error(head, seqs, name, eps * base)
             gaps.append(abs(e - t) / e)
         ok = ok and gaps[0] >= gaps[1] >= gaps[2] and gaps[2] <= 0.5
-        details.append(f"{kind.value}: {gaps[0]:.4f}/{gaps[1]:.4f}/{gaps[2]:.4f}")
+        details.append(f"{label}: {gaps[0]:.4f}/{gaps[1]:.4f}/{gaps[2]:.4f}")
     return CheckResult(
         "Taylor convergence",
         ok,

@@ -9,6 +9,7 @@ token per column.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from .jsonio import atomic_write_json, json_numbers, load_json, require_field, r
 from .linalg import as_matrix
 
 __all__ = [
+    "PROJECTIONS",
     "AttentionHead",
     "CalibSequence",
     "AttentionTrace",
@@ -32,6 +34,10 @@ __all__ = [
     "load_calibration",
     "json_matrix",
 ]
+
+# Each projection's name in files and reports, and its AttentionHead field,
+# in checkpoint order.
+PROJECTIONS = {"W_Q": "w_q", "W_K": "w_k", "W_V": "w_v"}
 
 
 @dataclass
@@ -47,7 +53,7 @@ class AttentionHead:
     def __post_init__(self):
         if self.d_h > self.d:
             raise DataError(f"head dimension d_h={self.d_h} exceeds hidden size d={self.d}")
-        for name in ("w_q", "w_k", "w_v"):
+        for name in PROJECTIONS.values():
             m = as_matrix(getattr(self, name), name)
             if m.shape != (self.d_h, self.d):
                 raise DataError(
@@ -55,18 +61,24 @@ class AttentionHead:
                 )
             setattr(self, name, m)
 
+    @classmethod
+    def from_projections(cls, d: int, d_h: int, weights: dict[str, np.ndarray]) -> "AttentionHead":
+        """The head whose projection ``name`` is ``weights[name]``, for every name in PROJECTIONS."""
+        return cls(d, d_h, **{field: weights[name] for name, field in PROJECTIONS.items()})
+
     def projection(self, name: str) -> np.ndarray:
-        try:
-            return {"W_Q": self.w_q, "W_K": self.w_k, "W_V": self.w_v}[name]
-        except KeyError:
-            raise DataError(f"unknown projection '{name}'") from None
+        return getattr(self, _field(name))
 
     def replace(self, name: str, w: np.ndarray) -> "AttentionHead":
-        parts = {"W_Q": self.w_q, "W_K": self.w_k, "W_V": self.w_v}
-        if name not in parts:
-            raise DataError(f"unknown projection '{name}'")
-        parts[name] = w
-        return AttentionHead(self.d, self.d_h, parts["W_Q"], parts["W_K"], parts["W_V"])
+        """This head with projection ``name`` set to ``w``; the other two are shared, not copied."""
+        return dataclasses.replace(self, **{_field(name): w})
+
+
+def _field(name: str) -> str:
+    """The AttentionHead field of projection ``name``."""
+    if name not in PROJECTIONS:
+        raise DataError(f"unknown projection '{name}'")
+    return PROJECTIONS[name]
 
 
 @dataclass
@@ -180,13 +192,7 @@ def json_matrix(raw, name: str, shape: tuple[int, int]) -> np.ndarray:
 
 def save_checkpoint(head: AttentionHead, path: str | Path) -> None:
     atomic_write_json(
-        {
-            "d": head.d,
-            "d_h": head.d_h,
-            "W_Q": head.w_q.tolist(),
-            "W_K": head.w_k.tolist(),
-            "W_V": head.w_v.tolist(),
-        },
+        {"d": head.d, "d_h": head.d_h, **{name: head.projection(name).tolist() for name in PROJECTIONS}},
         path,
     )
 
@@ -196,11 +202,11 @@ def load_checkpoint(path: str | Path) -> AttentionHead:
     obj = load_json(path, what)
     d = require_int(obj, "d", what)
     d_h = require_int(obj, "d_h", what)
-
-    def field(key: str) -> np.ndarray:
-        return json_matrix(require_field(obj, key, what), f"{what}: field '{key}'", (d_h, d))
-
-    return AttentionHead(d=d, d_h=d_h, w_q=field("W_Q"), w_k=field("W_K"), w_v=field("W_V"))
+    weights = {
+        name: json_matrix(require_field(obj, name, what), f"{what}: field '{name}'", (d_h, d))
+        for name in PROJECTIONS
+    }
+    return AttentionHead.from_projections(d, d_h, weights)
 
 
 def save_calibration(seqs: list[CalibSequence], path: str | Path) -> None:

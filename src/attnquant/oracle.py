@@ -18,24 +18,16 @@ from .errors import DataError
 from .flops import matmul_flops
 from .linalg import kron, softmax_jacobian_row, vec
 from .model import AttentionHead, CalibSequence, attention_forward, map_buffer
-from .objectives import ProjectionKind, as_delta
+from .objectives import as_delta
 
 __all__ = [
     "output_errors",
-    "perturbed",
     "exact_error",
     "taylor_error",
     "kron_exact_query_loss",
     "upper_bound_ratio",
     "joint_qk_cost_demo",
 ]
-
-_KIND_TO_PROJECTION = {
-    ProjectionKind.VALUE: "W_V",
-    ProjectionKind.OTHER: "W_V",
-    ProjectionKind.QUERY: "W_Q",
-    ProjectionKind.KEY: "W_K",
-}
 
 
 def output_errors(
@@ -74,21 +66,15 @@ def output_errors(
 def exact_error(
     head: AttentionHead,
     sequences: list[CalibSequence],
-    kind: ProjectionKind,
+    name: str,
     delta_w: np.ndarray,
 ) -> float:
-    """Mean over sequences of ||SA(perturbed) - SA(full precision)||_F^2,
-    recomputing the softmax forward pass with the perturbed projection."""
-    name = _KIND_TO_PROJECTION[kind]
-    (err,), _ = output_errors(head, [perturbed(head, name, delta_w)], sequences)
+    """Mean over sequences of ||SA(variant) - SA(head)||_F^2, recomputing
+    the softmax forward pass of the variant: ``head`` with ``delta_w`` added
+    to projection ``name`` and the other two projections shared."""
+    variant = head.replace(name, head.projection(name) + as_delta(delta_w, head.d_h, head.d))
+    (err,), _ = output_errors(head, [variant], sequences)
     return err / len(sequences)
-
-
-def perturbed(head: AttentionHead, name: str, delta_w: np.ndarray) -> AttentionHead:
-    """``head`` with ``delta_w`` added to projection ``name`` and the other
-    two projections shared, not copied."""
-    delta_w = as_delta(delta_w, head.d_h, head.d)
-    return head.replace(name, head.projection(name) + delta_w)
 
 
 def _taylor_delta_a(
@@ -106,20 +92,20 @@ def _taylor_delta_a(
 def taylor_error(
     head: AttentionHead,
     sequences: list[CalibSequence],
-    kind: ProjectionKind,
+    name: str,
     delta_w: np.ndarray,
 ) -> float:
-    """First-order Taylor estimate of the attention error for query or key
-    perturbations: mean of ||dA V||_F^2 with dA linearized row-wise from the
+    """First-order Taylor estimate of the attention error for a perturbation
+    of W_Q or W_K: mean of ||dA V||_F^2 with dA linearized row-wise from the
     logit change (which carries the 1/sqrt(d_h) scaling)."""
-    if kind not in (ProjectionKind.QUERY, ProjectionKind.KEY):
+    if name not in ("W_Q", "W_K"):
         raise DataError("taylor_error is defined for query/key perturbations only")
     delta_w = as_delta(delta_w, head.d_h, head.d)
     scale = 1.0 / math.sqrt(head.d_h)
     total = 0.0
     for seq in sequences:
         trace = attention_forward(head, seq)
-        if kind is ProjectionKind.QUERY:
+        if name == "W_Q":
             delta_logits = (delta_w @ seq.x).T @ trace.k.T * scale
         else:
             delta_logits = trace.q @ (delta_w @ seq.x) * scale

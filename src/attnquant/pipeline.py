@@ -30,7 +30,7 @@ import numpy as np
 from .errors import AttnQuantError, DataError, NonFiniteRounding, NumericalError
 from .flops import FlopCounter
 from .jsonio import atomic_write_json, load_json, require_field, require_int
-from .model import AttentionHead, CalibSequence, attention_forward, json_matrix
+from .model import PROJECTIONS, AttentionHead, CalibSequence, attention_forward, json_matrix
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
 from .oracle import output_errors
 from .quantizer import (
@@ -64,7 +64,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 METHODS = ("rtn", "optq", "aespa", "aespa-noround")
 
-_LETTER_TO_NAME = {"V": "W_V", "Q": "W_Q", "K": "W_K"}
 # Every projection name, in the fixed V, Q, K order, with its attention kind.
 _ATTENTION_KIND = {"W_V": ProjectionKind.VALUE, "W_Q": ProjectionKind.QUERY, "W_K": ProjectionKind.KEY}
 
@@ -165,7 +164,7 @@ def quantize_head(
     # distinct curvature over its projections' stacked rows. Each projection
     # holds the others at full precision, so the order in which they run
     # changes no result; it is fixed at V, Q, K.
-    names = [name for letter, name in _LETTER_TO_NAME.items() if letter in cfg.projections]
+    names = [name for name in _ATTENTION_KIND if name[-1] in cfg.projections]  # W_V ends in V
     weights = {name: head.projection(name) for name in names}
     contexts = {name: context_for(_loss_kind(cfg, name), stats) for name in names}
     quantized, compensated = _warm_starts(weights, contexts, cfg)
@@ -182,10 +181,7 @@ def quantize_head(
                 cfg.soft,
                 w_reference=[weights[name] for name in names],
                 counter=counter,
-                trace_csv=[
-                    Path(f"{trace_prefix}_{name}.csv") if trace_prefix is not None else None
-                    for name in names
-                ],
+                trace_csv=None if trace_prefix is None else [Path(f"{trace_prefix}_{name}.csv") for name in names],
             )
         except NonFiniteRounding as exc:
             raise NumericalError(f"{_stage(cfg, names[exc.slab])}: {exc}") from exc
@@ -256,7 +252,7 @@ def dequantized_head(doc: dict) -> AttentionHead:
     projections = require_field(doc, "projections", what)
     full = doc.get("full_precision", {})
     weights = {}
-    for name in ("W_Q", "W_K", "W_V"):
+    for name in PROJECTIONS:
         if name in projections:
             weights[name] = dequantize(quantized_from_json(projections[name], f"{what}: {name}"))
             if weights[name].shape != (d_h, d):
@@ -265,7 +261,7 @@ def dequantized_head(doc: dict) -> AttentionHead:
             weights[name] = json_matrix(full[name], f"{what}: full_precision: {name}", (d_h, d))
         else:
             raise DataError(f"{what}: projection '{name}' is neither quantized nor carried")
-    return AttentionHead(d=d, d_h=d_h, w_q=weights["W_Q"], w_k=weights["W_K"], w_v=weights["W_V"])
+    return AttentionHead.from_projections(d, d_h, weights)
 
 
 def evaluate_quantized(

@@ -160,8 +160,9 @@ class RoundingStack:
     """P rounding problems of one shape, stacked along a leading axis.
 
     Slab p rounds ``w[p]`` on the grid ``spec[p]`` under the trace loss of
-    ``ctx[p]``, measured from ``w_reference[p]`` (default ``w[p]``), so a
-    compensated warm start can be rounded against the original weights.
+    ``ctx[p]``, measured from ``w_reference[p]`` (from ``w[p]`` when
+    ``w_reference`` is None), so a compensated warm start can be rounded
+    against the original weights.
     The stack holds the grid constants, the loss contexts (not copied;
     slabs may share a factor) and the work buffers of one step, so a step
     allocates no (P, d_h, d) array. Every argument needs one entry per slab;
@@ -173,12 +174,10 @@ class RoundingStack:
         w: Sequence[np.ndarray],
         spec: Sequence[QuantSpec],
         ctx: Sequence[LossContext],
-        w_reference: Sequence[np.ndarray | None] | None = None,
+        w_reference: Sequence[np.ndarray] | None = None,
     ):
         w = [np.asarray(x, dtype=np.float64) for x in w]
-        if w_reference is None:
-            w_reference = [None] * len(w)
-        ref = [x if r is None else np.asarray(r, dtype=np.float64) for x, r in zip(w, w_reference)]
+        ref = w if w_reference is None else [np.asarray(r, dtype=np.float64) for r in w_reference]
         shape = w[0].shape
         for x, r, sp, c in zip(w, ref, spec, ctx):
             if x.shape != shape or r.shape != shape:
@@ -269,9 +268,9 @@ def optimize_rounding(
     spec: Sequence[QuantSpec],
     ctx: Sequence[LossContext],
     cfg: SoftQuantConfig,
-    w_reference: Sequence[np.ndarray | None] | None = None,
+    w_reference: Sequence[np.ndarray] | None = None,
     counter: FlopCounter | None = None,
-    trace_csv: Sequence[str | Path | None] | None = None,
+    trace_csv: Sequence[str | Path] | None = None,
 ) -> list[QuantizedWeight]:
     """Optimize the rounding logits of every slab with one adaptive-moment
     gradient descent loop and return the hard assignments (h thresholded at
@@ -279,12 +278,13 @@ def optimize_rounding(
 
     The slabs are independent problems: each gets the integers, and its
     ``trace_csv`` entry the per-iteration (total, reconstruction,
-    regularizer) rows, that it would get on its own. Fully deterministic:
-    the objective is evaluated over pre-computed statistics with no
-    sampling, so identical inputs give identical integer weights. The last
-    bits of a trace's reconstruction column can change with the BLAS thread
-    count (seen at d = 128 and 768). ``iterations == 0`` returns the plain
-    nearest-rounding results.
+    regularizer) rows, that it would get on its own. ``w_reference`` and
+    ``trace_csv`` are each None or hold one entry per slab. Fully
+    deterministic: the objective is evaluated over pre-computed statistics
+    with no sampling, so identical inputs give identical integer weights.
+    The last bits of a trace's reconstruction column can change with the
+    BLAS thread count (seen at d = 128 and 768). ``iterations == 0`` returns
+    the plain nearest-rounding results.
 
     Raises DataError before any work when lam times the larger of the
     weights per slab and 2 * BETA_START, the largest factor of the
@@ -311,7 +311,7 @@ def optimize_rounding(
     m = np.zeros_like(b)
     v = np.zeros_like(b)
     step, m_hat, v_hat = stack.work
-    traced = any(path is not None for path in trace_csv or ())
+    traced = trace_csv is not None
     recon = np.empty((cfg.iterations, len(b)))
     reg = np.empty((cfg.iterations, len(b))) if traced else None
     # A diverging run may overflow inside the loop. numpy stays quiet: the
@@ -353,7 +353,7 @@ def optimize_rounding(
         raise NonFiniteRounding(
             f"learned rounding went non-finite at iteration {it}", slab=int(p)
         )
-    for p, path in enumerate(trace_csv or ()):
-        if path is not None:
+    if traced:
+        for p, path in enumerate(trace_csv):
             _write_trace(path, recon[:, p].tolist(), reg[:, p].tolist())
     return stack.hard_assignment(b)

@@ -1,9 +1,15 @@
-"""Shared helpers for the test suite. All randomness is seeded."""
+"""Shared helpers for the test suite. All randomness is seeded, and the
+``hypothesis`` properties draw the same examples on every run."""
 
 import numpy as np
+from hypothesis import settings
 
 from attnquant.checks import random_psd, rel_gap  # noqa: F401  (re-exported for the tests)
 from attnquant.rounding import RoundingStack, rectified_sigmoid, rounding_objective, rounding_regularizer
+
+# A property that fails on some draw then fails on every run, not now and then.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -19,7 +25,7 @@ def trace_quad(w: np.ndarray, m: np.ndarray) -> float:
 def one_slab_objective(b, w, spec, ctx, lam, beta, w_reference=None):
     """rounding_objective on a stack of one slab, unstacked, with the
     regularizer's value read from the step's h as optimize_rounding reads it."""
-    stack = RoundingStack([w], [spec], [ctx], [w_reference])
+    stack = RoundingStack([w], [spec], [ctx], None if w_reference is None else [w_reference])
     recon, grad = rounding_objective(stack, np.asarray(b, dtype=np.float64)[None], lam, beta)
     return recon[0], rounding_regularizer(stack.h, lam, beta)[0], grad[0]
 

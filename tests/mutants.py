@@ -54,8 +54,15 @@ MUTANTS = (
            "LossContext: square factors"),
     Mutant("objectives.py", "if delta_w.shape != (d_h, d):", "if False:",
            "as_delta: weight perturbation shape"),
-    Mutant("oracle.py", "if kind not in (ProjectionKind.QUERY, ProjectionKind.KEY):", "if False:",
-           "taylor_error: query/key kinds only"),
+    Mutant("model.py", 'PROJECTIONS = {"W_Q": "w_q", "W_K": "w_k", "W_V": "w_v"}',
+           'PROJECTIONS = {"W_Q": "w_k", "W_K": "w_q", "W_V": "w_v"}',
+           "PROJECTIONS: each name reads its own field"),
+    Mutant("model.py", "if name not in PROJECTIONS:", "if False:",
+           "AttentionHead: unknown projection name"),
+    Mutant("oracle.py", 'if name not in ("W_Q", "W_K"):', "if False:",
+           "taylor_error: query/key projections only"),
+    Mutant("oracle.py", 'if name == "W_Q":', 'if name == "W_K":',
+           "taylor_error: the query branch linearizes a query perturbation"),
     Mutant("quantizer.py", "if w.shape[0] != spec.n_rows:", "if False:",
            "rtn_quantize: weight rows match the grid rows"),
     Mutant("quantizer.py", "if hessian.shape != (w.shape[1], w.shape[1]):", "if False:",
@@ -74,6 +81,8 @@ MUTANTS = (
            "optimize_rounding: one entry per slab in every argument"),
     Mutant("rounding.py", "if x.shape != shape or r.shape != shape:", "if False:",
            "RoundingStack: every slab has one shape"),
+    Mutant("rounding.py", "traced = trace_csv is not None", "traced = False",
+           "optimize_rounding: a traced run writes its trace CSVs"),
     Mutant("rounding.py", "CHECK_BLOCK = 100", "CHECK_BLOCK = 1000",
            "optimize_rounding: iterations between two non-finite checks"),
     Mutant("rounding.py", "if not np.isfinite(cfg.lam * factor):", "if False:",

@@ -170,7 +170,7 @@ def test_criterion_09_hessian_ablation():
         for hessian, sink in ((2.0 * stats.exax, attention_fit), (2.0 * stats.exx, layer_fit)):
             spec = fit_step_size(w, hessian, 2)
             delta = dequantize(rtn_quantize(w, spec)) - w
-            sink.append(exact_error(head, seqs, ProjectionKind.VALUE, delta))
+            sink.append(exact_error(head, seqs, "W_V", delta))
     med_attn = float(np.median(attention_fit))
     med_layer = float(np.median(layer_fit))
     report(

@@ -147,6 +147,13 @@ class TestStorage:
         w[0, 0] = 5.0  # the caller's later writes do not reach the head
         assert new.w_q[0, 0] == 1.0
 
+    def test_unknown_projection_refused(self):
+        head, _ = generate_synthetic(0, 6, 3, 4, 1)
+        with pytest.raises(DataError, match="^unknown projection 'W_X'$"):
+            head.projection("W_X")
+        with pytest.raises(DataError, match="^unknown projection 'W_X'$"):
+            head.replace("W_X", np.ones((3, 6)))
+
     def test_sequence_is_stored_read_only(self):
         x = np.ones((4, 3))
         seq = CalibSequence(x)
@@ -182,6 +189,7 @@ class TestCheckpointIO:
         head, _ = generate_synthetic(13, 8, 4, 6, 1)
         path = tmp_path / "head.json"
         save_checkpoint(head, path)
+        assert list(json.loads(path.read_text())) == ["d", "d_h", "W_Q", "W_K", "W_V"]
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.w_q, head.w_q)
         np.testing.assert_array_equal(loaded.w_k, head.w_k)

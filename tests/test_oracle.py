@@ -20,13 +20,13 @@ from conftest import rel_gap, rng_for
 class TestExactError:
     def test_zero_perturbation(self):
         head, seqs = generate_synthetic(0, 8, 4, 6, 2)
-        assert exact_error(head, seqs, ProjectionKind.VALUE, np.zeros((4, 8))) == 0.0
+        assert exact_error(head, seqs, "W_V", np.zeros((4, 8))) == 0.0
 
     def test_value_single_token_reduces_to_layer_error(self):
         head, seqs = generate_synthetic(1, 8, 4, 1, 4)
         delta = rng_for(2).standard_normal((4, 8)) * 0.2
         direct = np.mean([np.sum((delta @ s.x) ** 2) for s in seqs])
-        err = exact_error(head, seqs, ProjectionKind.VALUE, delta)
+        err = exact_error(head, seqs, "W_V", delta)
         assert rel_gap(err, direct) <= 1e-12
 
     def test_value_matches_trace_loss_at_any_length(self):
@@ -34,12 +34,17 @@ class TestExactError:
             head, seqs = generate_synthetic(trial, 10, 4, 7, 5)
             ctx = context_for(ProjectionKind.VALUE, accumulate_stats(head, seqs))
             delta = rng_for(100 + trial).standard_normal((4, 10)) * 0.3
-            assert rel_gap(exact_error(head, seqs, ProjectionKind.VALUE, delta), loss(ctx, delta)) <= 1e-9
+            assert rel_gap(exact_error(head, seqs, "W_V", delta), loss(ctx, delta)) <= 1e-9
 
     def test_shape_check(self):
         head, seqs = generate_synthetic(0, 8, 4, 6, 1)
         with pytest.raises(DataError):
-            exact_error(head, seqs, ProjectionKind.VALUE, np.zeros((3, 8)))
+            exact_error(head, seqs, "W_V", np.zeros((3, 8)))
+
+    def test_unknown_projection_refused(self):
+        head, seqs = generate_synthetic(0, 8, 4, 6, 1)
+        with pytest.raises(DataError, match="^unknown projection 'W_X'$"):
+            exact_error(head, seqs, "W_X", np.zeros((4, 8)))
 
 
 
@@ -88,21 +93,21 @@ class TestOutputErrors:
 class TestTaylorError:
     def test_zero_perturbation(self):
         head, seqs = generate_synthetic(3, 8, 4, 6, 2)
-        assert taylor_error(head, seqs, ProjectionKind.QUERY, np.zeros((4, 8))) == 0.0
+        assert taylor_error(head, seqs, "W_Q", np.zeros((4, 8))) == 0.0
 
     def test_single_token_vanishes(self):
         # softmax of a single logit is constantly 1, so its Jacobian is zero
         head, seqs = generate_synthetic(4, 8, 4, 1, 3)
         delta = rng_for(5).standard_normal((4, 8))
-        assert taylor_error(head, seqs, ProjectionKind.QUERY, delta) == 0.0
+        assert taylor_error(head, seqs, "W_Q", delta) == 0.0
 
     def test_epsilon_sweep_halves_relative_gap(self):
         head, seqs = generate_synthetic(42, 10, 4, 6, 4)
         base = rng_for(7).standard_normal((4, 10)) / np.sqrt(10)
         gaps = []
         for eps in (0.1, 0.05, 0.025):
-            e = exact_error(head, seqs, ProjectionKind.QUERY, eps * base)
-            t = taylor_error(head, seqs, ProjectionKind.QUERY, eps * base)
+            e = exact_error(head, seqs, "W_Q", eps * base)
+            t = taylor_error(head, seqs, "W_Q", eps * base)
             gaps.append(abs(e - t) / e)
         assert gaps[1] <= 0.5 * gaps[0]
         assert gaps[2] <= 0.5 * gaps[1]
@@ -112,16 +117,17 @@ class TestTaylorError:
         base = rng_for(7).standard_normal((4, 10)) / np.sqrt(10)
         gaps = []
         for eps in (0.1, 0.05, 0.025):
-            e = exact_error(head, seqs, ProjectionKind.KEY, eps * base)
-            t = taylor_error(head, seqs, ProjectionKind.KEY, eps * base)
+            e = exact_error(head, seqs, "W_K", eps * base)
+            t = taylor_error(head, seqs, "W_K", eps * base)
             gaps.append(abs(e - t) / e)
         assert gaps[0] >= gaps[1] >= gaps[2]
         assert gaps[2] <= 0.5
 
     def test_rejects_value_kind(self):
         head, seqs = generate_synthetic(0, 8, 4, 6, 1)
-        with pytest.raises(DataError):
-            taylor_error(head, seqs, ProjectionKind.VALUE, np.zeros((4, 8)))
+        for name in ("W_V", "W_X"):
+            with pytest.raises(DataError, match="query/key perturbations only"):
+                taylor_error(head, seqs, name, np.zeros((4, 8)))
 
 
 class TestKronExactQueryLoss:

@@ -242,7 +242,7 @@ def per_projection_rounding(w, spec, ctx, cfg, w_reference, counter, trace_csv):
     projection."""
     return [
         reference_optimize_rounding(*slab, cfg, ref, counter, path)
-        for *slab, ref, path in zip(w, spec, ctx, w_reference, trace_csv)
+        for *slab, ref, path in zip(w, spec, ctx, w_reference, trace_csv or [None] * len(w))
     ]
 
 
@@ -367,6 +367,7 @@ class TestFiniteOrRefused:
         # subnormal and the relative error drifts (10^-159 read 0.23599400,
         # 10^-161 0.24254, against 0.23599114 at 10^-140): eval exits 4. At
         # 10^-153 the norm is normal and the error is the one of 10^-140.
+        # --report-out writes the printed report, and no file when refused.
         head, seqs = generate_synthetic(0, 8, 2, 4, 6)
         model, calib, held_out, out = (tmp_path / f"{f}.json" for f in ("model", "calib", "held_out", "q"))
         save_checkpoint(head, model)
@@ -375,13 +376,17 @@ class TestFiniteOrRefused:
         runner = CliRunner()
         quantize = ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out)]
         assert runner.invoke(main, [*quantize, "--bits", "2", "--method", "optq"]).exit_code == 0
-        res = runner.invoke(main, ["eval", "--model", str(model), "--quantized", str(out), "--data", str(held_out)])
+        report = tmp_path / "report.json"
+        res = runner.invoke(main, ["eval", "--model", str(model), "--quantized", str(out), "--data", str(held_out),
+                                   "--report-out", str(report)])
         if k == -153:
             assert res.exit_code == 0, res.output
             assert json.loads(res.stdout)["relative_output_error"] == 0.2359911435232265
+            assert json.loads(report.read_text()) == json.loads(res.stdout)
         else:
             assert res.exit_code == 4, res.output
             assert "is subnormal" in res.stderr
+            assert not report.exists()
 
     def test_eval_of_all_zero_outputs_reads_zero(self):
         # a zero norm from outputs that are exactly zero is not an underflow

@@ -324,9 +324,8 @@ class TestOptimizeRounding:
         ctxs = [context_for(kind, stats) for kind in kinds]
         ws = [head.projection(name) for name in ("W_V", "W_Q", "W_K")]
         specs = [fit_step_size(w, row_hessian(c), 2) for w, c in zip(ws, ctxs)]
-        refs = [None] * 3
-        assert RoundingStack(ws, specs, ctxs, refs).iter_flops == 17341
-        assert RoundingStack(ws[:1], specs[:1], ctxs[:1], refs[:1]).iter_flops == 4159 + 16 * 64 == 5183
+        assert RoundingStack(ws, specs, ctxs).iter_flops == 17341
+        assert RoundingStack(ws[:1], specs[:1], ctxs[:1]).iter_flops == 4159 + 16 * 64 == 5183
 
     def test_per_iteration_cost_independent_of_calibration_size(self):
         head, seqs = generate_synthetic(8, 16, 4, 8, 64)
@@ -353,8 +352,8 @@ class TestOptimizeRounding:
             spec = fit_step_size(w, row_hessian(ctx), 2)
             warm, comp = optq_compensate(w, row_hessian(ctx), spec)
             (ada,) = optimize_rounding([comp], [spec], [ctx], SoftQuantConfig(), w_reference=[w])
-            e_ada = exact_error(head, seqs, ProjectionKind.VALUE, dequantize(ada) - w)
-            e_rtn = exact_error(head, seqs, ProjectionKind.VALUE, dequantize(rtn_quantize(w, spec)) - w)
+            e_ada = exact_error(head, seqs, "W_V", dequantize(ada) - w)
+            e_rtn = exact_error(head, seqs, "W_V", dequantize(rtn_quantize(w, spec)) - w)
             wins += e_ada <= e_rtn
         assert wins >= 18
 
@@ -481,14 +480,14 @@ class TestNonFinite:
             optimize_rounding(
                 [w, w], [spec, spec], [fine, huge], SoftQuantConfig(iterations=iterations),
                 w_reference=[w, w + 10.0], counter=counter,
-                trace_csv=[path, None] if traced else None,
+                trace_csv=[path, tmp_path / "slab1.csv"] if traced else None,
             )
         # a run that raises counts the iterations it ran: its first block
         per_iter = RoundingStack([w, w], [spec, spec], [fine, huge]).iter_flops
         assert counter.count == min(iterations, CHECK_BLOCK) * per_iter
         assert info.value.slab == 1
         assert isinstance(info.value, NumericalError)
-        assert not path.exists()
+        assert not any(tmp_path.iterdir())  # no trace written
         return counter.count // per_iter
 
     @pytest.mark.parametrize("block", [1, CHECK_BLOCK])
@@ -524,11 +523,11 @@ class TestNonFinite:
         with pytest.raises(DataError, match="rounding weight") as info:
             optimize_rounding(
                 [w, w], [spec, spec], [ctx, ctx], SoftQuantConfig(iterations=3, lam=4e306),
-                counter=counter, trace_csv=[path, None] if traced else None,
+                counter=counter, trace_csv=[path, tmp_path / "slab1.csv"] if traced else None,
             )
         assert not isinstance(info.value, NumericalError)
         assert counter.count == 0
-        assert not path.exists()
+        assert not any(tmp_path.iterdir())  # no trace written
 
     def test_large_finite_rounding_weight_fails_alike_traced_or_not(self, tmp_path):
         # lam * 6 is finite, so no regularizer value could overflow, but
@@ -570,10 +569,10 @@ class TestNonFinite:
             optimize_rounding(
                 [w, w], [spec, spec], [ctx, ctx],
                 SoftQuantConfig(iterations=1, learning_rate=1e308, lam=0.0),
-                w_reference=reference, trace_csv=[path, None] if traced else None,
+                w_reference=reference, trace_csv=[path, tmp_path / "slab1.csv"] if traced else None,
             )
         assert info.value.slab == 1
-        assert not path.exists()
+        assert not any(tmp_path.iterdir())  # no trace written
 
 
 class TestConfig:
