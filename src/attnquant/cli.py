@@ -22,7 +22,7 @@ import click
 from .checks import run_all_checks
 from .errors import DataError, NumericalError
 from .flops import CostParams, OPT_PRESETS, cost_table, existing_itemization, flops_existing, flops_refined, gflops_str
-from .jsonio import atomic_write_json, load_json
+from .jsonio import atomic_write_json
 from .model import generate_synthetic, load_calibration, load_checkpoint, save_calibration, save_checkpoint
 from .pipeline import (
     METHODS,
@@ -83,32 +83,9 @@ def gen(seed, d, d_h, length, n_sequences, model_out, calib_out, n_eval, eval_ou
     click.echo(f"wrote {model_out} and {calib_out}" + (f" and {eval_out}" if n_eval else ""))
 
 
-# Keys a ``quantize --config`` file may set (the flag names), with their JSON types.
-_CONFIG_KEYS = {
-    "bits": "integer", "method": "string", "projections": "string",
-    "value_kind": "string", "iterations": "integer", "learning_rate": "number", "lam": "number",
-}
-_JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
-_CASTS = {"integer": int, "number": float, "string": str}
-# Keys that configure the rounding loop; the rest are PipelineConfig fields.
-_SOFT_KEYS = ("iterations", "learning_rate", "lam")
-
-
-def _merge_config(config_path, overrides: dict) -> dict:
-    """Start from the optional JSON config, then apply explicit CLI flags.
-
-    A config key that is not a flag name, or has the wrong JSON type, is a DataError."""
-    merged = {}
-    if config_path is not None:
-        for key, value in load_json(config_path, "config file").items():
-            want = _CONFIG_KEYS.get(key)
-            if want is None:
-                raise DataError(f"config file: unknown key '{key}' (allowed: {', '.join(_CONFIG_KEYS)})")
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[want]):
-                raise DataError(f"config file: '{key}' must be a JSON {want}, got {json.dumps(value)}")
-            merged[key] = value
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
+def _given(**flags) -> dict:
+    """The flags that were given; a dataclass default applies to the rest."""
+    return {key: value for key, value in flags.items() if value is not None}
 
 
 @main.command()
@@ -116,27 +93,18 @@ def _merge_config(config_path, overrides: dict) -> dict:
 @click.option("--calib", type=click.Path(dir_okay=False), required=True)
 @click.option("--output", type=click.Path(dir_okay=False), required=True)
 @click.option("--report-out", type=click.Path(dir_okay=False), default=None)
-@click.option("--bits", type=click.Choice([str(b) for b in VALID_BITS]), default=None)
+@click.option("--bits", type=click.Choice(VALID_BITS), default=None)
 @click.option("--method", type=click.Choice(METHODS), default=None)
 @click.option("--projections", type=str, default=None, help="Subset of VQK to quantize, run in V, Q, K order.")
-@click.option(
-    "--value-kind",
-    type=click.Choice(["value", "other"]),
-    default=None,
-    help="Curvature for W_V: attention-weighted (value) or plain layer (other).",
-)
 @click.option("--iterations", type=int, default=None)
 @click.option("--learning-rate", type=float, default=None)
 @click.option("--rounding-weight", "lam", type=float, default=None)
-@click.option("--trace-prefix", type=str, default=None, help="Write per-projection loss traces as CSV.")
-@click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
+@click.option("--trace-prefix", type=str, default=None, help="Write per-projection loss traces as CSV (aespa only).")
 @_surface_errors
-def quantize(model, calib, output, report_out, config_path, trace_prefix, **flags):
+def quantize(model, calib, output, report_out, trace_prefix, iterations, learning_rate, lam, **flags):
     """Quantize a checkpoint against a calibration set."""
-    opts = _merge_config(config_path, flags)
-    given = {key: _CASTS[_CONFIG_KEYS[key]](value) for key, value in opts.items()}
-    soft = SoftQuantConfig(**{key: given.pop(key) for key in _SOFT_KEYS if key in given})
-    cfg = PipelineConfig(**given, soft=soft)
+    soft = SoftQuantConfig(**_given(iterations=iterations, learning_rate=learning_rate, lam=lam))
+    cfg = PipelineConfig(**_given(**flags), soft=soft)
     head = load_checkpoint(model)
     seqs = load_calibration(calib)
     doc, report = quantize_head(head, seqs, cfg, trace_prefix=trace_prefix)
@@ -176,6 +144,8 @@ def flops(d, d_h, length, batch, presets, csv_out):
     if d is not None or d_h is not None:
         if d is None or d_h is None:
             raise DataError("--d and --dh must be given together")
+        if presets or csv_out is not None:
+            raise DataError("--preset and --csv apply to the preset table, not to --d and --dh")
         p = CostParams(d=d, d_h=d_h, L=length, B=batch)
         click.echo(f"refined per-iteration flops:  {flops_refined(p)} ({gflops_str(flops_refined(p))} GFLOPS)")
         click.echo(f"existing per-iteration flops: {flops_existing(p)} ({gflops_str(flops_existing(p))} GFLOPS)")

@@ -1,11 +1,13 @@
 """Brute-force ground truths for every algebraic step of the pipeline.
 
-Everything here recomputes attention outputs, per-row softmax Jacobians or
-explicit Kronecker products from scratch, so these functions are slow and
-memory-hungry by design; they exist to certify the fast trace-form losses
-on small instances, never to run inside the optimization loop. The
-functions that average over sequences need at least one: an empty list
-fails in the division by its length.
+The functions after ``output_errors`` recompute attention outputs, per-row
+softmax Jacobians or explicit Kronecker products from scratch, so they are
+slow and memory-hungry by design; they exist to certify the fast trace-form
+losses on small instances, never to run inside the optimization loop.
+``output_errors`` is the exception: it is the constant-memory error pass of
+every ``quantize`` report and every ``eval``. The functions that average
+over sequences need at least one: an empty list fails in the division by
+its length.
 """
 
 from __future__ import annotations

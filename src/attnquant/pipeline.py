@@ -73,7 +73,6 @@ class PipelineConfig:
     bits: int = 4
     method: str = "aespa"
     projections: str = "VQK"
-    value_kind: str = "value"  # 'other' switches W_V to the layer curvature
     soft: SoftQuantConfig = field(default_factory=SoftQuantConfig)
 
     def __post_init__(self):
@@ -85,13 +84,12 @@ class PipelineConfig:
         if sorted(letters) != sorted(set(letters)) or not set(letters) <= set("VQK"):
             raise DataError("projections must be a subset permutation of 'VQK'")
         self.projections = letters
-        if self.value_kind not in ("value", "other"):
-            raise DataError("value_kind must be 'value' or 'other'")
 
 
 def _loss_kind(cfg: PipelineConfig, name: str) -> ProjectionKind:
-    """Kind that drives the fitted curvature and loss context."""
-    if cfg.method in ("rtn", "optq") or (name == "W_V" and cfg.value_kind == "other"):
+    """Kind that drives the fitted curvature and loss context; the method
+    alone picks it."""
+    if cfg.method in ("rtn", "optq"):
         return ProjectionKind.OTHER
     return _ATTENTION_KIND[name]
 
@@ -157,7 +155,10 @@ def quantize_head(
     head then shares that map too. Each exact error is that of the weights
     the checkpoint holds. Each distinct curvature (Q and K share one) is
     fitted, factored and compensated once, over its group's stacked rows.
+    Only aespa's learned rounding writes a loss trace per projection.
     """
+    if trace_prefix is not None and cfg.method != "aespa":
+        raise DataError(f"trace_prefix: method {cfg.method} does no learned rounding, so it has no loss trace")
     stats = accumulate_stats(head, sequences)
 
     # Phase 1: a grid fit and the column-compensated warm starts, once per
@@ -229,7 +230,7 @@ def quantize_head(
         "method": cfg.method,
         "bits": cfg.bits,
         "order": "VQK",
-        "value_kind": cfg.value_kind,
+        "value_kind": "value",  # fixed; schema version 1 keeps the key
         "n_calibration_sequences": n,
         "projections": report_rows,
         "calibration_attention_error": _finite(errors[-1] / n, "calibration_attention_error"),

@@ -94,6 +94,24 @@ MUTANTS = (
     Mutant("pipeline.py", "variants = [head.replace(name, dequantized[name]) for name in names]",
            "variants = [head.replace(name, weights[name] + (dequantized[name] - weights[name])) for name in names]",
            "quantize_head: exact errors of the checkpoint's own weights"),
+    Mutant("pipeline.py", 'if cfg.method in ("rtn", "optq"):', 'if cfg.method in ("rtn",):',
+           "_loss_kind: optq fits against the layer curvature"),
+    Mutant("pipeline.py", 'if trace_prefix is not None and cfg.method != "aespa":', "if False:",
+           "quantize_head: a loss trace needs learned rounding"),
+    Mutant("cli.py", "if presets or csv_out is not None:", "if False:",
+           "flops: --preset and --csv refused beside --d/--dh"),
+    Mutant("quantizer.py", "OPTQ_DAMPING = 0.01", "OPTQ_DAMPING = 0.02",
+           "optq_compensate: damping relative to the mean curvature diagonal"),
+    Mutant("quantizer.py", "N_CLIP_RATIOS = 128", "N_CLIP_RATIOS = 127",
+           "fit_step_size: number of clip ratios searched"),
+    Mutant("quantizer.py", "CLIP_RATIO_LO = 0.4", "CLIP_RATIO_LO = 0.5",
+           "fit_step_size: smallest clip ratio searched"),
+    Mutant("rounding.py", "BETA_END = 2.0", "BETA_END = 2.5",
+           "SoftQuantConfig: regularizer exponent at the end of the anneal"),
+    Mutant("rounding.py", "BETA_ANNEAL_FRAC = 0.8", "BETA_ANNEAL_FRAC = 0.7",
+           "SoftQuantConfig: share of the iterations that anneals the exponent"),
+    Mutant("rounding.py", "h >= 0.5", "h > 0.5",
+           "hard_assignment: an exact half rounds up"),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]

@@ -103,19 +103,13 @@ class TestPipeline:
         q_head = dequantized_head(doc)
         np.testing.assert_array_equal(q_head.w_k, head.w_k)
 
-    def test_value_kind_override_reported(self, tmp_path):
-        head, seqs, _, _ = make_files(tmp_path, seed=5)
-        cfg = PipelineConfig(bits=4, method="aespa-noround", value_kind="other")
-        _, report = quantize_head(head, seqs, cfg)
-        assert report["projections"]["W_V"]["kind"] == "other"
-        cfg2 = PipelineConfig(bits=4, method="aespa-noround", value_kind="value")
-        _, report2 = quantize_head(head, seqs, cfg2)
-        assert report2["projections"]["W_V"]["kind"] == "value"
-
     def test_default_config_records_order_vqk(self, tmp_path):
         head, seqs, _, _ = make_files(tmp_path, seed=6)
-        doc, report = quantize_head(head, seqs, PipelineConfig(bits=4, method="rtn"))
-        assert doc["order"] == "VQK" and report["order"] == "VQK"
+        for method in METHODS:  # the method alone picks each curvature; both keys are fixed
+            cfg = PipelineConfig(bits=4, method=method, soft=SoftQuantConfig(iterations=5))
+            doc, report = quantize_head(head, seqs, cfg)
+            assert doc["order"] == "VQK" and report["order"] == "VQK"
+            assert report["value_kind"] == "value"
 
     def test_invalid_config_rejected(self):
         with pytest.raises(DataError):
@@ -415,8 +409,8 @@ class TestStackedRounding:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"projections": "QK"}, {"value_kind": "other"}, {"projections": ""}],
-        ids=["default", "projections-QK", "value-kind-other", "no-projections"],
+        [{}, {"projections": "QK"}, {"projections": ""}],
+        ids=["default", "projections-QK", "no-projections"],
     )
     def test_matches_per_projection_reference_runs(self, monkeypatch, tmp_path, overrides):
         head, seqs = generate_synthetic(21, 12, 4, 6, 8)
@@ -458,18 +452,17 @@ class TestWarmStarts:
         d_h=st.integers(1, 4),
         bits=st.sampled_from(VALID_BITS),
         method=st.sampled_from(METHODS),
-        value_kind=st.sampled_from(["value", "other"]),
         projections=st.sampled_from(["VQK", "VQ", "VK", "QK", "V", "Q", "K"]),
         calib_scale=st.sampled_from([1.0, 1e-160]),
     )
     def test_stacked_groups_equal_per_projection_calls(
-        self, seed, d, d_h, bits, method, value_kind, projections, calib_scale
+        self, seed, d, d_h, bits, method, projections, calib_scale
     ):
         # 1e-160 makes every curvature's factor non-finite, so compensation
         # falls back to nearest rounding for the whole group
         head, seqs = generate_synthetic(seed, d, d_h, 3, 4)
         seqs = [CalibSequence(s.x * calib_scale) for s in seqs]
-        cfg = PipelineConfig(bits=bits, method=method, projections=projections, value_kind=value_kind)
+        cfg = PipelineConfig(bits=bits, method=method, projections=projections)
         stats = stats_module.accumulate_stats(head, seqs)
         names = [f"W_{letter}" for letter in "VQK" if letter in projections]
         weights = {name: head.projection(name) for name in names}
@@ -522,17 +515,11 @@ class TestWarmStarts:
         assert str(info.value) == f"{named}: fit_step_size needs finite weights and curvature"
 
     @pytest.mark.parametrize(
-        "method, value_kind, factors",
-        [("optq", "value", 1), ("aespa-noround", "value", 2), ("aespa", "value", 2),
-         ("aespa", "other", 1)],
+        "method, factors", [("optq", 1), ("aespa-noround", 2), ("aespa", 2)]
     )
-    def test_one_factor_per_curvature_and_per_projection_results(
-        self, monkeypatch, method, value_kind, factors
-    ):
+    def test_one_factor_per_curvature_and_per_projection_results(self, monkeypatch, method, factors):
         head, seqs = generate_synthetic(23, 12, 4, 6, 8)
-        cfg = PipelineConfig(
-            bits=2, method=method, value_kind=value_kind, soft=SoftQuantConfig(iterations=20)
-        )
+        cfg = PipelineConfig(bits=2, method=method, soft=SoftQuantConfig(iterations=20))
         stats = stats_module.accumulate_stats(head, seqs)
         names = ("W_V", "W_Q", "W_K")
         expected = {}
@@ -733,50 +720,6 @@ class TestCli:
         assert res.exit_code == 3
         assert not out.exists()
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        head, seqs, model, calib = make_files(tmp_path, seed=12)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"bits": 2, "method": "rtn", "projections": "V"}))
-        out = tmp_path / "q.json"
-        res = CliRunner().invoke(
-            main,
-            [
-                "quantize", "--model", str(model), "--calib", str(calib),
-                "--output", str(out), "--config", str(cfg_path), "--bits", "4",
-            ],
-        )
-        assert res.exit_code == 0, res.output
-        doc = load_quantized(out)
-        assert doc["n_bits"] == 4  # flag overrides config
-        assert set(doc["projections"]) == {"W_V"}  # config supplies the rest
-
-    @pytest.mark.parametrize(
-        "config, key",
-        [
-            ({"iteratons": 5}, "iteratons"),
-            ({"bits": 3.7}, "bits"),
-            ({"iterations": "abc"}, "iterations"),
-            ({"iterations": None}, "iterations"),
-            ({"order": "VQK"}, "order"),
-        ],
-        ids=["unknown-key", "float-bits", "string-iterations", "null-iterations", "removed-order"],
-    )
-    def test_config_file_rejects_unknown_keys_and_wrong_types(self, tmp_path, config, key):
-        _, _, model, calib = make_files(tmp_path, seed=12)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        out = tmp_path / "q.json"
-        res = CliRunner().invoke(
-            main,
-            [
-                "quantize", "--model", str(model), "--calib", str(calib),
-                "--output", str(out), "--config", str(cfg_path),
-            ],
-        )
-        assert res.exit_code == 3, res.output
-        assert f"'{key}'" in res.output
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "flag, value",
         [("--learning-rate", "nan"), ("--rounding-weight", "-5")],
@@ -927,23 +870,35 @@ class TestCli:
     @pytest.mark.parametrize(
         "target, content, message",
         [
-            ("config", "{", "config file: invalid JSON in "),
+            ("model", "{", "checkpoint: invalid JSON in "),
             ("model", "[1]", "checkpoint: expected a JSON object at top level in "),
-            ("config", '{"value_kind": "keys"}', "value_kind must be 'value' or 'other'"),
             ("calib", json.dumps({"d": 8, "L": 0, "sequences": [[[]] * 8]}),
              "calibration file: sequences[0]: calibration sequence must contain at least one token"),
         ],
-        ids=["invalid-json", "top-level-list", "value-kind", "no-tokens"],
+        ids=["invalid-json", "top-level-list", "no-tokens"],
     )
     def test_malformed_files_exit_code_three(self, tmp_path, target, content, message):
         _, _, model, calib = make_files(tmp_path, seed=18)
-        files = {"model": model, "calib": calib, "config": tmp_path / "cfg.json"}
-        files[target].write_text(content)
+        {"model": model, "calib": calib}[target].write_text(content)
+        self.check_quantize_refused(tmp_path, model, calib, [], message)
+
+    def test_refused_pipeline_config_exit_code_three(self, tmp_path):
+        _, _, model, calib = make_files(tmp_path, seed=18)
+        message = "projections must be a subset permutation of 'VQK'"
+        self.check_quantize_refused(tmp_path, model, calib, ["--projections", "VVQ"], message)
+
+    @pytest.mark.parametrize("method", ["rtn", "optq", "aespa-noround"])
+    def test_trace_prefix_refused_without_learned_rounding(self, tmp_path, method):
+        _, _, model, calib = make_files(tmp_path, seed=18)
+        args = ["--method", method, "--trace-prefix", str(tmp_path / "tr"), "--report-out", str(tmp_path / "r.json")]
+        self.check_quantize_refused(tmp_path, model, calib, args, f"method {method} does no learned rounding")
+        assert not list(tmp_path.glob("tr*")) and not (tmp_path / "r.json").exists()
+
+    def check_quantize_refused(self, tmp_path, model, calib, args, message):
         out = tmp_path / "q.json"
-        args = ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out)]
-        if target == "config":
-            args += ["--config", str(files["config"])]
-        res = CliRunner().invoke(main, args)
+        res = CliRunner().invoke(
+            main, ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out), *args]
+        )
         assert res.exit_code == 3, res.output
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
         assert message in res.stderr
@@ -960,6 +915,15 @@ class TestCli:
     def test_flops_requires_both_dims(self):
         res = CliRunner().invoke(main, ["flops", "--d", "64"])
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("extra", [["--csv", "table.csv"], ["--preset", "13B"]], ids=["csv", "preset"])
+    def test_flops_refuses_table_options_with_dims(self, tmp_path, monkeypatch, extra):
+        # --csv and --preset shape the preset table, which --d/--dh replace
+        monkeypatch.chdir(tmp_path)
+        res = CliRunner().invoke(main, ["flops", "--d", "768", "--dh", "64", *extra])
+        assert res.exit_code == 3, res.output
+        assert res.stderr == "error: --preset and --csv apply to the preset table, not to --d and --dh\n"
+        assert res.stdout == "" and not list(tmp_path.iterdir())
 
     def test_check_command_passes(self):
         res = CliRunner().invoke(main, ["check", "--seed", "0"])
@@ -998,8 +962,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--seed", "1"), ("--order", "VQK"), ("--stats-cache", "s.json")],
-        ids=["seed", "order", "stats-cache"],
+        [("--seed", "1"), ("--order", "VQK"), ("--stats-cache", "s.json"), ("--config", "c.json"),
+         ("--value-kind", "other")],
+        ids=["seed", "order", "stats-cache", "config", "value-kind"],
     )
     def test_quantize_rejects_removed_flags(self, tmp_path, flag, value):
         head, seqs, model, calib = make_files(tmp_path, seed=16)

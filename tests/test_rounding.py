@@ -145,6 +145,20 @@ class TestSoftQuantize:
             assert recon == 0.0 and reg == 0.0
             np.testing.assert_array_equal(grad, np.zeros(w.shape))
 
+    def test_hard_assignment_rounds_an_exact_half_up(self):
+        # h(-4.44e-16) is exactly 0.5 (h(0) is one ulp above it), so only a
+        # threshold of h >= 0.5, not h > 0.5, rounds that entry up
+        _, _, ctx, w, spec = value_setup()
+        floor_grid = np.floor(w / spec.scale[:, None]) + spec.zero_point[:, None]
+        row, col = np.argwhere((floor_grid >= 0) & (floor_grid < spec.grid_max))[0]
+        b = np.full((1, *w.shape), -50.0)
+        b[0, row, col] = -4.44e-16
+        assert rectified_sigmoid(b)[0][0, row, col] == 0.5
+        (got,) = RoundingStack([w], [spec], [ctx]).hard_assignment(b)
+        expected = np.clip(floor_grid, 0, spec.grid_max)
+        expected[row, col] += 1
+        np.testing.assert_array_equal(got.w_int, expected)
+
 
 class TestRoundingObjective:
     @pytest.mark.parametrize("seed", [0, 3])
