@@ -103,6 +103,19 @@ class TestPipeline:
         q_head = dequantized_head(doc)
         np.testing.assert_array_equal(q_head.w_k, head.w_k)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_projection_kind_reported(self, tmp_path, method):
+        # the method alone picks each curvature: layer-wise methods fit every
+        # projection against E[XX^T], attention-aware ones use its own kind
+        head, seqs, _, _ = make_files(tmp_path, seed=5)
+        cfg = PipelineConfig(bits=4, method=method, soft=SoftQuantConfig(iterations=5))
+        _, report = quantize_head(head, seqs, cfg)
+        kinds = {name: entry["kind"] for name, entry in report["projections"].items()}
+        if method in ("rtn", "optq"):
+            assert kinds == {"W_V": "other", "W_Q": "other", "W_K": "other"}
+        else:
+            assert kinds == {"W_V": "value", "W_Q": "query", "W_K": "key"}
+
     def test_default_config_records_order_vqk(self, tmp_path):
         head, seqs, _, _ = make_files(tmp_path, seed=6)
         for method in METHODS:  # the method alone picks each curvature; both keys are fixed
@@ -974,6 +987,22 @@ class TestCli:
              "--output", str(tmp_path / "q.json"), flag, value],
         )
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--bits", "3.7"), ("--bits", "5"), ("--iterations", "abc")],
+        ids=["float-bits", "unsupported-bits", "string-iterations"],
+    )
+    def test_quantize_rejects_malformed_flag_values(self, tmp_path, flag, value):
+        _, _, model, calib = make_files(tmp_path, seed=16)
+        out = tmp_path / "q.json"
+        res = CliRunner().invoke(
+            main,
+            ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out), flag, value],
+        )
+        assert res.exit_code == 2, res.output
+        assert flag in res.output
+        assert not out.exists()
 
     def test_trace_prefix_writes_csv(self, tmp_path):
         head, seqs, model, calib = make_files(tmp_path, seed=13)
