@@ -81,6 +81,8 @@ class PipelineConfig:
         if self.method not in METHODS:
             raise DataError(f"method must be one of {METHODS}, got '{self.method}'")
         letters = self.projections.upper()
+        if not letters:
+            raise DataError("projections must name at least one of V, Q and K; an empty set quantizes nothing")
         if sorted(letters) != sorted(set(letters)) or not set(letters) <= set("VQK"):
             raise DataError("projections must be a subset permutation of 'VQK'")
         self.projections = letters

@@ -15,7 +15,22 @@ The value, query and key problems share the statistics but not their
 unknowns, so one loop optimizes them together as a (P, d_h, d) stack: the
 elementwise work runs once over the stack, and each slab pays one
 left @ DW @ right product per step, which gives both its loss and its
-gradient.
+gradient. Consecutive slabs that share their right factor (Q and K share
+E[XX^T]) form a group whose products run as one batched (3-D) matmul per
+factor; a 3-D matmul runs the kernel of the 2-D product on each slab, so
+every slab gets the bits it gets alone. Scalar operands are 0-d float64
+arrays, which numpy dispatches faster than Python floats, with the same
+bits.
+
+The loop stops early once learned rounding is provably done: when every
+entry of the stack is clamped (h exactly 0 or 1, so dh/db is 0). A clamped
+entry's gradient is multiplied by its own zero dh/db, so it is 0 whatever
+the other entries do; Adam's first moment then only decays, keeping its
+sign, and the entry entered the clamp moving in the direction of that
+sign, so it moves deeper in or stays (each floating-point step is
+monotone). Once every entry is clamped, h never changes again: each later
+reconstruction repeats the last one bit for bit, each later regularizer is
+exactly 0 (|2h - 1|^beta = 1), and the hard assignment is final.
 """
 
 from __future__ import annotations
@@ -23,13 +38,14 @@ from __future__ import annotations
 import csv
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, NonFiniteRounding
 from .flops import FlopCounter, trace_loss_flops
-from .objectives import LossContext, weighted
+from .objectives import LossContext
 # Not called here; bound because bench/spans.py PATCHES wraps these names.
 from .objectives import loss, loss_gradient  # noqa: F401
 from .quantizer import QuantSpec, QuantizedWeight, rtn_quantize
@@ -57,6 +73,20 @@ BETA_END = 2.0
 BETA_ANNEAL_FRAC = 0.8
 # Iterations between two checks for a non-finite loss.
 CHECK_BLOCK = 100
+
+
+def _scalar(x: float) -> np.ndarray:
+    """``x`` as a read-only 0-d float64 array, the operand form that numpy
+    dispatches fastest; it gives the bits a Python float gives."""
+    a = np.array(x, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
+_ZERO, _ONE, _TWO, _MINUS_TWO = map(_scalar, (0.0, 1.0, 2.0, -2.0))
+_STRETCH, _GAMMA = _scalar(ZETA - GAMMA), _scalar(GAMMA)
+_BETA1, _BETA2, _EPS = _scalar(ADAM_BETA1), _scalar(ADAM_BETA2), _scalar(ADAM_EPS)
+_ONE_MINUS_BETA1, _ONE_MINUS_BETA2 = _scalar(1.0 - ADAM_BETA1), _scalar(1.0 - ADAM_BETA2)
 
 
 @dataclass
@@ -103,26 +133,30 @@ def rectified_sigmoid(b, out=None) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b, dtype=np.float64)
     h, dh_db, raw = out if out is not None else (np.empty_like(b) for _ in range(3))
     sig = h  # h holds sigmoid(b) until the clamp overwrites it
-    np.negative(b, out=sig)
-    np.exp(sig, out=sig)
-    sig += 1.0
-    np.divide(1.0, sig, out=sig)
-    np.multiply(sig, ZETA - GAMMA, out=raw)
-    raw += GAMMA
-    # dh/db = [0 < raw < 1] * (ZETA - GAMMA) * sig * (1 - sig), in that order
-    np.multiply((raw > 0.0) & (raw < 1.0), ZETA - GAMMA, out=dh_db)
-    dh_db *= sig
-    np.subtract(1.0, sig, out=sig)
-    dh_db *= sig
-    np.minimum(np.maximum(raw, 0.0, out=h), 1.0, out=h)  # clip(raw, 0, 1)
+    np.negative(b, sig)
+    np.exp(sig, sig)
+    np.add(sig, _ONE, sig)
+    np.divide(_ONE, sig, sig)
+    # dh/db = (ZETA - GAMMA) * sig * (1 - sig) * [0 < raw < 1], in that
+    # order; the 0/1 factor is exact wherever it is applied
+    np.multiply(sig, _STRETCH, dh_db)
+    np.add(dh_db, _GAMMA, raw)
+    np.subtract(_ONE, sig, sig)
+    np.multiply(dh_db, sig, dh_db)
+    np.multiply(dh_db, (raw > _ZERO) & (raw < _ONE), dh_db)
+    np.minimum(np.maximum(raw, _ZERO, out=h), _ONE, out=h)  # clip(raw, 0, 1)
     return h, dh_db
+
+
+def _check_beta(beta: float) -> None:
+    if not beta >= 1.0:
+        raise DataError(f"regularizer exponent beta must be >= 1, got {beta}")
 
 
 def rounding_regularizer(h: np.ndarray, lam: float, beta: float) -> np.ndarray:
     """lam * sum(1 - |2h - 1|^beta), taken per slab on a (P, d_h, d) stack;
     zero exactly when every h sits at 0 or 1. beta must be >= 1."""
-    if not beta >= 1.0:
-        raise DataError(f"regularizer exponent beta must be >= 1, got {beta}")
+    _check_beta(beta)
     term = np.multiply(h, 2.0)
     term -= 1.0
     np.abs(term, out=term)
@@ -136,23 +170,28 @@ def regularizer_gradient(h: np.ndarray, dh_db: np.ndarray, lam: float, beta: flo
     """Gradient of ``rounding_regularizer`` with respect to b, zero on the
     clamped (saturated) entries. ``work`` is an optional triple of float64
     arrays shaped like ``h``; the gradient is returned in the last one."""
-    if not beta >= 1.0:
-        raise DataError(f"regularizer exponent beta must be >= 1, got {beta}")
-    t, abs_t, grad = work if work is not None else (np.empty_like(h) for _ in range(3))
-    np.multiply(h, 2.0, out=t)
-    t -= 1.0
-    np.abs(t, out=abs_t)
+    _check_beta(beta)
+    work = work if work is not None else tuple(np.empty_like(h) for _ in range(3))
+    return _regularizer_gradient(h, dh_db, lam, beta - 1.0, -2.0 * beta, work)
+
+
+def _regularizer_gradient(h, dh_db, lam, exponent, factor, work) -> np.ndarray:
+    """``regularizer_gradient`` with beta given as ``exponent`` = beta - 1
+    and ``factor`` = -2 beta, into ``work[2]``."""
+    t, abs_t, grad = work
+    np.multiply(h, _TWO, t)
+    np.subtract(t, _ONE, t)
+    np.abs(t, abs_t)
     # d/dh [1 - |2h-1|^beta] = -2 beta |2h-1|^(beta-1) sign(2h-1), 0 at 2h = 1:
     # pow(+0, beta - 1) is +0 for beta > 1 and 1 for beta = 1, and the sign
     # factor +0 below turns either into a signed zero
-    np.copyto(grad, abs_t)
-    grad **= beta - 1.0
-    grad *= -2.0 * beta
+    np.power(abs_t, exponent, grad)
+    np.multiply(grad, factor, grad)
     # abs_t is dead here; an out-of-place sign is several times faster than
     # np.sign(t, out=t) on mixed-sign data, and gives the same values
-    grad *= np.sign(t, out=abs_t)
-    grad *= lam
-    grad *= dh_db
+    np.multiply(grad, np.sign(t, abs_t), grad)
+    np.multiply(grad, lam, grad)
+    np.multiply(grad, dh_db, grad)
     return grad
 
 
@@ -167,6 +206,13 @@ class RoundingStack:
     slabs may share a factor) and the work buffers of one step, so a step
     allocates no (P, d_h, d) array. Every argument needs one entry per slab;
     ``optimize_rounding``, which builds the stack, checks that.
+
+    ``groups`` splits the slabs into runs of consecutive slabs whose
+    contexts share one right factor (the same array) and agree on whether
+    their left factor is the identity. Each group is one (lefts, right,
+    delta, left_delta, product) tuple of the stacked left factors (None for
+    identity ones), the shared right factor and views of the step's
+    buffers, so that its products run as one batched matmul per factor.
     """
 
     def __init__(
@@ -201,7 +247,15 @@ class RoundingStack:
         self.ref = np.stack(ref)
         self.h, self.dh_db, self.delta, self.product = (np.empty_like(self.ref) for _ in range(4))
         self.work = tuple(np.empty_like(self.ref) for _ in range(3))
-        self.left_delta = np.empty(shape)
+        self.groups = []
+        start = 0
+        for _, run in groupby(self.ctx, key=lambda c: (id(c.right), c.identity_left)):
+            run = list(run)
+            views = slice(start, start + len(run))
+            lefts = None if run[0].identity_left else np.stack([c.left for c in run])
+            # work[1] is free while a step forms its products
+            self.groups.append((lefts, run[0].right, self.delta[views], self.work[1][views], self.product[views]))
+            start += len(run)
         # Flops of one iteration: one loss plus one gradient evaluation per
         # slab (the paper's cost model, which the fused step shares), then 6
         # elementwise operations per weight for the step and 10 for Adam.
@@ -209,7 +263,8 @@ class RoundingStack:
 
     def hard_assignment(self, b: np.ndarray) -> list[QuantizedWeight]:
         """The integer weights of logits ``b`` (h thresholded at 0.5)."""
-        h, _ = rectified_sigmoid(b)
+        with np.errstate(over="ignore"):  # exp(-b) = inf below b = -709 gives h = 0, the limit
+            h, _ = rectified_sigmoid(b)
         g = np.clip(self.base + (h >= 0.5), 0, self.grid_max)
         return [QuantizedWeight(w_int=g[p].astype(np.int64), spec=sp) for p, sp in enumerate(self.spec)]
 
@@ -231,24 +286,31 @@ def rounding_objective(
     loss = sum(G * delta) and its gradient -2G * s * [0 < g < grid_max] * dh/db
     for G = left @ delta @ right, plus the regularizer's gradient.
     """
+    _check_beta(beta)
+    return _objective(stack, b, lam, beta - 1.0, -2.0 * beta)
+
+
+def _objective(stack: RoundingStack, b, lam, exponent, factor) -> tuple[np.ndarray, np.ndarray]:
+    """``rounding_objective`` with beta given as the regularizer gradient's
+    ``exponent`` = beta - 1 and ``factor`` = -2 beta."""
     h, dh_db = rectified_sigmoid(b, out=(stack.h, stack.dh_db, stack.work[0]))
-    g = np.add(stack.base, h, out=stack.work[0])
-    inside = (g > 0.0) & (g < stack.grid_max)
-    np.minimum(np.maximum(g, 0.0, out=g), stack.grid_max, out=g)  # clip(g, 0, grid_max)
-    g -= stack.z
-    g *= stack.s
-    delta = np.subtract(stack.ref, g, out=stack.delta)
-    product = stack.product
-    for p, c in enumerate(stack.ctx):
-        weighted(c, delta[p], out=product[p], work=stack.left_delta)
-    reconstruction = _slab_sums(np.multiply(product, delta, out=stack.work[0]))
-    grad = product
-    grad *= -2.0  # the same bits as -(2.0 * G): both scalings are exact
-    grad *= stack.s
-    grad *= inside
-    grad *= dh_db
-    grad += regularizer_gradient(h, dh_db, lam, beta, work=stack.work)
-    return reconstruction, grad
+    g = np.add(stack.base, h, stack.work[0])
+    inside = (g > _ZERO) & (g < stack.grid_max)
+    np.minimum(np.maximum(g, _ZERO, out=g), stack.grid_max, out=g)  # clip(g, 0, grid_max)
+    np.subtract(g, stack.z, g)
+    np.multiply(g, stack.s, g)
+    delta = np.subtract(stack.ref, g, stack.delta)
+    for lefts, right, group_delta, left_delta, product in stack.groups:
+        if lefts is not None:
+            group_delta = np.matmul(lefts, group_delta, left_delta)
+        np.matmul(group_delta, right, product)
+    grad = stack.product
+    reconstruction = _slab_sums(np.multiply(grad, delta, stack.work[0]))
+    np.multiply(grad, _MINUS_TWO, grad)  # the same bits as -(2.0 * G): both scalings are exact
+    np.multiply(grad, stack.s, grad)
+    np.multiply(grad, inside, grad)
+    np.multiply(grad, dh_db, grad)
+    return reconstruction, np.add(grad, _regularizer_gradient(h, dh_db, lam, exponent, factor, stack.work), grad)
 
 
 def _write_trace(path: str | Path, reconstruction: list[float], regularizer: list[float]) -> None:
@@ -286,6 +348,14 @@ def optimize_rounding(
     BLAS thread count (seen at d = 128 and 768). ``iterations == 0`` returns
     the plain nearest-rounding results.
 
+    The loop stops after the first iteration at which every entry of every
+    slab is clamped (dh/db is 0 throughout; see the module docstring for
+    why no later iteration could change an h). The trace rows of the
+    iterations it skips repeat that iteration's row, as running them would.
+    ``counter`` counts the iterations that ran, each at the fixed
+    per-iteration count, so a slab rounded alone can count fewer than in a
+    stack: the stack runs until its last slab is clamped.
+
     Raises DataError before any work when lam times the larger of the
     weights per slab and 2 * BETA_START, the largest factor of the
     regularizer's gradient, overflows. Raises NonFiniteRounding, naming the
@@ -312,41 +382,63 @@ def optimize_rounding(
     v = np.zeros_like(b)
     step, m_hat, v_hat = stack.work
     traced = trace_csv is not None
-    recon = np.empty((cfg.iterations, len(b)))
-    reg = np.empty((cfg.iterations, len(b))) if traced else None
+    n = cfg.iterations
+    recon = np.empty((n, len(b)))
+    reg = np.empty((n, len(b))) if traced else None
+    # Each iteration's scalars, computed once per run, are read as 0-d views
+    # (a[it, ...]), the operand form that numpy dispatches fastest.
+    betas = np.fromiter((cfg.beta_at(it) for it in range(n)), np.float64, n)
+    exponents, factors = betas - 1.0, -2.0 * betas
+    correction1 = np.fromiter((1.0 - ADAM_BETA1 ** (it + 1) for it in range(n)), np.float64, n)
+    correction2 = np.fromiter((1.0 - ADAM_BETA2 ** (it + 1) for it in range(n)), np.float64, n)
+    lam, lr = _scalar(cfg.lam), _scalar(cfg.learning_rate)
+    done = False  # every entry clamped: no later iteration changes any h
+    # An entry seen unclamped (dh/db nonzero): while it stays so, one read
+    # rules the exit out. Once it clamps, argmax finds the entry farthest
+    # from its clamp (largest dh/db) or a NaN; a zero there means that every
+    # entry is clamped.
+    flat_dh_db, witness = stack.dh_db.reshape(-1), 0
     # A diverging run may overflow inside the loop. numpy stays quiet: the
     # checks after each block and after the loop are the guards.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, cfg.iterations, CHECK_BLOCK):
-            for it in range(start, min(start + CHECK_BLOCK, cfg.iterations)):
-                recon[it], grad = rounding_objective(stack, b, cfg.lam, cfg.beta_at(it))
+        for start in range(0, n, CHECK_BLOCK):
+            for it in range(start, min(start + CHECK_BLOCK, n)):
+                recon[it], grad = _objective(stack, b, lam, exponents[it, ...], factors[it, ...])
                 if traced:
                     reg[it] = rounding_regularizer(stack.h, cfg.lam, cfg.beta_at(it))
+                if not flat_dh_db[witness]:
+                    witness = np.argmax(flat_dh_db)
+                    if not flat_dh_db[witness]:
+                        done = True
+                        break
                 # m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
-                m *= ADAM_BETA1
-                m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
-                v *= ADAM_BETA2
-                np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
-                step *= grad
-                v += step
+                np.multiply(m, _BETA1, m)
+                np.add(m, np.multiply(grad, _ONE_MINUS_BETA1, step), m)
+                np.multiply(v, _BETA2, v)
+                np.multiply(grad, _ONE_MINUS_BETA2, step)
+                np.multiply(step, grad, step)
+                np.add(v, step, v)
                 # b -= lr * m_hat / (sqrt(v_hat) + eps)
-                np.divide(m, 1.0 - ADAM_BETA1 ** (it + 1), out=m_hat)
-                np.divide(v, 1.0 - ADAM_BETA2 ** (it + 1), out=v_hat)
-                np.sqrt(v_hat, out=v_hat)
-                v_hat += ADAM_EPS
-                m_hat *= cfg.learning_rate
-                m_hat /= v_hat
-                b -= m_hat
-            if not np.isfinite(recon[start : it + 1]).all():
+                np.divide(m, correction1[it, ...], m_hat)
+                np.divide(v, correction2[it, ...], v_hat)
+                np.sqrt(v_hat, v_hat)
+                np.add(v_hat, _EPS, v_hat)
+                np.multiply(m_hat, lr, m_hat)
+                np.divide(m_hat, v_hat, m_hat)
+                np.subtract(b, m_hat, b)
+            if done or not np.isfinite(recon[start : it + 1]).all():
                 break
     ran = it + 1
     if counter is not None:  # before the check: a run that raises counts the iterations it ran
         counter.add(ran * stack.iter_flops)
+    if done and traced:  # the rows that the skipped iterations would repeat
+        recon[ran:] = recon[it]
+        reg[ran:] = reg[it]
 
     # A non-finite value propagates into every later loss, or at last into
-    # the logits, which count only when every iteration ran.
+    # the logits, which count only when the loop ran to its end or exited.
     bad = ~np.isfinite(recon[:ran])
-    if ran == cfg.iterations:
+    if done or ran == n:
         bad[-1] |= ~np.isfinite(b).reshape(len(b), -1).all(axis=1)
     if bad.any():
         it, p = np.argwhere(bad)[0]

@@ -112,6 +112,20 @@ MUTANTS = (
            "SoftQuantConfig: share of the iterations that anneals the exponent"),
     Mutant("rounding.py", "h >= 0.5", "h > 0.5",
            "hard_assignment: an exact half rounds up"),
+    Mutant("pipeline.py", "if (reference.d, reference.d_h) != (quantized.d, quantized.d_h):", "if False:",
+           "evaluate_quantized: heads of one shape (a d_h 1 checkpoint against a d_h 4 model)"),
+    Mutant("pipeline.py", "        if not letters:\n", "        if False:\n",
+           "PipelineConfig: an empty projection set"),
+    Mutant("rounding.py", "witness = np.argmax(flat_dh_db)", "witness = np.argmin(flat_dh_db)",
+           "optimize_rounding: exits only once every entry is clamped"),
+    Mutant("rounding.py", "key=lambda c: (id(c.right), c.identity_left)", "key=lambda c: c.identity_left",
+           "RoundingStack: a batched group shares one right factor"),
+    Mutant("rounding.py", "if done or ran == n:", "if ran == n:",
+           "optimize_rounding: an early exit checks the final logits"),
+    Mutant("rounding.py", "recon[ran:] = recon[it]", "recon[ran:] = 0.0",
+           "optimize_rounding: an early exit fills the trace's remaining rows"),
+    Mutant("rounding.py", 'with np.errstate(over="ignore"):  # exp(-b)', 'with np.errstate(over="warn"):  # exp(-b)',
+           "hard_assignment: a logit below -709 thresholds without a warning"),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]

@@ -131,6 +131,8 @@ class TestPipeline:
             PipelineConfig(method="fancy")
         with pytest.raises(DataError):
             PipelineConfig(projections="VVQ")
+        with pytest.raises(DataError, match="at least one of V, Q and K"):
+            PipelineConfig(projections="")
 
     def test_one_reference_forward_per_sequence(self, monkeypatch):
         cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=20))
@@ -422,8 +424,8 @@ class TestStackedRounding:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"projections": "QK"}, {"projections": ""}],
-        ids=["default", "projections-QK", "no-projections"],
+        [{}, {"projections": "QK"}],
+        ids=["default", "projections-QK"],
     )
     def test_matches_per_projection_reference_runs(self, monkeypatch, tmp_path, overrides):
         head, seqs = generate_synthetic(21, 12, 4, 6, 8)
@@ -899,6 +901,27 @@ class TestCli:
         _, _, model, calib = make_files(tmp_path, seed=18)
         message = "projections must be a subset permutation of 'VQK'"
         self.check_quantize_refused(tmp_path, model, calib, ["--projections", "VVQ"], message)
+
+    def test_eval_refuses_a_checkpoint_of_another_head_dimension(self, tmp_path):
+        # both heads have d = 16, so attention_forward accepts either one;
+        # only the dimension check tells the d_h 1 checkpoint from the d_h 4 model
+        _, _, model, calib = make_files(tmp_path, seed=9, d=16, d_h=4)
+        narrow, narrow_seqs = generate_synthetic(9, 16, 1, 6, 8)
+        quantized = tmp_path / "narrow_q.json"
+        save_quantized(quantize_head(narrow, narrow_seqs, PipelineConfig(bits=2, method="rtn"))[0], quantized)
+        report = tmp_path / "r.json"
+        res = CliRunner().invoke(main, ["eval", "--model", str(model), "--quantized", str(quantized),
+                                        "--data", str(calib), "--report-out", str(report)])
+        assert res.exit_code == 3, res.output
+        assert res.stderr == "error: reference and quantized heads disagree on dimensions\n"
+        assert not report.exists()
+
+    def test_empty_projections_refused(self, tmp_path):
+        # quantizing nothing once exited 0 with a calibration error of 0.0
+        _, _, model, calib = make_files(tmp_path, seed=18)
+        args = ["--projections", "", "--trace-prefix", str(tmp_path / "tr"), "--report-out", str(tmp_path / "r.json")]
+        self.check_quantize_refused(tmp_path, model, calib, args, "projections must name at least one of V, Q and K")
+        assert not list(tmp_path.glob("tr*")) and not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("method", ["rtn", "optq", "aespa-noround"])
     def test_trace_prefix_refused_without_learned_rounding(self, tmp_path, method):

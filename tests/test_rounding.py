@@ -78,9 +78,11 @@ def reference_objective(b, w, spec, ctx, lam, beta, w_reference=None, counter=No
     return reconstruction, regularizer, grad_recon + grad_reg
 
 
-def reference_optimize_rounding(w, spec, ctx, cfg, w_reference=None, counter=None, trace_csv=None):
+def reference_optimize_rounding(w, spec, ctx, cfg, w_reference=None, counter=None, trace_csv=None, h_log=None):
     """The one-projection loop that the stacked loop replaced: separate loss
-    and gradient evaluations, freshly allocated arrays at every step."""
+    and gradient evaluations, freshly allocated arrays at every step, and
+    every iteration run (no early exit). ``h_log``, a list, receives each
+    iteration's h."""
     w = np.asarray(w, dtype=np.float64)
     if cfg.iterations == 0:
         return rtn_quantize(w, spec)
@@ -92,6 +94,8 @@ def reference_optimize_rounding(w, spec, ctx, cfg, w_reference=None, counter=Non
     v = np.zeros_like(b)
     trace = []
     for it in range(cfg.iterations):
+        if h_log is not None:
+            h_log.append(reference_rectified_sigmoid(b)[0])
         recon, reg, grad = reference_objective(
             b, w, spec, ctx, cfg.lam, cfg.beta_at(it), w_reference, counter
         )
@@ -372,46 +376,73 @@ class TestOptimizeRounding:
         assert wins >= 18
 
 
+def random_slabs(d, d_h, kinds, bits, seed):
+    """(w, spec, ctx, w_reference) lists of one random rounding problem per
+    kind. Q and K share E[XX^T] in the pipeline; here every query/key slab
+    shares one read-only right factor too, which the contexts alias."""
+    rng = rng_for(seed)
+    shared_right = random_psd(rng, d)
+    shared_right.setflags(write=False)
+    ws, specs, ctxs, refs = [], [], [], []
+    for kind, n_bits in zip(map(ProjectionKind, kinds), bits):
+        if kind in (ProjectionKind.QUERY, ProjectionKind.KEY):
+            ctx = LossContext(kind, random_psd(rng, d_h), shared_right)
+        else:
+            ctx = LossContext(kind, np.eye(d_h), random_psd(rng, d))
+        ref = rng.standard_normal((d_h, d))
+        ws.append(ref + 0.05 * rng.standard_normal((d_h, d)))  # a compensated warm start
+        specs.append(fit_step_size(ref, row_hessian(ctx), n_bits))
+        ctxs.append(ctx)
+        refs.append(ref)
+    return ws, specs, ctxs, refs
+
+
+def first_saturated(h_log) -> int | None:
+    """The first iteration of a reference run at which every h is exactly 0
+    or 1 (every entry clamped), or None."""
+    return next((it for it, h in enumerate(h_log) if np.isin(h, (0.0, 1.0)).all()), None)
+
+
+SLAB_KINDS = st.lists(st.sampled_from([k.value for k in ProjectionKind]), min_size=1, max_size=3)
+
+
 class TestStackedEqualsPerProjection:
-    """One stacked loop gives every slab the integers, trace rows and flop
-    count that the one-projection reference loop gives it alone, whether or
-    not the stacked loop writes traces."""
+    """One stacked loop gives every slab the integers and trace rows that
+    the one-projection reference loop gives it alone, whether or not the
+    stacked loop writes traces. The stacked loop stops after the first
+    iteration at which every entry of every slab is clamped, so its flop
+    count is the reference's per-iteration count times the iterations up to
+    that one, and the reference's total when some slab never saturates."""
 
     @settings(max_examples=60, deadline=None)
     @example(d=16, d_h=4, kinds=["value", "query", "key"], bits=[2, 2, 2], iterations=25,
-             lam=1.5, seed=0, traced=True)
+             learning_rate=0.015, lam=1.5, seed=0, traced=True)
     @example(d=16, d_h=4, kinds=["value", "query", "key"], bits=[2, 2, 2], iterations=25,
-             lam=1.5, seed=0, traced=False)
-    @example(d=1, d_h=1, kinds=["other"], bits=[8], iterations=0, lam=0.0, seed=1, traced=True)
+             learning_rate=0.015, lam=1.5, seed=0, traced=False)
+    # the batched query/key product at d_h = 1, where a 2-D stack of the
+    # slabs would change the BLAS kernel and the bits
+    @example(d=16, d_h=1, kinds=["query", "key"], bits=[2, 2, 2], iterations=25,
+             learning_rate=0.015, lam=1.5, seed=0, traced=True)
+    # the slabs saturate at iterations 17, 20 and 19, so the loop runs 21
+    @example(d=4, d_h=2, kinds=["value", "query", "key"], bits=[2, 3, 4], iterations=25,
+             learning_rate=0.5, lam=1.5, seed=1, traced=True)
+    @example(d=1, d_h=1, kinds=["other"], bits=[8], iterations=0, learning_rate=0.015, lam=0.0, seed=1,
+             traced=True)
     @given(
         d=st.integers(1, 24),
         d_h=st.integers(1, 6),
-        kinds=st.lists(st.sampled_from([k.value for k in ProjectionKind]), min_size=1, max_size=3),
+        kinds=SLAB_KINDS,
         bits=st.lists(st.sampled_from(VALID_BITS), min_size=3, max_size=3),
         iterations=st.integers(0, 25),
+        learning_rate=st.sampled_from([0.015, 0.5]),
         lam=st.sampled_from([0.0, 1.5, 1e6]) | st.floats(0.0, 10.0),
         seed=st.integers(0, 2**16),
         traced=st.booleans(),
     )
-    def test_stacked_equals_per_projection(self, d, d_h, kinds, bits, iterations, lam, seed, traced):
-        rng = rng_for(seed)
-        # Q and K share E[XX^T] in the pipeline; here every query/key slab
-        # shares one read-only right factor too, which the contexts alias.
-        shared_right = random_psd(rng, d)
-        shared_right.setflags(write=False)
-        ws, specs, ctxs, refs = [], [], [], []
-        for kind, n_bits in zip(map(ProjectionKind, kinds), bits):
-            if kind in (ProjectionKind.QUERY, ProjectionKind.KEY):
-                ctx = LossContext(kind, random_psd(rng, d_h), shared_right)
-            else:
-                ctx = LossContext(kind, np.eye(d_h), random_psd(rng, d))
-            ref = rng.standard_normal((d_h, d))
-            w = ref + 0.05 * rng.standard_normal((d_h, d))  # a compensated warm start
-            ws.append(w)
-            specs.append(fit_step_size(ref, row_hessian(ctx), n_bits))
-            ctxs.append(ctx)
-            refs.append(ref)
-        cfg = SoftQuantConfig(iterations=iterations, lam=lam)
+    def test_stacked_equals_per_projection(self, d, d_h, kinds, bits, iterations, learning_rate, lam, seed,
+                                           traced):
+        ws, specs, ctxs, refs = random_slabs(d, d_h, kinds, bits, seed)
+        cfg = SoftQuantConfig(iterations=iterations, learning_rate=learning_rate, lam=lam)
         with tempfile.TemporaryDirectory() as tmp:
             paths = [Path(tmp) / f"stacked_{p}.csv" for p in range(len(ws))]
             counter = FlopCounter()
@@ -420,11 +451,14 @@ class TestStackedEqualsPerProjection:
                 trace_csv=paths if traced else None,
             )
             reference_counter = FlopCounter()
+            saturated = []
             for p, (w, spec, ctx, ref) in enumerate(zip(ws, specs, ctxs, refs)):
                 path = Path(tmp) / f"reference_{p}.csv"
+                h_log = []
                 expected = reference_optimize_rounding(
-                    w, spec, ctx, cfg, ref, counter=reference_counter, trace_csv=path
+                    w, spec, ctx, cfg, ref, counter=reference_counter, trace_csv=path, h_log=h_log
                 )
+                saturated.append(first_saturated(h_log))
                 np.testing.assert_array_equal(stacked[p].w_int, expected.w_int)
                 assert stacked[p].spec is spec
                 if not iterations:
@@ -433,7 +467,10 @@ class TestStackedEqualsPerProjection:
                     assert paths[p].read_text() == path.read_text()
                 else:
                     assert not paths[p].exists()
-        assert counter.count == reference_counter.count
+        if None in saturated:
+            assert counter.count == reference_counter.count
+        else:
+            assert counter.count == (max(saturated) + 1) * (reference_counter.count // iterations)
 
     def test_rejects_mismatched_slabs(self):
         _, _, ctx, w, spec = value_setup()
@@ -459,6 +496,42 @@ class TestStackedEqualsPerProjection:
 
     def test_no_slabs_no_results(self):
         assert optimize_rounding([], [], [], SoftQuantConfig(iterations=3)) == []
+
+
+class TestEarlyExit:
+    """The loop stops after the first iteration at which every entry of the
+    stack is clamped, because no later iteration would change any h."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(d=4, d_h=2, kinds=["value", "query", "key"], bits=[2, 3, 4], learning_rate=0.5, lam=1.5, seed=1)
+    @given(
+        d=st.integers(1, 8),
+        d_h=st.integers(1, 3),
+        kinds=SLAB_KINDS,
+        bits=st.lists(st.sampled_from(VALID_BITS), min_size=3, max_size=3),
+        learning_rate=st.floats(0.2, 1.0),
+        lam=st.sampled_from([0.0, 1.5, 1e6]) | st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_continuing_after_the_exit_changes_no_h(self, d, d_h, kinds, bits, learning_rate, lam, seed):
+        ws, specs, ctxs, refs = random_slabs(d, d_h, kinds, bits, seed)
+        cfg = SoftQuantConfig(iterations=100, learning_rate=learning_rate, lam=lam)
+        counter = FlopCounter()
+        stacked = optimize_rounding(ws, specs, ctxs, cfg, w_reference=refs, counter=counter)
+        ran = counter.count // RoundingStack(ws, specs, ctxs, refs).iter_flops
+        # The reference loop runs every iteration, so past the stacked loop's
+        # exit it is the loop continued.
+        saturated = []
+        for qw, w, spec, ctx, ref in zip(stacked, ws, specs, ctxs, refs):
+            h_log = []
+            expected = reference_optimize_rounding(w, spec, ctx, cfg, ref, h_log=h_log)
+            np.testing.assert_array_equal(qw.w_int, expected.w_int)
+            first = first_saturated(h_log)
+            saturated.append(first)
+            if first is not None:
+                for h in h_log[first:]:
+                    np.testing.assert_array_equal(h, h_log[first])
+        assert ran == (cfg.iterations if None in saturated else max(saturated) + 1)
 
 
 class TestNonFinite:
@@ -561,6 +634,27 @@ class TestNonFinite:
             assert not isinstance(info.value, NumericalError)
             assert counter.count == 0
             assert not path.exists()
+
+    @pytest.mark.parametrize("learning_rate", [1e300, 1e308])
+    def test_an_early_exit_checks_the_final_logits(self, learning_rate):
+        # At rounding weight 1e6 every entry's first step is about the
+        # learning rate long, so every entry is clamped at iteration 1 and
+        # the loop stops there, after 2 of 5 iterations. At 1e308 the first
+        # step overflows and takes the logits to +-inf: the check of the
+        # final logits runs at the exit too, and names iteration 1.
+        rng = rng_for(5)
+        w = rng.standard_normal((2, 3))
+        spec = fit_step_size(w, np.eye(3), 2)
+        ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
+        cfg = SoftQuantConfig(iterations=5, learning_rate=learning_rate, lam=1e6)
+        counter = FlopCounter()
+        if learning_rate == 1e308:
+            with pytest.raises(NonFiniteRounding, match="iteration 1$"):
+                optimize_rounding([w], [spec], [ctx], cfg, counter=counter)
+        else:
+            (qw,) = optimize_rounding([w], [spec], [ctx], cfg, counter=counter)
+            assert qw.w_int.shape == w.shape
+        assert counter.count == 2 * RoundingStack([w], [spec], [ctx]).iter_flops
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     def test_final_logits_alone_non_finite_name_the_last_iteration(self, tmp_path, traced):
