@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages: ``gen`` writes a synthetic model and
 calibration data, ``quantize`` runs the quantization pipeline, ``eval``
 compares attention outputs on held-out data, ``flops`` prints the analytic
-cost model, and ``check`` runs the brute-force oracle checks shared with the
-acceptance suite.
+cost model, and ``check`` runs the ten acceptance criteria of
+``attnquant.checks``, the ones the acceptance suite runs.
 
 Exit codes: 0 success, 2 usage error, 3 bad input data, 4 numerical failure.
 """
@@ -174,8 +174,8 @@ def flops(d, d_h, length, batch, presets, csv_out):
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_surface_errors
 def check(seed):
-    """Run the brute-force oracle checks of acceptance criteria 2, 3, 4, 5, 7
-    and 10 and print one line per check; seed 0 draws the suite's instances."""
+    """Run the ten acceptance criteria and print one line per criterion, in
+    criterion order; seed 0 draws the suite's instances."""
     click.echo(f"oracle suite (seed {seed}; logits scaled by 1/sqrt(d_h), matching the forward pass)")
     results = run_all_checks(seed)
     width = max(len(r.name) for r in results)

@@ -14,7 +14,8 @@ class DataError(AttnQuantError):
 
 
 class NumericalError(AttnQuantError):
-    """Numerical contract violation: asymmetry, indefiniteness, NaN/Inf."""
+    """Numerical contract violation: NaN or Inf in an input, statistic or
+    result, a held-out norm too small to divide by, an oversized intermediate."""
 
 
 class NonFiniteRounding(NumericalError):

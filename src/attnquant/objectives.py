@@ -89,14 +89,13 @@ def as_delta(delta_w: np.ndarray, d_h: int, d: int) -> np.ndarray:
     return delta_w
 
 
-def weighted(ctx: LossContext, delta_w: np.ndarray, out=None, work=None) -> np.ndarray:
+def weighted(ctx: LossContext, delta_w: np.ndarray) -> np.ndarray:
     """left @ DW @ right, the product that the loss and its gradient are made
     of; the left product is skipped for the value and layer kinds, whose
-    left factor is the identity. ``out`` receives the result and ``work``
-    the left product, both d_h x d, when given."""
+    left factor is the identity."""
     if not ctx.identity_left:
-        delta_w = np.matmul(ctx.left, delta_w, out=work)
-    return np.matmul(delta_w, ctx.right, out=out)
+        delta_w = ctx.left @ delta_w
+    return delta_w @ ctx.right
 
 
 def loss(ctx: LossContext, delta_w: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 """One-line mutants of the guards and constants of the quantize path, each
 run against the tier-1 suite.
 
-    python tests/mutants.py            # every mutant, about 8 minutes on 2 cores
+    python tests/mutants.py            # every mutant, about 27 minutes on 2 cores
     python tests/mutants.py stats      # only mutants whose file or note holds "stats"
 
 For each mutant the script copies ``src/``, ``tests/``, ``bench/spans.py``
@@ -126,6 +126,8 @@ MUTANTS = (
            "optimize_rounding: an early exit fills the trace's remaining rows"),
     Mutant("rounding.py", 'with np.errstate(over="ignore"):  # exp(-b)', 'with np.errstate(over="warn"):  # exp(-b)',
            "hard_assignment: a logit below -709 thresholds without a warning"),
+    Mutant("linalg.py", "PROB_SUM_TOL = 1e-9", "PROB_SUM_TOL = 1e-1",
+           "softmax_jacobian_row: how far a probability row may sum from 1"),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]

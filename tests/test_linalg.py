@@ -35,6 +35,8 @@ class TestSoftmaxJacobianRow:
             softmax_jacobian_row(np.array([0.9, 0.2]))
         with pytest.raises(DataError):
             softmax_jacobian_row(np.array([1.2, -0.2]))
+        with pytest.raises(DataError):  # sums to 1 + 1e-6, far outside the tolerance
+            softmax_jacobian_row(np.array([0.5, 0.500001]))
 
 
 class TestKron:

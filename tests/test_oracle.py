@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from attnquant import oracle
+from attnquant.checks import rel_gap
 from attnquant.errors import DataError
 from attnquant.model import AttentionHead, CalibSequence, attention_forward, generate_synthetic
 from attnquant.objectives import ProjectionKind, context_for, loss
@@ -14,7 +15,7 @@ from attnquant.oracle import (
     upper_bound_ratio,
 )
 from attnquant.stats import accumulate_stats
-from conftest import rel_gap, rng_for
+from conftest import rng_for
 
 
 class TestExactError:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from attnquant import rounding
+from attnquant.checks import objective_gradient_gap, one_slab_objective, random_psd
 from attnquant.errors import DataError, NonFiniteRounding, NumericalError
 from attnquant.flops import FlopCounter, matmul_flops, trace_loss_flops
 from attnquant.model import generate_synthetic
@@ -43,7 +44,7 @@ from attnquant.rounding import (
     rounding_regularizer,
 )
 from attnquant.stats import accumulate_stats
-from conftest import objective_gradient_gap, one_slab_objective, random_psd, rng_for
+from conftest import rng_for
 
 
 def reference_rectified_sigmoid(b):
