@@ -95,7 +95,6 @@ def _given(**flags) -> dict:
 @click.option("--report-out", type=click.Path(dir_okay=False), default=None)
 @click.option("--bits", type=click.Choice(VALID_BITS), default=None)
 @click.option("--method", type=click.Choice(METHODS), default=None)
-@click.option("--projections", type=str, default=None, help="Subset of VQK to quantize, run in V, Q, K order.")
 @click.option("--iterations", type=int, default=None)
 @click.option("--learning-rate", type=float, default=None)
 @click.option("--rounding-weight", "lam", type=float, default=None)

@@ -44,6 +44,8 @@ def atomic_write_json(obj: dict, path: str | Path) -> None:
 
 
 def require_field(obj: dict, key: str, what: str):
+    if not isinstance(obj, dict):
+        raise DataError(f"{what}: expected a JSON object")
     if key not in obj:
         raise DataError(f"{what}: missing required field '{key}'")
     return obj[key]

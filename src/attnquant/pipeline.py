@@ -1,17 +1,18 @@
 """End-to-end quantization pipeline and evaluation reports.
 
-Each projection is quantized separately with the others held at full
-precision: statistics are accumulated once from the full-precision forward
-pass, whose outputs the report's exact errors reuse. Then grids are fitted
-against the row curvature, and integer warm starts are produced by column
-compensation, once per distinct curvature over the stacked rows of the
-projections that share it; for the learned method one loop then optimizes
-the rounding logits of all projections together, each under its own trace
-loss.
+Every head is quantized whole: W_V, W_Q and W_K, each under its own loss
+with the others held at full precision. Statistics are accumulated once
+from the full-precision forward pass, whose outputs the report's exact
+errors reuse. Then grids are fitted against the row curvature, and integer
+warm starts are produced by column compensation, once per distinct
+curvature over the stacked rows of the projections that share it; for the
+learned method one loop then optimizes the rounding logits of all
+projections together, each under its own trace loss.
 
 Method semantics:
   rtn            naive baseline: grid fitted by plain rounding error
-                 (identity curvature), nearest rounding
+                 (identity curvature), nearest rounding (column
+                 compensation under the identity moves no weight)
   optq           grid fitted against the layer curvature 2E[XX^T], then
                  column-compensated integer assignment
   aespa-noround  like optq but with the attention-aware per-projection
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import AttnQuantError, DataError, NonFiniteRounding, NumericalError
 from .flops import FlopCounter
 from .jsonio import atomic_write_json, load_json, require_field, require_int
-from .model import PROJECTIONS, AttentionHead, CalibSequence, attention_forward, json_matrix
+from .model import PROJECTIONS, AttentionHead, CalibSequence, attention_forward
 from .objectives import LossContext, ProjectionKind, context_for, loss, row_hessian
 from .oracle import output_errors
 from .quantizer import (
@@ -42,7 +43,6 @@ from .quantizer import (
     optq_compensate,
     quantized_from_json,
     quantized_to_json,
-    rtn_quantize,
 )
 from .rounding import SoftQuantConfig, optimize_rounding
 from .stats import accumulate_stats
@@ -72,7 +72,6 @@ _ATTENTION_KIND = {"W_V": ProjectionKind.VALUE, "W_Q": ProjectionKind.QUERY, "W_
 class PipelineConfig:
     bits: int = 4
     method: str = "aespa"
-    projections: str = "VQK"
     soft: SoftQuantConfig = field(default_factory=SoftQuantConfig)
 
     def __post_init__(self):
@@ -80,12 +79,6 @@ class PipelineConfig:
             raise DataError(f"bits must be one of {VALID_BITS}, got {self.bits}")
         if self.method not in METHODS:
             raise DataError(f"method must be one of {METHODS}, got '{self.method}'")
-        letters = self.projections.upper()
-        if not letters:
-            raise DataError("projections must name at least one of V, Q and K; an empty set quantizes nothing")
-        if sorted(letters) != sorted(set(letters)) or not set(letters) <= set("VQK"):
-            raise DataError("projections must be a subset permutation of 'VQK'")
-        self.projections = letters
 
 
 def _loss_kind(cfg: PipelineConfig, name: str) -> ProjectionKind:
@@ -106,7 +99,9 @@ def _warm_starts(
 ) -> tuple[dict[str, QuantizedWeight], dict[str, np.ndarray]]:
     """Fit each projection's grid, then return its warm-start integers and
     the column-compensated weights whose grid cells learned rounding starts
-    from (under rtn, the weights themselves), each keyed like ``weights``.
+    from, each keyed like ``weights``. Under rtn the curvature is the
+    identity, whose damped inverse has a diagonal factor: no column update
+    moves a weight, so the integers are nearest rounding's.
 
     Projections whose contexts share a right factor share a curvature (Q
     and K share E[XX^T]; under rtn and optq all three do). Grid fitting and
@@ -126,10 +121,7 @@ def _warm_starts(
             spec = fit_step_size(w, hessian, cfg.bits)
         except AttnQuantError as exc:
             raise type(exc)(f"{', '.join(_stage(cfg, name) for name in group)}: {exc}") from exc
-        if cfg.method == "rtn":
-            qw, comp = rtn_quantize(w, spec), w
-        else:
-            qw, comp = optq_compensate(w, hessian, spec)
+        qw, comp = optq_compensate(w, hessian, spec)
         splits = (np.split(a, len(group)) for a in (spec.scale, spec.zero_point, qw.w_int, comp))
         for name, scale, zero_point, w_int, rows in zip(group, *splits):
             quantized[name] = QuantizedWeight(w_int, QuantSpec(cfg.bits, scale, zero_point), qw.fallback_rtn)
@@ -144,18 +136,17 @@ def quantize_head(
     counter: FlopCounter | None = None,
     trace_prefix: str | Path | None = None,
 ) -> tuple[dict, dict]:
-    """Quantize the selected projections of ``head`` and return
-    (quantized checkpoint document, report document).
+    """Quantize W_V, W_Q and W_K of ``head`` and return (quantized
+    checkpoint document, report document).
 
     The report's exact attention errors come from one pass over the
     calibration sequences that keeps no per-sequence output, so memory does
-    not grow with their number. Quantizing V, Q and K costs 5 forwards per
+    not grow with their number. Quantizing a head costs 5 forwards per
     sequence: the statistics pass, the full-precision reference, one each
     for the head with only Q or only K dequantized, and one with the
     dequantized head (the head with only V dequantized shares the
-    reference's attention map). Quantizing V alone costs 2: the dequantized
-    head then shares that map too. Each exact error is that of the weights
-    the checkpoint holds. Each distinct curvature (Q and K share one) is
+    reference's attention map). Each exact error is that of the weights the
+    checkpoint holds. Each distinct curvature (Q and K share one) is
     fitted, factored and compensated once, over its group's stacked rows.
     Only aespa's learned rounding writes a loss trace per projection.
     """
@@ -167,7 +158,7 @@ def quantize_head(
     # distinct curvature over its projections' stacked rows. Each projection
     # holds the others at full precision, so the order in which they run
     # changes no result; it is fixed at V, Q, K.
-    names = [name for name in _ATTENTION_KIND if name[-1] in cfg.projections]  # W_V ends in V
+    names = list(_ATTENTION_KIND)
     weights = {name: head.projection(name) for name in names}
     contexts = {name: context_for(_loss_kind(cfg, name), stats) for name in names}
     quantized, compensated = _warm_starts(weights, contexts, cfg)
@@ -213,9 +204,7 @@ def quantize_head(
         "method": cfg.method,
         "order": "VQK",  # fixed; schema version 1 keeps the key
         "projections": {name: quantized_to_json(quantized[name]) for name in names},
-        "full_precision": {
-            name: head.projection(name).tolist() for name in _ATTENTION_KIND if name not in quantized
-        },
+        "full_precision": {},  # fixed; schema version 1 keeps the key
     }
     n = len(sequences)
     report_rows = {}
@@ -248,22 +237,21 @@ def _finite(value: float, field: str) -> float:
 
 
 def dequantized_head(doc: dict) -> AttentionHead:
-    """Materialize the dequantized head from a quantized checkpoint document."""
+    """Materialize the dequantized head from a quantized checkpoint document.
+
+    Every projection must be quantized. The ``full_precision`` block is not
+    read: a projection carried only there is refused as missing.
+    """
     what = "quantized checkpoint"
     d = require_int(doc, "d", what)
     d_h = require_int(doc, "d_h", what)
     projections = require_field(doc, "projections", what)
-    full = doc.get("full_precision", {})
     weights = {}
     for name in PROJECTIONS:
-        if name in projections:
-            weights[name] = dequantize(quantized_from_json(projections[name], f"{what}: {name}"))
-            if weights[name].shape != (d_h, d):
-                raise DataError(f"{what}: {name} has the wrong shape")
-        elif name in full:
-            weights[name] = json_matrix(full[name], f"{what}: full_precision: {name}", (d_h, d))
-        else:
-            raise DataError(f"{what}: projection '{name}' is neither quantized nor carried")
+        raw = require_field(projections, name, f"{what}: projections")
+        weights[name] = dequantize(quantized_from_json(raw, f"{what}: {name}"))
+        if weights[name].shape != (d_h, d):
+            raise DataError(f"{what}: {name} has the wrong shape")
     return AttentionHead.from_projections(d, d_h, weights)
 
 

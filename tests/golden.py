@@ -54,7 +54,6 @@ class Case:
     method: str
     bits: int = 2
     iterations: int = SoftQuantConfig.iterations
-    projections: str = "VQK"
     # Calibration entries are multiplied by this; 1e-160 puts every
     # curvature near the subnormal range, where compensation falls back.
     calib_scale: float = 1.0
@@ -62,13 +61,13 @@ class Case:
     @property
     def name(self) -> str:
         name = f"{self.d}x{self.d_h}-L{self.length}-n{self.n}-seed{self.seed}-{self.method}"
-        name += f"-{self.bits}bit-{self.iterations}it-{self.projections}"
+        # every case quantizes the whole head; the name keeps its -VQK suffix
+        name += f"-{self.bits}bit-{self.iterations}it-VQK"
         return name if self.calib_scale == 1.0 else f"{name}-calib{self.calib_scale:g}"
 
 
 CASES = (
     *(Case(seed, 16, 4, 8, 32, method) for seed in range(6) for method in METHODS),
-    *(Case(0, 16, 4, 8, 32, "aespa", projections=p) for p in ("QK", "K")),
     *(Case(seed, 128, 16, 64, 8, "aespa", bits=3, iterations=100) for seed in range(2)),
     Case(0, 768, 64, 32, 4, "aespa", bits=3, iterations=20),
     *(Case(1, 8, 2, 4, 3, method, iterations=20, calib_scale=1e-160) for method in ("optq", "aespa")),
@@ -96,7 +95,6 @@ def _run(case: Case, trace_dir: Path | None) -> dict:
     cfg = PipelineConfig(
         bits=case.bits,
         method=case.method,
-        projections=case.projections,
         soft=SoftQuantConfig(iterations=case.iterations),
     )
     counter = FlopCounter()

@@ -38,17 +38,19 @@ def test_record_matches_golden_digest(name):
     assert RECORDS[name]() == GOLDEN["cases"][name]
 
 
-def test_desk_key_case_stops_after_iteration_1606(tmp_path):
-    # Every entry of this case's logits is clamped at iteration 1606, so
-    # learned rounding runs 1607 of its 2000 iterations, at 6079 flops each,
-    # and the trace repeats row 1606 to the end with a regularizer of 0.
+def test_desk_case_stops_after_iteration_1606(tmp_path):
+    # Every entry of this case's stacked logits is clamped at iteration 1606,
+    # so learned rounding runs 1607 of its 2000 iterations, at 17341 flops
+    # each, and each projection's trace repeats row 1606 to the end with a
+    # regularizer of 0.
     require_golden_environment()
-    (case,) = [case for case in CASES if case.name == "16x4-L8-n32-seed0-aespa-2bit-2000it-K"]
-    assert _run(case, tmp_path)["flops"] == 1607 * 6079
-    rows = (tmp_path / "trace_W_K.csv").read_text().splitlines()[1:]
-    assert len(rows) == 2000
-    tail = {row.split(",", 1)[1] for row in rows[1606:]}
-    assert len(tail) == 1 and tail.pop().endswith(",0.0")
+    (case,) = [case for case in CASES if case.name == "16x4-L8-n32-seed0-aespa-2bit-2000it-VQK"]
+    assert _run(case, tmp_path)["flops"] == 1607 * 17341
+    for name in ("W_V", "W_Q", "W_K"):
+        rows = (tmp_path / f"trace_{name}.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2000
+        tail = {row.split(",", 1)[1] for row in rows[1606:]}
+        assert len(tail) == 1 and tail.pop().endswith(",0.0"), name
 
 
 def test_one_blas_thread_gives_the_golden_documents_and_reports():

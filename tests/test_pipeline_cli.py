@@ -93,16 +93,6 @@ class TestPipeline:
         _, r2 = quantize_head(head, seqs, cfg)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_projection_filter_carries_full_precision(self, tmp_path):
-        head, seqs, _, _ = make_files(tmp_path, seed=4)
-        cfg = PipelineConfig(bits=4, method="rtn", projections="VQ")
-        doc, report = quantize_head(head, seqs, cfg)
-        assert set(doc["projections"]) == {"W_V", "W_Q"}
-        assert set(doc["full_precision"]) == {"W_K"}
-        assert set(report["projections"]) == {"W_V", "W_Q"}
-        q_head = dequantized_head(doc)
-        np.testing.assert_array_equal(q_head.w_k, head.w_k)
-
     @pytest.mark.parametrize("method", METHODS)
     def test_projection_kind_reported(self, tmp_path, method):
         # the method alone picks each curvature: layer-wise methods fit every
@@ -118,21 +108,20 @@ class TestPipeline:
 
     def test_default_config_records_order_vqk(self, tmp_path):
         head, seqs, _, _ = make_files(tmp_path, seed=6)
-        for method in METHODS:  # the method alone picks each curvature; both keys are fixed
+        for method in METHODS:  # the method alone picks each curvature; these keys are fixed
             cfg = PipelineConfig(bits=4, method=method, soft=SoftQuantConfig(iterations=5))
             doc, report = quantize_head(head, seqs, cfg)
             assert doc["order"] == "VQK" and report["order"] == "VQK"
             assert report["value_kind"] == "value"
+            # every checkpoint holds the whole head quantized
+            assert list(doc["projections"]) == list(report["projections"]) == ["W_V", "W_Q", "W_K"]
+            assert doc["full_precision"] == {}
 
     def test_invalid_config_rejected(self):
         with pytest.raises(DataError):
             PipelineConfig(bits=5)
         with pytest.raises(DataError):
             PipelineConfig(method="fancy")
-        with pytest.raises(DataError):
-            PipelineConfig(projections="VVQ")
-        with pytest.raises(DataError, match="at least one of V, Q and K"):
-            PipelineConfig(projections="")
 
     def test_one_reference_forward_per_sequence(self, monkeypatch):
         cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=20))
@@ -159,38 +148,23 @@ class TestPipeline:
                     head, variant, seqs
                 )["mean_attention_error"]
 
-    @pytest.mark.parametrize("projection", ["V", "Q", "K"])
     @pytest.mark.parametrize("method", METHODS)
-    def test_single_projection_error_is_the_calibration_error(self, method, projection):
-        # With one projection quantized, its variant and the joint head are
-        # the same head, so the two errors must agree bit for bit. Before the
-        # variants were built from the checkpoint's own weights, 6 of these
-        # 120 runs differed in the last bit (optq, Q, seed 2, for one).
-        cfg = PipelineConfig(bits=2, method=method, projections=projection, soft=SoftQuantConfig(iterations=200))
+    def test_each_projection_error_is_its_variant_error(self, method):
+        # Each exact error is eval's error of the head with only that
+        # projection at the checkpoint's dequantized weights, and the joint
+        # error is eval's error of the whole dequantized checkpoint, bit for
+        # bit. Before the variants were built from the checkpoint's own
+        # weights, some of them differed in the last bit (optq, Q, seed 2).
+        cfg = PipelineConfig(bits=2, method=method, soft=SoftQuantConfig(iterations=200))
         for seed in range(10):
             head, seqs = generate_synthetic(seed, 16, 4, 8, 32)
-            _, report = quantize_head(head, seqs, cfg)
-            row = report["projections"][f"W_{projection}"]
-            assert row["exact_attention_error"] == report["calibration_attention_error"], seed
-
-    def test_value_only_run_shares_the_reference_map(self, monkeypatch):
-        # the joint head keeps the reference's W_Q and W_K arrays, so with V
-        # alone quantized only the stats pass and the reference run forwards
-        cfg = PipelineConfig(bits=2, method="aespa", projections="V", soft=SoftQuantConfig(iterations=20))
-        head, seqs = generate_synthetic(12, 8, 4, 6, 5)
-        calls = []
-
-        def counting(h, s, out=None):
-            calls.append(s)
-            return attention_forward(h, s, out=out)
-
-        with monkeypatch.context() as m:
-            for module in (stats_module, oracle, pipeline):
-                m.setattr(module, "attention_forward", counting)
             doc, report = quantize_head(head, seqs, cfg)
-        assert len(calls) == 2 * len(seqs)
-        joint = evaluate_quantized(head, dequantized_head(doc), seqs)
-        assert report["calibration_attention_error"] == joint["mean_attention_error"]
+            quantized = dequantized_head(doc)
+            for name in ("W_V", "W_Q", "W_K"):
+                variant = evaluate_quantized(head, head.replace(name, quantized.projection(name)), seqs)
+                assert report["projections"][name]["exact_attention_error"] == variant["mean_attention_error"]
+            joint = evaluate_quantized(head, quantized, seqs)
+            assert report["calibration_attention_error"] == joint["mean_attention_error"], seed
 
     def test_peak_memory_flat_in_sequence_count(self):
         # no per-sequence output is kept, so 4x the calibration and held-out
@@ -422,14 +396,9 @@ class TestStackedRounding:
             quantize_head(head, seqs, cfg)
         assert slabs_per_call == ([3, 3] if method == "aespa" else [])
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [{}, {"projections": "QK"}],
-        ids=["default", "projections-QK"],
-    )
-    def test_matches_per_projection_reference_runs(self, monkeypatch, tmp_path, overrides):
+    def test_matches_per_projection_reference_runs(self, monkeypatch, tmp_path):
         head, seqs = generate_synthetic(21, 12, 4, 6, 8)
-        cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=150), **overrides)
+        cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=150))
         runs = {}
         for label in ("stacked", "reference"):
             with monkeypatch.context() as m:
@@ -445,7 +414,7 @@ class TestStackedRounding:
             }
             runs[label] = (json.dumps(doc), json.dumps(report), traces, counter.count)
         assert runs["stacked"] == runs["reference"]
-        assert len(runs["stacked"][2]) == len(cfg.projections)
+        assert sorted(runs["stacked"][2]) == ["W_K.csv", "W_Q.csv", "W_V.csv"]
 
     def test_non_finite_rounding_names_the_projection(self, monkeypatch):
         overflowing_key_loss(monkeypatch)
@@ -467,19 +436,18 @@ class TestWarmStarts:
         d_h=st.integers(1, 4),
         bits=st.sampled_from(VALID_BITS),
         method=st.sampled_from(METHODS),
-        projections=st.sampled_from(["VQK", "VQ", "VK", "QK", "V", "Q", "K"]),
         calib_scale=st.sampled_from([1.0, 1e-160]),
     )
-    def test_stacked_groups_equal_per_projection_calls(
-        self, seed, d, d_h, bits, method, projections, calib_scale
-    ):
+    def test_stacked_groups_equal_per_projection_calls(self, seed, d, d_h, bits, method, calib_scale):
         # 1e-160 makes every curvature's factor non-finite, so compensation
-        # falls back to nearest rounding for the whole group
+        # falls back to nearest rounding for the whole group. Under rtn the
+        # pipeline compensates against the identity, which must give nearest
+        # rounding and leave the weights as they are.
         head, seqs = generate_synthetic(seed, d, d_h, 3, 4)
         seqs = [CalibSequence(s.x * calib_scale) for s in seqs]
-        cfg = PipelineConfig(bits=bits, method=method, projections=projections)
+        cfg = PipelineConfig(bits=bits, method=method)
         stats = stats_module.accumulate_stats(head, seqs)
-        names = [f"W_{letter}" for letter in "VQK" if letter in projections]
+        names = ["W_V", "W_Q", "W_K"]
         weights = {name: head.projection(name) for name in names}
         contexts = {name: context_for(pipeline._loss_kind(cfg, name), stats) for name in names}
         quantized, compensated = pipeline._warm_starts(weights, contexts, cfg)
@@ -517,14 +485,21 @@ class TestWarmStarts:
         assert len(rows) == calls and sum(rows) == 3 * head.d_h
 
     @pytest.mark.parametrize(
-        "method, projections, named",
-        [("optq", "VQK", "W_V (optq, other stage), W_Q (optq, other stage), W_K (optq, other stage)"),
-         ("aespa", "QK", "W_Q (aespa, query stage), W_K (aespa, key stage)")],
+        "method, named",
+        [("optq", "W_V (optq, other stage), W_Q (optq, other stage), W_K (optq, other stage)"),
+         ("aespa", "W_Q (aespa, query stage), W_K (aespa, key stage)")],
     )
-    def test_fit_error_names_every_projection_of_its_group(self, monkeypatch, method, projections, named):
-        monkeypatch.setattr(pipeline, "row_hessian", lambda ctx: np.full((ctx.right.shape[0],) * 2, np.inf))
+    def test_fit_error_names_every_projection_of_its_group(self, monkeypatch, method, named):
+        # every curvature but the attention-aware value one is poisoned, so
+        # under aespa W_V's fit succeeds and the Q/K group's fails
+        real = pipeline.row_hessian
+
+        def poisoned(ctx):
+            return real(ctx) if ctx.kind is ProjectionKind.VALUE else np.full((ctx.right.shape[0],) * 2, np.inf)
+
+        monkeypatch.setattr(pipeline, "row_hessian", poisoned)
         head, seqs = generate_synthetic(25, 8, 4, 6, 5)
-        cfg = PipelineConfig(bits=2, method=method, projections=projections)
+        cfg = PipelineConfig(bits=2, method=method)
         with pytest.raises(DataError) as info:
             quantize_head(head, seqs, cfg)
         assert str(info.value) == f"{named}: fit_step_size needs finite weights and curvature"
@@ -575,9 +550,7 @@ class TestWarmStarts:
         # overflows and the one factor that Q and K share is not finite
         head, seqs = generate_synthetic(1, 8, 2, 4, 3)
         seqs = [CalibSequence(s.x * 1e-160) for s in seqs]
-        cfg = PipelineConfig(
-            bits=2, method=method, projections="QK", soft=SoftQuantConfig(iterations=20)
-        )
+        cfg = PipelineConfig(bits=2, method=method, soft=SoftQuantConfig(iterations=20))
         doc, report = quantize_head(head, seqs, cfg)
         for name in ("W_Q", "W_K"):
             assert report["projections"][name]["fallback_rtn"] is True
@@ -837,12 +810,6 @@ class TestCli:
             ("model", ["W_Q", 0, 0], True, "checkpoint: field 'W_Q' must hold JSON numbers only"),
             ("model", ["W_V", 0, 0], "1.0", "checkpoint: field 'W_V' must hold JSON numbers only"),
             ("calib", ["sequences", 0, 0, 0], False, "calibration file: sequences[0] must hold JSON numbers only"),
-            ("quantized", ["full_precision", "W_K", 0, 0], True,
-             "quantized checkpoint: full_precision: W_K must hold JSON numbers only"),
-            ("quantized", ["full_precision", "W_K", 0, 0], "x",
-             "quantized checkpoint: full_precision: W_K must hold JSON numbers only"),
-            ("quantized", ["full_precision", "W_K", 0], [1.0],
-             "quantized checkpoint: full_precision: W_K must hold JSON numbers only"),
             ("quantized", ["projections", "W_V", "fallback_rtn"], "false",
              "quantized checkpoint: W_V: field 'fallback_rtn' must be a JSON boolean, got \"false\""),
             ("quantized", ["projections", "W_Q", "fallback_rtn"], 0,
@@ -855,21 +822,23 @@ class TestCli:
              "quantized checkpoint: W_V: w_int row count must match the spec's row count"),
             ("quantized", ["projections", "W_Q", "w_int"], [[1] * 7] * 4,
              "quantized checkpoint: W_Q has the wrong shape"),
+            ("quantized", ["projections"], 5,
+             "quantized checkpoint: projections: expected a JSON object"),
+            ("quantized", ["projections", "W_Q"], "W_Q",
+             "quantized checkpoint: W_Q: expected a JSON object"),
         ],
         ids=["d-string", "d_h-float", "L-string", "d-null", "quantized-d-string",
              "quantized-d_h-bool", "n_bits-float", "w_int-string", "w_int-float", "w_int-ragged",
              "zero_point-float", "scale-nan", "scale-string", "scale-bool", "w_int-bool",
              "zero_point-bool", "n_bits-100", "n_bits-5", "zero_point-off-grid", "w_int-off-grid",
-             "scale-negative", "W_Q-bool", "W_V-numeric-string", "sequence-bool", "full_precision-bool",
-             "full_precision-string", "full_precision-ragged", "fallback_rtn-string",
-             "fallback_rtn-int", "zero_point-length", "w_int-1d", "w_int-rows", "w_int-width"],
+             "scale-negative", "W_Q-bool", "W_V-numeric-string", "sequence-bool", "fallback_rtn-string",
+             "fallback_rtn-int", "zero_point-length", "w_int-1d", "w_int-rows", "w_int-width",
+             "projections-int", "W_Q-string"],
     )
     def test_malformed_numeric_fields_exit_code_three(self, tmp_path, target, path, value, message):
         head, seqs, model, calib = make_files(tmp_path, seed=18)
         files = {"model": model, "calib": calib, "quantized": tmp_path / "q.json"}
-        # W_K is carried at full precision, in the quantized checkpoint's full_precision block
-        quantize = ["quantize", "--model", str(model), "--calib", str(calib), "--method", "rtn",
-                    "--projections", "VQ"]
+        quantize = ["quantize", "--model", str(model), "--calib", str(calib), "--method", "rtn"]
         res = CliRunner().invoke(main, quantize + ["--output", str(files["quantized"])])
         assert res.exit_code == 0, res.output
         doc = json.loads(files[target].read_text())
@@ -903,11 +872,6 @@ class TestCli:
         {"model": model, "calib": calib}[target].write_text(content)
         self.check_quantize_refused(tmp_path, model, calib, [], message)
 
-    def test_refused_pipeline_config_exit_code_three(self, tmp_path):
-        _, _, model, calib = make_files(tmp_path, seed=18)
-        message = "projections must be a subset permutation of 'VQK'"
-        self.check_quantize_refused(tmp_path, model, calib, ["--projections", "VVQ"], message)
-
     def test_eval_refuses_a_checkpoint_of_another_head_dimension(self, tmp_path):
         # both heads have d = 16, so attention_forward accepts either one;
         # only the dimension check tells the d_h 1 checkpoint from the d_h 4 model
@@ -922,12 +886,21 @@ class TestCli:
         assert res.stderr == "error: reference and quantized heads disagree on dimensions\n"
         assert not report.exists()
 
-    def test_empty_projections_refused(self, tmp_path):
-        # quantizing nothing once exited 0 with a calibration error of 0.0
-        _, _, model, calib = make_files(tmp_path, seed=18)
-        args = ["--projections", "", "--trace-prefix", str(tmp_path / "tr"), "--report-out", str(tmp_path / "r.json")]
-        self.check_quantize_refused(tmp_path, model, calib, args, "projections must name at least one of V, Q and K")
-        assert not list(tmp_path.glob("tr*")) and not (tmp_path / "r.json").exists()
+    def test_eval_refuses_a_projection_carried_at_full_precision(self, tmp_path):
+        # an older build wrote a partly quantized checkpoint with W_K under
+        # full_precision; every projection must now be quantized
+        head, seqs, model, calib = make_files(tmp_path, seed=18)
+        quantized = tmp_path / "q.json"
+        doc, _ = quantize_head(head, seqs, PipelineConfig(bits=2, method="rtn"))
+        del doc["projections"]["W_K"]
+        doc["full_precision"] = {"W_K": head.w_k.tolist()}
+        save_quantized(doc, quantized)
+        report = tmp_path / "r.json"
+        res = CliRunner().invoke(main, ["eval", "--model", str(model), "--quantized", str(quantized),
+                                        "--data", str(calib), "--report-out", str(report)])
+        assert res.exit_code == 3, res.output
+        assert res.stderr == "error: quantized checkpoint: projections: missing required field 'W_K'\n"
+        assert not report.exists()
 
     @pytest.mark.parametrize("method", ["rtn", "optq", "aespa-noround"])
     def test_trace_prefix_refused_without_learned_rounding(self, tmp_path, method):
@@ -1011,8 +984,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag, value",
         [("--seed", "1"), ("--order", "VQK"), ("--stats-cache", "s.json"), ("--config", "c.json"),
-         ("--value-kind", "other")],
-        ids=["seed", "order", "stats-cache", "config", "value-kind"],
+         ("--value-kind", "other"), ("--projections", "VQ")],
+        ids=["seed", "order", "stats-cache", "config", "value-kind", "projections"],
     )
     def test_quantize_rejects_removed_flags(self, tmp_path, flag, value):
         head, seqs, model, calib = make_files(tmp_path, seed=16)
@@ -1022,6 +995,7 @@ class TestCli:
              "--output", str(tmp_path / "q.json"), flag, value],
         )
         assert res.exit_code == 2
+        assert not (tmp_path / "q.json").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -1048,11 +1022,11 @@ class TestCli:
             [
                 "quantize", "--model", str(model), "--calib", str(calib),
                 "--output", str(out), "--bits", "2", "--method", "aespa",
-                "--iterations", "5", "--projections", "V", "--trace-prefix", str(prefix),
+                "--iterations", "5", "--trace-prefix", str(prefix),
             ],
         )
         assert res.exit_code == 0, res.output
-        assert (tmp_path / "trace_W_V.csv").exists()
+        assert sorted(p.name for p in tmp_path.glob("trace_*")) == ["trace_W_K.csv", "trace_W_Q.csv", "trace_W_V.csv"]
 
 
 class TestSeedSweep:
@@ -1087,9 +1061,3 @@ class TestQuantizedCheckpointIO:
         with pytest.raises(DataError):
             load_quantized(path)
 
-    def test_missing_projection_rejected(self):
-        with pytest.raises(DataError, match="W_K"):
-            dequantized_head(
-                {"d": 4, "d_h": 2, "projections": {}, "full_precision": {
-                    "W_Q": [[0.0] * 4] * 2, "W_V": [[0.0] * 4] * 2}}
-            )

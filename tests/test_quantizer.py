@@ -296,6 +296,24 @@ class TestFitStepSize:
         spec = assert_matches_reference(w, np.eye(6), 3)
         np.testing.assert_array_equal(spec.scale, _candidate_grids(w, 3)[0][:, -1])
 
+    def test_screen_value_that_overflows_rules_nothing_out(self):
+        # Under this indefinite curvature the first candidate's (ratio 0.4)
+        # error products are p0 = 7.8e307, p2 = -2.0e307 and p3 = -1.6e308.
+        # The screen's pairwise sum adds p2 + p3 first, which overflows to
+        # -inf. Summed in index order, as a BLAS dot sums short vectors,
+        # err @ H @ err is a finite -1.03e308, and the sixth candidate wins.
+        # A -inf screen value bounds nothing, so the row keeps every
+        # candidate: kept as -inf, it would rule out every candidate with a
+        # finite screen value, the winner too.
+        w = np.array([[-2.0, 0.0, 1.0, 1.875, 0.0, 0.0, 0.0, 0.0]])
+        h = np.diag([2.0**1023, 0.0, -(2.0**1023), -(2.0**1023), 0.0, 0.0, 0.0, 0.0])
+        scale, zero_point = _candidate_grids(w, 2)
+        errors = quantizer._candidate_errors(w[0], scale[0], zero_point[0], 3)
+        with np.errstate(over="ignore"):
+            screen, _ = quantizer._screen_values(errors, h, 0.0, 0.0)
+        assert screen[0] == -np.inf and np.isfinite(screen[1:]).all()
+        assert_matches_reference(w, h, 2)
+
     def test_zero_hessian_ties_every_candidate_and_the_largest_scale_wins(self):
         w = rng_for(12).standard_normal((3, 10))
         w[1] = 0.0
