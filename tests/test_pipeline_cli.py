@@ -148,23 +148,66 @@ class TestPipeline:
                     head, variant, seqs
                 )["mean_attention_error"]
 
+    @pytest.mark.parametrize("projection", ["V", "Q", "K"])
     @pytest.mark.parametrize("method", METHODS)
-    def test_each_projection_error_is_its_variant_error(self, method):
+    def test_each_projection_error_is_its_variant_error(self, method, projection):
         # Each exact error is eval's error of the head with only that
-        # projection at the checkpoint's dequantized weights, and the joint
-        # error is eval's error of the whole dequantized checkpoint, bit for
-        # bit. Before the variants were built from the checkpoint's own
-        # weights, some of them differed in the last bit (optq, Q, seed 2).
+        # projection at the checkpoint's dequantized weights, bit for bit.
+        # Before the variants were built from the checkpoint's own weights,
+        # some of them differed in the last bit (optq, Q, seed 2).
+        cfg = PipelineConfig(bits=2, method=method, soft=SoftQuantConfig(iterations=200))
+        name = f"W_{projection}"
+        for seed in range(10):
+            head, seqs = generate_synthetic(seed, 16, 4, 8, 32)
+            doc, report = quantize_head(head, seqs, cfg)
+            variant = head.replace(name, dequantized_head(doc).projection(name))
+            error = evaluate_quantized(head, variant, seqs)["mean_attention_error"]
+            assert report["projections"][name]["exact_attention_error"] == error, seed
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_calibration_error_is_the_checkpoint_eval_error(self, method):
+        # the joint error is eval's error of the whole dequantized
+        # checkpoint, bit for bit
         cfg = PipelineConfig(bits=2, method=method, soft=SoftQuantConfig(iterations=200))
         for seed in range(10):
             head, seqs = generate_synthetic(seed, 16, 4, 8, 32)
             doc, report = quantize_head(head, seqs, cfg)
-            quantized = dequantized_head(doc)
-            for name in ("W_V", "W_Q", "W_K"):
-                variant = evaluate_quantized(head, head.replace(name, quantized.projection(name)), seqs)
-                assert report["projections"][name]["exact_attention_error"] == variant["mean_attention_error"]
-            joint = evaluate_quantized(head, quantized, seqs)
+            joint = evaluate_quantized(head, dequantized_head(doc), seqs)
             assert report["calibration_attention_error"] == joint["mean_attention_error"], seed
+
+    def test_value_only_head_shares_the_reference_map(self, monkeypatch):
+        # A partly quantized head is built in the library. The head with only
+        # W_V dequantized keeps the reference's W_Q and W_K arrays, so eval
+        # forwards the reference alone, and its error is the report's W_V error.
+        cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=20))
+        head, seqs = generate_synthetic(12, 8, 4, 6, 5)
+        doc, report = quantize_head(head, seqs, cfg)
+        value_only = head.replace("W_V", dequantized_head(doc).projection("W_V"))
+        calls = []
+
+        def counting(h, s, out=None):
+            calls.append(s)
+            return attention_forward(h, s, out=out)
+
+        with monkeypatch.context() as m:
+            for module in (oracle, pipeline):
+                m.setattr(module, "attention_forward", counting)
+            error = evaluate_quantized(head, value_only, seqs)["mean_attention_error"]
+        assert len(calls) == len(seqs)
+        assert error == report["projections"]["W_V"]["exact_attention_error"]
+
+    def test_partly_quantized_head_from_the_library(self, tmp_path):
+        # quantize writes the whole head; a head with W_K at full precision
+        # is built from the checkpoint and evaluated in the library
+        head, seqs, _, _ = make_files(tmp_path, seed=4)
+        doc, report = quantize_head(head, seqs, PipelineConfig(bits=4, method="rtn"))
+        quantized = dequantized_head(doc)
+        partial = head.replace("W_V", quantized.w_v).replace("W_Q", quantized.w_q)
+        assert partial.w_k is head.w_k
+        np.testing.assert_array_equal(partial.w_q, quantized.w_q)
+        partial_error = evaluate_quantized(head, partial, seqs)["mean_attention_error"]
+        assert 0 < partial_error < np.inf
+        assert partial_error != report["calibration_attention_error"]
 
     def test_peak_memory_flat_in_sequence_count(self):
         # no per-sequence output is kept, so 4x the calibration and held-out
@@ -396,9 +439,10 @@ class TestStackedRounding:
             quantize_head(head, seqs, cfg)
         assert slabs_per_call == ([3, 3] if method == "aespa" else [])
 
-    def test_matches_per_projection_reference_runs(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("bits", [2, 3], ids=["bits-2", "bits-3"])
+    def test_matches_per_projection_reference_runs(self, monkeypatch, tmp_path, bits):
         head, seqs = generate_synthetic(21, 12, 4, 6, 8)
-        cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=150))
+        cfg = PipelineConfig(bits=bits, method="aespa", soft=SoftQuantConfig(iterations=150))
         runs = {}
         for label in ("stacked", "reference"):
             with monkeypatch.context() as m:
@@ -886,21 +930,29 @@ class TestCli:
         assert res.stderr == "error: reference and quantized heads disagree on dimensions\n"
         assert not report.exists()
 
-    def test_eval_refuses_a_projection_carried_at_full_precision(self, tmp_path):
-        # an older build wrote a partly quantized checkpoint with W_K under
-        # full_precision; every projection must now be quantized
+    @pytest.mark.parametrize("name", ["W_V", "W_Q", "W_K"])
+    def test_eval_refuses_a_projection_carried_at_full_precision(self, tmp_path, name):
+        # an older build wrote a partly quantized checkpoint with a projection
+        # under full_precision; every projection must now be quantized
         head, seqs, model, calib = make_files(tmp_path, seed=18)
         quantized = tmp_path / "q.json"
         doc, _ = quantize_head(head, seqs, PipelineConfig(bits=2, method="rtn"))
-        del doc["projections"]["W_K"]
-        doc["full_precision"] = {"W_K": head.w_k.tolist()}
+        del doc["projections"][name]
+        doc["full_precision"] = {name: head.projection(name).tolist()}
         save_quantized(doc, quantized)
         report = tmp_path / "r.json"
         res = CliRunner().invoke(main, ["eval", "--model", str(model), "--quantized", str(quantized),
                                         "--data", str(calib), "--report-out", str(report)])
         assert res.exit_code == 3, res.output
-        assert res.stderr == "error: quantized checkpoint: projections: missing required field 'W_K'\n"
+        assert res.stderr == f"error: quantized checkpoint: projections: missing required field '{name}'\n"
         assert not report.exists()
+
+    def test_refused_pipeline_config_exit_code_three(self, tmp_path):
+        # a refused configuration writes no checkpoint, trace or report
+        _, _, model, calib = make_files(tmp_path, seed=18)
+        args = ["--iterations", "-1", "--trace-prefix", str(tmp_path / "tr"), "--report-out", str(tmp_path / "r.json")]
+        self.check_quantize_refused(tmp_path, model, calib, args, "iterations must be >= 0")
+        assert not list(tmp_path.glob("tr*")) and not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("method", ["rtn", "optq", "aespa-noround"])
     def test_trace_prefix_refused_without_learned_rounding(self, tmp_path, method):
@@ -1054,6 +1106,13 @@ class TestQuantizedCheckpointIO:
         h1 = dequantized_head(doc)
         h2 = dequantized_head(loaded)
         np.testing.assert_array_equal(h1.w_v, h2.w_v)
+
+    def test_missing_projection_rejected(self, tmp_path):
+        head, seqs, _, _ = make_files(tmp_path, seed=14)
+        doc, _ = quantize_head(head, seqs, PipelineConfig(bits=4, method="rtn"))
+        del doc["projections"]["W_K"]
+        with pytest.raises(DataError, match="W_K"):
+            dequantized_head(doc)
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "q.json"
