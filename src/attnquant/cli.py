@@ -96,13 +96,11 @@ def _given(**flags) -> dict:
 @click.option("--bits", type=click.Choice(VALID_BITS), default=None)
 @click.option("--method", type=click.Choice(METHODS), default=None)
 @click.option("--iterations", type=int, default=None)
-@click.option("--learning-rate", type=float, default=None)
-@click.option("--rounding-weight", "lam", type=float, default=None)
 @click.option("--trace-prefix", type=str, default=None, help="Write per-projection loss traces as CSV (aespa only).")
 @_surface_errors
-def quantize(model, calib, output, report_out, trace_prefix, iterations, learning_rate, lam, **flags):
+def quantize(model, calib, output, report_out, trace_prefix, iterations, **flags):
     """Quantize a checkpoint against a calibration set."""
-    soft = SoftQuantConfig(**_given(iterations=iterations, learning_rate=learning_rate, lam=lam))
+    soft = SoftQuantConfig(**_given(iterations=iterations))
     cfg = PipelineConfig(**_given(**flags), soft=soft)
     head = load_checkpoint(model)
     seqs = load_calibration(calib)

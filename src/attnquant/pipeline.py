@@ -148,10 +148,13 @@ def quantize_head(
     reference's attention map). Each exact error is that of the weights the
     checkpoint holds. Each distinct curvature (Q and K share one) is
     fitted, factored and compensated once, over its group's stacked rows.
-    Only aespa's learned rounding writes a loss trace per projection.
+    Only aespa's learned rounding, run for at least one iteration, writes a
+    loss trace per projection.
     """
     if trace_prefix is not None and cfg.method != "aespa":
         raise DataError(f"trace_prefix: method {cfg.method} does no learned rounding, so it has no loss trace")
+    if trace_prefix is not None and cfg.soft.iterations == 0:
+        raise DataError("trace_prefix: learned rounding runs 0 iterations, so it has no loss trace")
     stats = accumulate_stats(head, sequences)
 
     # Phase 1: a grid fit and the column-compensated warm starts, once per
@@ -249,7 +252,8 @@ def dequantized_head(doc: dict) -> AttentionHead:
     weights = {}
     for name in PROJECTIONS:
         raw = require_field(projections, name, f"{what}: projections")
-        weights[name] = dequantize(quantized_from_json(raw, f"{what}: {name}"))
+        with np.errstate(over="ignore"):  # AttentionHead refuses a weight that overflows
+            weights[name] = dequantize(quantized_from_json(raw, f"{what}: {name}"))
         if weights[name].shape != (d_h, d):
             raise DataError(f"{what}: {name} has the wrong shape")
     return AttentionHead.from_projections(d, d_h, weights)

@@ -60,6 +60,11 @@ __all__ = [
     "optimize_rounding",
 ]
 
+# The learned-rounding recipe of AdaRound (arXiv 2004.10568). Every constant
+# here is fixed; the iteration count (SoftQuantConfig) is the one setting.
+# Adam's step size, and lambda, the weight of the rounding regularizer.
+LEARNING_RATE = 0.015
+ROUNDING_WEIGHT = 1.5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -91,24 +96,17 @@ _ONE_MINUS_BETA1, _ONE_MINUS_BETA2 = _scalar(1.0 - ADAM_BETA1), _scalar(1.0 - AD
 
 @dataclass
 class SoftQuantConfig:
-    """Hyperparameters of the rounding optimization.
-
-    Defaults: 2000 iterations, learning rate 0.015, rounding-loss weight
-    1.5. The sigmoid stretch and the annealed regularizer exponent are the
-    module constants above (the usual learned-rounding recipe).
+    """The one setting of the rounding optimization: its iteration count
+    (default 2000). The learning rate, the rounding weight, the sigmoid
+    stretch, the annealed regularizer exponent and Adam's constants are the
+    module constants above.
     """
 
     iterations: int = 2000
-    learning_rate: float = 0.015
-    lam: float = 1.5
 
     def __post_init__(self):
         if self.iterations < 0:
             raise DataError("iterations must be >= 0")
-        if not 0 < self.learning_rate < np.inf:
-            raise DataError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0 <= self.lam < np.inf:
-            raise DataError(f"lam (rounding weight) must be >= 0 and finite, got {self.lam}")
 
     def beta_at(self, iteration: int) -> float:
         """Regularizer exponent at ``iteration`` of this schedule."""
@@ -166,12 +164,11 @@ def rounding_regularizer(h: np.ndarray, lam: float, beta: float) -> np.ndarray:
     return lam * _slab_sums(term)
 
 
-def regularizer_gradient(h: np.ndarray, dh_db: np.ndarray, lam: float, beta: float, work=None) -> np.ndarray:
+def regularizer_gradient(h: np.ndarray, dh_db: np.ndarray, lam: float, beta: float) -> np.ndarray:
     """Gradient of ``rounding_regularizer`` with respect to b, zero on the
-    clamped (saturated) entries. ``work`` is an optional triple of float64
-    arrays shaped like ``h``; the gradient is returned in the last one."""
+    clamped (saturated) entries."""
     _check_beta(beta)
-    work = work if work is not None else tuple(np.empty_like(h) for _ in range(3))
+    work = [np.empty_like(h) for _ in range(3)]
     return _regularizer_gradient(h, dh_db, lam, beta - 1.0, -2.0 * beta, work)
 
 
@@ -336,7 +333,9 @@ def optimize_rounding(
 ) -> list[QuantizedWeight]:
     """Optimize the rounding logits of every slab with one adaptive-moment
     gradient descent loop and return the hard assignments (h thresholded at
-    0.5), in the order of ``w``.
+    0.5), in the order of ``w``. ``cfg`` gives the iteration count; the
+    step size and the regularizer's weight are LEARNING_RATE and
+    ROUNDING_WEIGHT, read at each call.
 
     The slabs are independent problems: each gets the integers, and its
     ``trace_csv`` entry the per-iteration (total, reconstruction,
@@ -356,26 +355,19 @@ def optimize_rounding(
     per-iteration count, so a slab rounded alone can count fewer than in a
     stack: the stack runs until its last slab is clamped.
 
-    Raises DataError before any work when lam times the larger of the
-    weights per slab and 2 * BETA_START, the largest factor of the
-    regularizer's gradient, overflows. Raises NonFiniteRounding, naming the
-    slab and the first iteration, when a slab's loss or final logits are
-    not finite; such a run stops at the end of the first block of
-    CHECK_BLOCK iterations that holds a non-finite loss.
-    The regularizer's value, computed only for a trace, then lies in [0, lam
-    * weights] unless some h is NaN, which makes the slab's reconstruction
-    NaN in the same iteration: traced or not, the check names the same one.
+    Raises NonFiniteRounding, naming the slab and the first iteration, when
+    a slab's loss or final logits are not finite; such a run stops at the
+    end of the first block of CHECK_BLOCK iterations that holds a
+    non-finite loss. The regularizer's value, computed only for a trace,
+    lies in [0, ROUNDING_WEIGHT * weights] unless some h is NaN, which makes
+    the slab's reconstruction NaN in the same iteration: traced or not, the
+    check names the same one.
     """
     # zip would silently drop the slabs past the shortest argument
     if any(arg is not None and len(arg) != len(w) for arg in (spec, ctx, w_reference, trace_csv)):
         raise DataError("spec, ctx, w_reference and trace_csv need one entry per slab of w")
     if cfg.iterations == 0 or len(w) == 0:
         return [rtn_quantize(x, sp) for x, sp in zip(w, spec)]
-    # A rounded product is monotone in its multiplier: this refuses lam when either product overflows.
-    factor = max(np.size(w[0]), 2 * BETA_START)
-    if not np.isfinite(cfg.lam * factor):
-        raise DataError(f"lam (rounding weight) {cfg.lam!r} times max(weights per slab, the regularizer "
-                        f"gradient's 2 * beta) = {factor:g} overflows")
     stack = RoundingStack(w, spec, ctx, w_reference)
     b = stack.logits
     m = np.zeros_like(b)
@@ -391,7 +383,7 @@ def optimize_rounding(
     exponents, factors = betas - 1.0, -2.0 * betas
     correction1 = np.fromiter((1.0 - ADAM_BETA1 ** (it + 1) for it in range(n)), np.float64, n)
     correction2 = np.fromiter((1.0 - ADAM_BETA2 ** (it + 1) for it in range(n)), np.float64, n)
-    lam, lr = _scalar(cfg.lam), _scalar(cfg.learning_rate)
+    lam, lr = _scalar(ROUNDING_WEIGHT), _scalar(LEARNING_RATE)
     done = False  # every entry clamped: no later iteration changes any h
     # An entry seen unclamped (dh/db nonzero): while it stays so, one read
     # rules the exit out. Once it clamps, argmax finds the entry farthest
@@ -405,7 +397,7 @@ def optimize_rounding(
             for it in range(start, min(start + CHECK_BLOCK, n)):
                 recon[it], grad = _objective(stack, b, lam, exponents[it, ...], factors[it, ...])
                 if traced:
-                    reg[it] = rounding_regularizer(stack.h, cfg.lam, cfg.beta_at(it))
+                    reg[it] = rounding_regularizer(stack.h, ROUNDING_WEIGHT, cfg.beta_at(it))
                 if not flat_dh_db[witness]:
                     witness = np.argmax(flat_dh_db)
                     if not flat_dh_db[witness]:

@@ -103,13 +103,19 @@ def _run(case: Case, trace_dir: Path | None) -> dict:
     return {"doc": _json_digest(doc), "report": _json_digest(report), "flops": counter.count}
 
 
+def check_output_digest(stdout: str) -> str:
+    """The golden record of what ``attnquant check --seed 0`` printed."""
+    return _sha256(stdout.encode())
+
+
 def _check_output_digest() -> str:
     res = CliRunner().invoke(cli_main, ["check", "--seed", "0"])
     assert res.exit_code == 0, res.output
-    return _sha256(res.stdout.encode())
+    return check_output_digest(res.stdout)
 
 
 # Golden records that are not quantize_head cases: name -> digest function.
+# The tests read check-seed0 from the suite's shared check run instead.
 RECORDS = {
     "check-seed0": _check_output_digest,
     "cost-table": lambda: _json_digest(cost_table()),

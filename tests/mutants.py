@@ -85,8 +85,6 @@ MUTANTS = (
            "optimize_rounding: a traced run writes its trace CSVs"),
     Mutant("rounding.py", "CHECK_BLOCK = 100", "CHECK_BLOCK = 1000",
            "optimize_rounding: iterations between two non-finite checks"),
-    Mutant("rounding.py", "if not np.isfinite(cfg.lam * factor):", "if False:",
-           "optimize_rounding: rounding weight that overflows"),
     Mutant("pipeline.py", "if ref_norm == 0 and any(", "if False and any(",
            "evaluate_quantized: reference norm that underflows"),
     Mutant("pipeline.py", "if 0 < ref_norm < np.finfo(np.float64).tiny:", "if False:",
@@ -98,6 +96,11 @@ MUTANTS = (
            "_loss_kind: optq fits against the layer curvature"),
     Mutant("pipeline.py", 'if trace_prefix is not None and cfg.method != "aespa":', "if False:",
            "quantize_head: a loss trace needs learned rounding"),
+    Mutant("pipeline.py", "if trace_prefix is not None and cfg.soft.iterations == 0:", "if False:",
+           "quantize_head: a loss trace needs at least one iteration"),
+    Mutant("pipeline.py", 'with np.errstate(over="ignore"):  # AttentionHead refuses',
+           'with np.errstate(over="warn"):  # AttentionHead refuses',
+           "dequantized_head: a scale that overflows the weights is refused without a warning"),
     Mutant("cli.py", "if presets or csv_out is not None:", "if False:",
            "flops: --preset and --csv refused beside --d/--dh"),
     Mutant("quantizer.py", "OPTQ_DAMPING = 0.01", "OPTQ_DAMPING = 0.02",

@@ -1,9 +1,9 @@
 """Acceptance suite: each of the ten criteria of ``attnquant.checks`` runs
-on seed 0's instances within its time limit and prints one PASS/FAIL line.
-Every criterion is seeded, so the printed numbers reproduce bit for bit.
+on seed 0's instances within its time limit, and ``attnquant check`` prints
+a PASS line for it. The criteria run once, in the suite's shared
+``check --seed 0`` run (``conftest.check_seed0``). Every criterion is
+seeded, so the printed numbers reproduce bit for bit.
 """
-
-import time
 
 import pytest
 
@@ -27,13 +27,14 @@ CRITERIA = (
 @pytest.mark.parametrize(
     "number, check, limit", CRITERIA, ids=[f"{n:02d}-{check.__name__[6:]}" for n, check, _ in CRITERIA]
 )
-def test_criterion(number, check, limit):
-    # `attnquant check` runs the same table
+def test_criterion(check_seed0, number, check, limit):
+    # `attnquant check` ran this table
     assert len(checks.CHECKS) == len(CRITERIA) and checks.CHECKS[number - 1] is check
-    t0 = time.perf_counter()
-    result = check(0)
-    elapsed = time.perf_counter() - t0
+    assert len(check_seed0.criteria) == len(CRITERIA), check_seed0.stdout + check_seed0.stderr
+    result, elapsed = check_seed0.criteria[number - 1]
     status = "PASS" if result.passed and elapsed < limit else "FAIL"
     print(f"[{status}] criterion {number:2d} ({result.name}): {result.detail} [{elapsed:.2f}s < {limit:.0f}s]")
     assert result.passed, f"criterion {number}: {result.detail}"
+    line = check_seed0.stdout.splitlines()[number]  # after the header line
+    assert line.startswith(f"[PASS] {result.name} ") and line.endswith(f"  {result.detail}"), line
     assert elapsed < limit, f"criterion {number}: runtime {elapsed:.2f}s exceeded {limit}s"

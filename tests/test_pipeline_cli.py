@@ -414,6 +414,25 @@ class TestFiniteOrRefused:
             assert "is subnormal" in res.stderr
             assert not report.exists()
 
+    def test_eval_refuses_a_scale_whose_weights_overflow(self, tmp_path):
+        # A finite scale of 1e308 times an integer 2 or more away from its
+        # zero-point overflows when the checkpoint is dequantized: eval exits
+        # 4 with one line and no numpy warning, and writes no report.
+        head, seqs, model, calib = make_files(tmp_path, seed=18)
+        doc, _ = quantize_head(head, seqs, PipelineConfig(bits=2, method="rtn"))
+        proj = doc["projections"]["W_V"]
+        assert np.abs(np.subtract(proj["w_int"][0], proj["zero_point"][0])).max() >= 2
+        proj["scale"][0] = 1e308
+        quantized, report = tmp_path / "q.json", tmp_path / "r.json"
+        save_quantized(doc, quantized)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = CliRunner().invoke(main, ["eval", "--model", str(model), "--quantized", str(quantized),
+                                            "--data", str(calib), "--report-out", str(report)])
+        assert res.exit_code == 4, res.output
+        assert res.stderr == "numerical failure: w_v: contains NaN or Inf entries\n"
+        assert not report.exists()
+
     def test_eval_of_all_zero_outputs_reads_zero(self):
         # a zero norm from outputs that are exactly zero is not an underflow
         head, seqs = generate_synthetic(0, 8, 2, 4, 6)
@@ -601,12 +620,6 @@ class TestWarmStarts:
             assert doc["projections"][name]["fallback_rtn"] is True
 
 
-@pytest.fixture(scope="module")
-def check_seed0():
-    """One real ``check --seed 0`` run, shared by the tests that read it."""
-    return CliRunner().invoke(main, ["check", "--seed", "0"])
-
-
 class TestCli:
     def test_gen_quantize_eval_roundtrip(self, tmp_path):
         runner = CliRunner()
@@ -757,45 +770,6 @@ class TestCli:
         )
         assert res.exit_code == 3
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--learning-rate", "nan"), ("--rounding-weight", "-5")],
-        ids=["nan-learning-rate", "negative-rounding-weight"],
-    )
-    def test_quantize_rejects_bad_rounding_settings(self, tmp_path, flag, value):
-        _, _, model, calib = make_files(tmp_path, seed=12)
-        out = tmp_path / "q.json"
-        res = CliRunner().invoke(
-            main,
-            ["quantize", "--model", str(model), "--calib", str(calib),
-             "--output", str(out), "--iterations", "5", flag, value],
-        )
-        assert res.exit_code == 3, res.output
-        assert not out.exists()
-
-    def test_quantize_refuses_an_overflowing_rounding_weight(self, tmp_path):
-        # 1e308 is finite, but 1e308 times the weights per projection is not
-        self.check_refused_rounding_weight(tmp_path, "1e308")
-
-    def test_quantize_refuses_a_rounding_weight_whose_gradient_overflows(self, tmp_path):
-        # 1e307 times the weights per projection is finite, but 1e307 times
-        # the regularizer gradient's 2 * beta = 40 is not
-        self.check_refused_rounding_weight(tmp_path, "1e307")
-
-    def check_refused_rounding_weight(self, tmp_path, value):
-        _, _, model, calib = make_files(tmp_path, seed=12)
-        out = tmp_path / "q.json"
-        res = CliRunner().invoke(
-            main,
-            ["quantize", "--model", str(model), "--calib", str(calib), "--output", str(out),
-             "--iterations", "5", "--rounding-weight", value,
-             "--trace-prefix", str(tmp_path / "trace")],
-        )
-        assert res.exit_code == 3, res.output
-        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
-        assert "rounding weight" in res.stderr
-        assert not out.exists() and not list(tmp_path.glob("trace*"))
 
     def test_quantize_defaults_come_from_the_dataclasses(self, tmp_path, monkeypatch):
         _, _, model, calib = make_files(tmp_path, seed=12)
@@ -961,6 +935,14 @@ class TestCli:
         self.check_quantize_refused(tmp_path, model, calib, args, f"method {method} does no learned rounding")
         assert not list(tmp_path.glob("tr*")) and not (tmp_path / "r.json").exists()
 
+    def test_trace_prefix_refused_at_zero_iterations(self, tmp_path):
+        # aespa at 0 iterations rounds to its warm start and writes no trace
+        _, _, model, calib = make_files(tmp_path, seed=18)
+        args = ["--method", "aespa", "--iterations", "0", "--trace-prefix", str(tmp_path / "tr"),
+                "--report-out", str(tmp_path / "r.json")]
+        self.check_quantize_refused(tmp_path, model, calib, args, "learned rounding runs 0 iterations")
+        assert not list(tmp_path.glob("tr*")) and not (tmp_path / "r.json").exists()
+
     def check_quantize_refused(self, tmp_path, model, calib, args, message):
         out = tmp_path / "q.json"
         res = CliRunner().invoke(
@@ -993,7 +975,7 @@ class TestCli:
         assert res.stdout == "" and not list(tmp_path.iterdir())
 
     def test_check_command_passes(self, check_seed0):
-        assert check_seed0.exit_code == 0, check_seed0.output
+        assert check_seed0.exit_code == 0, check_seed0.stdout + check_seed0.stderr
         lines = check_seed0.stdout.splitlines()
         assert [line[:7] for line in lines[1:-1]] == ["[PASS] "] * 10
         assert lines[-1] == "all 10 checks passed"
@@ -1036,8 +1018,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag, value",
         [("--seed", "1"), ("--order", "VQK"), ("--stats-cache", "s.json"), ("--config", "c.json"),
-         ("--value-kind", "other"), ("--projections", "VQ")],
-        ids=["seed", "order", "stats-cache", "config", "value-kind", "projections"],
+         ("--value-kind", "other"), ("--projections", "VQ"), ("--learning-rate", "0.1"),
+         ("--rounding-weight", "1")],
+        ids=["seed", "order", "stats-cache", "config", "value-kind", "projections", "learning-rate",
+             "rounding-weight"],
     )
     def test_quantize_rejects_removed_flags(self, tmp_path, flag, value):
         head, seqs, model, calib = make_files(tmp_path, seed=16)

@@ -1,6 +1,7 @@
 import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,11 +80,19 @@ def reference_objective(b, w, spec, ctx, lam, beta, w_reference=None, counter=No
     return reconstruction, regularizer, grad_recon + grad_reg
 
 
+def recipe(learning_rate=rounding.LEARNING_RATE, rounding_weight=rounding.ROUNDING_WEIGHT):
+    """A context in which learned rounding, and the reference loop below,
+    run at another learning rate or rounding weight: the tests' lever on the
+    two constants of the recipe."""
+    return mock.patch.multiple(rounding, LEARNING_RATE=learning_rate, ROUNDING_WEIGHT=rounding_weight)
+
+
 def reference_optimize_rounding(w, spec, ctx, cfg, w_reference=None, counter=None, trace_csv=None, h_log=None):
     """The one-projection loop that the stacked loop replaced: separate loss
     and gradient evaluations, freshly allocated arrays at every step, and
-    every iteration run (no early exit). ``h_log``, a list, receives each
-    iteration's h."""
+    every iteration run (no early exit). Like optimize_rounding, it reads
+    the learning rate and the rounding weight at each call. ``h_log``, a
+    list, receives each iteration's h."""
     w = np.asarray(w, dtype=np.float64)
     if cfg.iterations == 0:
         return rtn_quantize(w, spec)
@@ -98,14 +107,14 @@ def reference_optimize_rounding(w, spec, ctx, cfg, w_reference=None, counter=Non
         if h_log is not None:
             h_log.append(reference_rectified_sigmoid(b)[0])
         recon, reg, grad = reference_objective(
-            b, w, spec, ctx, cfg.lam, cfg.beta_at(it), w_reference, counter
+            b, w, spec, ctx, rounding.ROUNDING_WEIGHT, cfg.beta_at(it), w_reference, counter
         )
         trace.append((recon + reg, recon, reg))
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - ADAM_BETA1 ** (it + 1))
         v_hat = v / (1.0 - ADAM_BETA2 ** (it + 1))
-        b = b - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        b = b - rounding.LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if counter is not None:
             counter.add(10 * b.size)
     if trace_csv is not None:
@@ -230,11 +239,6 @@ class TestRegularizer:
         dh_db[h == 0.0] = 0.0  # saturated entries have a zero derivative
         value = rounding_regularizer(h, lam, beta)
         grad = regularizer_gradient(h, dh_db, lam, beta)
-        # the stack's work buffers give the same bits as fresh arrays
-        work = tuple(np.full(shape, np.nan) for _ in range(3))
-        in_work = regularizer_gradient(h, dh_db, lam, beta, work=work)
-        assert in_work is work[2]
-        np.testing.assert_array_equal(in_work.view(np.int64), grad.view(np.int64))
         for p in range(shape[0]):
             expected_value, expected_grad = reference_regularizer(h[p], dh_db[p], lam, beta)
             assert value[p] == expected_value
@@ -280,9 +284,8 @@ class TestOptimizeRounding:
         # and the last soft reconstruction is the hard assignment's loss
         _, _, ctx, w, spec = value_setup(seed=0)
         path = tmp_path / "trace.csv"
-        (qw,) = optimize_rounding(
-            [w], [spec], [ctx], SoftQuantConfig(lam=1e6), w_reference=[w], trace_csv=[path]
-        )
+        with recipe(rounding_weight=1e6):
+            (qw,) = optimize_rounding([w], [spec], [ctx], SoftQuantConfig(), w_reference=[w], trace_csv=[path])
         _, rows = read_trace(path)
         _, _, recon, reg = rows[-1]
         assert reg == 0.0
@@ -443,8 +446,8 @@ class TestStackedEqualsPerProjection:
     def test_stacked_equals_per_projection(self, d, d_h, kinds, bits, iterations, learning_rate, lam, seed,
                                            traced):
         ws, specs, ctxs, refs = random_slabs(d, d_h, kinds, bits, seed)
-        cfg = SoftQuantConfig(iterations=iterations, learning_rate=learning_rate, lam=lam)
-        with tempfile.TemporaryDirectory() as tmp:
+        cfg = SoftQuantConfig(iterations=iterations)
+        with recipe(learning_rate, lam), tempfile.TemporaryDirectory() as tmp:
             paths = [Path(tmp) / f"stacked_{p}.csv" for p in range(len(ws))]
             counter = FlopCounter()
             stacked = optimize_rounding(
@@ -516,22 +519,23 @@ class TestEarlyExit:
     )
     def test_continuing_after_the_exit_changes_no_h(self, d, d_h, kinds, bits, learning_rate, lam, seed):
         ws, specs, ctxs, refs = random_slabs(d, d_h, kinds, bits, seed)
-        cfg = SoftQuantConfig(iterations=100, learning_rate=learning_rate, lam=lam)
+        cfg = SoftQuantConfig(iterations=100)
         counter = FlopCounter()
-        stacked = optimize_rounding(ws, specs, ctxs, cfg, w_reference=refs, counter=counter)
-        ran = counter.count // RoundingStack(ws, specs, ctxs, refs).iter_flops
-        # The reference loop runs every iteration, so past the stacked loop's
-        # exit it is the loop continued.
-        saturated = []
-        for qw, w, spec, ctx, ref in zip(stacked, ws, specs, ctxs, refs):
-            h_log = []
-            expected = reference_optimize_rounding(w, spec, ctx, cfg, ref, h_log=h_log)
-            np.testing.assert_array_equal(qw.w_int, expected.w_int)
-            first = first_saturated(h_log)
-            saturated.append(first)
-            if first is not None:
-                for h in h_log[first:]:
-                    np.testing.assert_array_equal(h, h_log[first])
+        with recipe(learning_rate, lam):
+            stacked = optimize_rounding(ws, specs, ctxs, cfg, w_reference=refs, counter=counter)
+            ran = counter.count // RoundingStack(ws, specs, ctxs, refs).iter_flops
+            # The reference loop runs every iteration, so past the stacked
+            # loop's exit it is the loop continued.
+            saturated = []
+            for qw, w, spec, ctx, ref in zip(stacked, ws, specs, ctxs, refs):
+                h_log = []
+                expected = reference_optimize_rounding(w, spec, ctx, cfg, ref, h_log=h_log)
+                np.testing.assert_array_equal(qw.w_int, expected.w_int)
+                first = first_saturated(h_log)
+                saturated.append(first)
+                if first is not None:
+                    for h in h_log[first:]:
+                        np.testing.assert_array_equal(h, h_log[first])
         assert ran == (cfg.iterations if None in saturated else max(saturated) + 1)
 
 
@@ -589,52 +593,12 @@ class TestNonFinite:
         spec = fit_step_size(w, np.eye(3), 2)
         fine = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
         huge = LossContext(ProjectionKind.OTHER, np.eye(2), 1e308 * np.eye(3))
-        with pytest.raises(NonFiniteRounding, match="iteration 0$") as info:
+        with recipe(1e308, 0.0), pytest.raises(NonFiniteRounding, match="iteration 0$") as info:
             optimize_rounding(
-                [w, w], [spec, spec], [fine, huge], SoftQuantConfig(iterations=3, learning_rate=1e308, lam=0.0),
+                [w, w], [spec, spec], [fine, huge], SoftQuantConfig(iterations=3),
                 w_reference=[w + 100.0, w + 10.0],
             )
         assert info.value.slab == 1
-
-    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-    def test_overflowing_rounding_weight_is_refused_before_any_work(self, tmp_path, traced):
-        # lam = 4e306 on 60 entries per slab: lam * 60 overflows, so the
-        # regularizer's value could, while the gradient's factor 40 * lam
-        # does not; the run stops before its first step
-        rng = rng_for(5)
-        w = rng.standard_normal((2, 30))
-        assert np.isfinite(40.0 * 4e306) and not np.isfinite(4e306 * w.size)
-        spec = fit_step_size(w, np.eye(30), 2)
-        ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(30))
-        path = tmp_path / "trace.csv"
-        counter = FlopCounter()
-        with pytest.raises(DataError, match="rounding weight") as info:
-            optimize_rounding(
-                [w, w], [spec, spec], [ctx, ctx], SoftQuantConfig(iterations=3, lam=4e306),
-                counter=counter, trace_csv=[path, tmp_path / "slab1.csv"] if traced else None,
-            )
-        assert not isinstance(info.value, NumericalError)
-        assert counter.count == 0
-        assert not any(tmp_path.iterdir())  # no trace written
-
-    def test_large_finite_rounding_weight_fails_alike_traced_or_not(self, tmp_path):
-        # lam * 6 is finite, so no regularizer value could overflow, but
-        # 2 * beta * lam = 40 * lam, the regularizer gradient's factor at the
-        # first iteration, does: the run stops before its first step
-        rng = rng_for(5)
-        w = rng.standard_normal((2, 3))
-        spec = fit_step_size(w, np.eye(3), 2)
-        ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
-        assert np.isfinite(1e307 * w.size) and not np.isfinite(40.0 * 1e307)
-        for traced in (False, True):
-            path = tmp_path / "trace.csv"
-            counter = FlopCounter()
-            with pytest.raises(DataError, match="rounding weight.*gradient") as info:
-                optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=3, lam=1e307),
-                                  counter=counter, trace_csv=[path] if traced else None)
-            assert not isinstance(info.value, NumericalError)
-            assert counter.count == 0
-            assert not path.exists()
 
     @pytest.mark.parametrize("learning_rate", [1e300, 1e308])
     def test_an_early_exit_checks_the_final_logits(self, learning_rate):
@@ -647,14 +611,15 @@ class TestNonFinite:
         w = rng.standard_normal((2, 3))
         spec = fit_step_size(w, np.eye(3), 2)
         ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
-        cfg = SoftQuantConfig(iterations=5, learning_rate=learning_rate, lam=1e6)
+        cfg = SoftQuantConfig(iterations=5)
         counter = FlopCounter()
-        if learning_rate == 1e308:
-            with pytest.raises(NonFiniteRounding, match="iteration 1$"):
-                optimize_rounding([w], [spec], [ctx], cfg, counter=counter)
-        else:
-            (qw,) = optimize_rounding([w], [spec], [ctx], cfg, counter=counter)
-            assert qw.w_int.shape == w.shape
+        with recipe(learning_rate, 1e6):
+            if learning_rate == 1e308:
+                with pytest.raises(NonFiniteRounding, match="iteration 1$"):
+                    optimize_rounding([w], [spec], [ctx], cfg, counter=counter)
+            else:
+                (qw,) = optimize_rounding([w], [spec], [ctx], cfg, counter=counter)
+                assert qw.w_int.shape == w.shape
         assert counter.count == 2 * RoundingStack([w], [spec], [ctx]).iter_flops
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -674,10 +639,9 @@ class TestNonFinite:
         assert np.isfinite(recon).all()
         assert np.abs(grad[0]).max() < 1.0 < 1.8 < np.abs(grad[1]).max()
         path = tmp_path / "trace.csv"
-        with pytest.raises(NonFiniteRounding, match="iteration 0$") as info:
+        with recipe(1e308, 0.0), pytest.raises(NonFiniteRounding, match="iteration 0$") as info:
             optimize_rounding(
-                [w, w], [spec, spec], [ctx, ctx],
-                SoftQuantConfig(iterations=1, learning_rate=1e308, lam=0.0),
+                [w, w], [spec, spec], [ctx, ctx], SoftQuantConfig(iterations=1),
                 w_reference=reference, trace_csv=[path, tmp_path / "slab1.csv"] if traced else None,
             )
         assert info.value.slab == 1
@@ -696,18 +660,3 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(DataError):
             SoftQuantConfig(iterations=-1)
-        with pytest.raises(DataError):
-            SoftQuantConfig(learning_rate=0.0)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [{"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"learning_rate": -0.1},
-         {"lam": -5.0}, {"lam": float("nan")}, {"lam": float("inf")}],
-        ids=["lr-nan", "lr-inf", "lr-negative", "lam-negative", "lam-nan", "lam-inf"],
-    )
-    def test_rejects_non_finite_or_out_of_range_settings(self, bad):
-        with pytest.raises(DataError):
-            SoftQuantConfig(**bad)
-
-    def test_accepts_zero_rounding_weight(self):
-        assert SoftQuantConfig(lam=0.0).lam == 0.0
