@@ -86,6 +86,14 @@ class TestPipeline:
             doc_b["projections"], sort_keys=True
         )
 
+    def test_trace_prefix_at_zero_iterations_is_refused_before_any_work(self, tmp_path, monkeypatch):
+        head, seqs, _, _ = make_files(tmp_path, seed=2)
+        monkeypatch.setattr(pipeline, "accumulate_stats", lambda *a: pytest.fail("statistics gathered"))
+        cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=0))
+        with pytest.raises(DataError, match="learned rounding runs 0 iterations"):
+            quantize_head(head, seqs, cfg, trace_prefix=str(tmp_path / "tr"))
+        assert not list(tmp_path.glob("tr*"))
+
     def test_report_deterministic_across_runs(self, tmp_path):
         head, seqs, _, _ = make_files(tmp_path, seed=3)
         cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=200))
@@ -414,13 +422,14 @@ class TestFiniteOrRefused:
             assert "is subnormal" in res.stderr
             assert not report.exists()
 
-    def test_eval_refuses_a_scale_whose_weights_overflow(self, tmp_path):
+    @pytest.mark.parametrize("name", ["W_V", "W_Q", "W_K"])
+    def test_eval_refuses_a_scale_whose_weights_overflow(self, tmp_path, name):
         # A finite scale of 1e308 times an integer 2 or more away from its
         # zero-point overflows when the checkpoint is dequantized: eval exits
         # 4 with one line and no numpy warning, and writes no report.
         head, seqs, model, calib = make_files(tmp_path, seed=18)
         doc, _ = quantize_head(head, seqs, PipelineConfig(bits=2, method="rtn"))
-        proj = doc["projections"]["W_V"]
+        proj = doc["projections"][name]
         assert np.abs(np.subtract(proj["w_int"][0], proj["zero_point"][0])).max() >= 2
         proj["scale"][0] = 1e308
         quantized, report = tmp_path / "q.json", tmp_path / "r.json"
@@ -430,7 +439,7 @@ class TestFiniteOrRefused:
             res = CliRunner().invoke(main, ["eval", "--model", str(model), "--quantized", str(quantized),
                                             "--data", str(calib), "--report-out", str(report)])
         assert res.exit_code == 4, res.output
-        assert res.stderr == "numerical failure: w_v: contains NaN or Inf entries\n"
+        assert res.stderr == f"numerical failure: {name.lower()}: contains NaN or Inf entries\n"
         assert not report.exists()
 
     def test_eval_of_all_zero_outputs_reads_zero(self):
@@ -942,6 +951,19 @@ class TestCli:
                 "--report-out", str(tmp_path / "r.json")]
         self.check_quantize_refused(tmp_path, model, calib, args, "learned rounding runs 0 iterations")
         assert not list(tmp_path.glob("tr*")) and not (tmp_path / "r.json").exists()
+
+    def test_zero_iterations_without_trace_prefix_writes_the_warm_start(self, tmp_path):
+        # the refusal above is of the trace alone: aespa at 0 iterations
+        # still writes aespa-noround's checkpoint
+        _, _, model, calib = make_files(tmp_path, seed=18)
+        docs = []
+        for method, extra in (("aespa", ["--iterations", "0"]), ("aespa-noround", [])):
+            out = tmp_path / f"{method}.json"
+            res = CliRunner().invoke(main, ["quantize", "--model", str(model), "--calib", str(calib),
+                                            "--output", str(out), "--method", method, *extra])
+            assert res.exit_code == 0, res.output
+            docs.append(json.loads(out.read_text())["projections"])
+        assert docs[0] == docs[1]
 
     def check_quantize_refused(self, tmp_path, model, calib, args, message):
         out = tmp_path / "q.json"

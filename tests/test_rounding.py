@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -317,6 +318,24 @@ class TestOptimizeRounding:
         assert header == ["iteration", "total", "reconstruction", "regularizer"]
         assert [row[0] for row in rows] == list(range(20))
 
+    @pytest.mark.parametrize(
+        "constant, value", [("LEARNING_RATE", 0.05), ("ROUNDING_WEIGHT", 0.0)],
+        ids=["learning-rate", "rounding-weight"],
+    )
+    def test_reads_the_recipe_constants_at_each_call(self, tmp_path, constant, value):
+        # a patched constant changes the run's trace, and once the patch is
+        # gone the recipe's own value gives back the first trace
+        _, _, ctx, w, spec = value_setup(seed=7)
+        cfg = SoftQuantConfig(iterations=20)
+        paths = [tmp_path / f"{name}.csv" for name in ("before", "patched", "after")]
+        optimize_rounding([w], [spec], [ctx], cfg, trace_csv=[paths[0]])
+        with mock.patch.object(rounding, constant, value):
+            optimize_rounding([w], [spec], [ctx], cfg, trace_csv=[paths[1]])
+        optimize_rounding([w], [spec], [ctx], cfg, trace_csv=[paths[2]])
+        before, patched, after = (read_trace(path)[1] for path in paths)
+        assert patched != before
+        assert after == before
+
     @pytest.mark.parametrize("kind", list(ProjectionKind), ids=lambda k: k.value)
     def test_per_iteration_flops_match_closed_form(self, kind):
         # loss + gradient + 6 elementwise ops per weight for the step and 10
@@ -600,6 +619,26 @@ class TestNonFinite:
             )
         assert info.value.slab == 1
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_a_rounding_weight_whose_gradient_overflows_is_non_finite(self, tmp_path, traced):
+        # lam * 6 is finite, so no regularizer value overflows, but
+        # 2 * beta * lam = 40 * lam, the regularizer gradient's factor at the
+        # first iteration, does: the first step makes the logits non-finite,
+        # the loss at iteration 1 follows, and no trace is written
+        rng = rng_for(5)
+        w = rng.standard_normal((2, 3))
+        spec = fit_step_size(w, np.eye(3), 2)
+        ctx = LossContext(ProjectionKind.OTHER, np.eye(2), np.eye(3))
+        assert np.isfinite(1e307 * w.size) and not np.isfinite(40.0 * 1e307)
+        path = tmp_path / "trace.csv"
+        counter = FlopCounter()
+        with recipe(rounding_weight=1e307), pytest.raises(NonFiniteRounding, match="iteration 1$") as info:
+            optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=3),
+                              counter=counter, trace_csv=[path] if traced else None)
+        assert isinstance(info.value, NumericalError) and info.value.slab == 0
+        assert counter.count == 3 * RoundingStack([w], [spec], [ctx]).iter_flops
+        assert not path.exists()
+
     @pytest.mark.parametrize("learning_rate", [1e300, 1e308])
     def test_an_early_exit_checks_the_final_logits(self, learning_rate):
         # At rounding weight 1e6 every entry's first step is about the
@@ -660,3 +699,12 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(DataError):
             SoftQuantConfig(iterations=-1)
+
+    def test_iterations_is_the_only_setting(self):
+        assert [field.name for field in dataclasses.fields(SoftQuantConfig)] == ["iterations"]
+
+    @pytest.mark.parametrize("removed", ["learning_rate", "lam"])
+    def test_removed_settings_are_refused(self, removed):
+        # the learning rate and the rounding weight are module constants
+        with pytest.raises(TypeError):
+            SoftQuantConfig(**{removed: 0.1})
