@@ -99,23 +99,31 @@ def objective_gradient_gap(rng, w, spec, ctx, lam=1.5, beta=2.0, w_reference=Non
     b = rng.uniform(-2.0, 2.0, size=w.shape)
 
     def total(b):
-        recon, reg, grad = one_slab_objective(b, w, spec, ctx, lam, beta, w_reference)
-        return recon + reg, grad
+        recon, reg, _ = one_slab_objective(b, w, spec, ctx, lam, beta, w_reference)
+        return recon + reg
 
-    _, grad = total(b)
+    grad = one_slab_objective(b, w, spec, ctx, lam, beta, w_reference)[2]
+    return _finite_difference_gap(
+        rng, b, total, grad, lambda b_ij: 1e-3 < rectified_sigmoid(b_ij)[0] < 1 - 1e-3, trials
+    )
+
+
+def _finite_difference_gap(rng, b, value, grad, usable, trials: int) -> float:
+    """Worst relative gap between ``grad`` and a central finite difference
+    of ``value`` at ``b``, over ``trials`` entries of b drawn from ``rng``,
+    row index first; an entry whose value fails ``usable`` is drawn again."""
     eps = 1e-6
     worst = 0.0
     checked = 0
     while checked < trials:
-        i = int(rng.integers(0, w.shape[0]))
-        j = int(rng.integers(0, w.shape[1]))
-        h = rectified_sigmoid(b[i, j])[0]
-        if h <= 1e-3 or h >= 1 - 1e-3:
+        i = int(rng.integers(0, b.shape[0]))
+        j = int(rng.integers(0, b.shape[1]))
+        if not usable(b[i, j]):
             continue
         bp, bm = b.copy(), b.copy()
         bp[i, j] += eps
         bm[i, j] -= eps
-        fd = (total(bp)[0] - total(bm)[0]) / (2 * eps)
+        fd = (value(bp) - value(bm)) / (2 * eps)
         worst = max(worst, abs(fd - grad[i, j]) / max(abs(fd), 1e-12))
         checked += 1
     return worst
@@ -256,7 +264,6 @@ def check_gradients(seed: int = 0) -> CheckResult:
     """rounding_objective's gradient and the regularizer's gradient match
     central finite differences."""
     rng = _rng(seed, 6)
-    eps = 1e-6
     # The gradient that the rounding loop steps along: rounding_objective's,
     # with respect to the logits, on a compensated warm start measured
     # against the original weights; lam = 0 leaves the loss alone.
@@ -266,18 +273,11 @@ def check_gradients(seed: int = 0) -> CheckResult:
     _, warm = optq_compensate(w, row_hessian(ctx), spec)
     worst_loss_grad = objective_gradient_gap(rng, warm, spec, ctx, lam=0.0, w_reference=w)
 
-    worst_reg_grad = 0.0
     b = rng.uniform(-1.5, 1.5, size=(4, 8))
     reg_grad = regularizer_gradient(*rectified_sigmoid(b), 1.5, 2.0)
-    for _ in range(20):
-        i, j = int(rng.integers(0, 4)), int(rng.integers(0, 8))
-        bp, bm = b.copy(), b.copy()
-        bp[i, j] += eps
-        bm[i, j] -= eps
-        vp = rounding_regularizer(rectified_sigmoid(bp)[0], 1.5, 2.0)
-        vm = rounding_regularizer(rectified_sigmoid(bm)[0], 1.5, 2.0)
-        fd = (vp - vm) / (2 * eps)
-        worst_reg_grad = max(worst_reg_grad, abs(fd - reg_grad[i, j]) / max(abs(fd), 1e-12))
+    worst_reg_grad = _finite_difference_gap(
+        rng, b, lambda b: rounding_regularizer(rectified_sigmoid(b)[0], 1.5, 2.0), reg_grad, lambda _: True, 20
+    )
     return CheckResult(
         "gradient checks",
         worst_loss_grad <= 1e-4 and worst_reg_grad <= 1e-4,

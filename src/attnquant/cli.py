@@ -21,7 +21,10 @@ import click
 
 from .checks import run_all_checks
 from .errors import DataError, NumericalError
-from .flops import CostParams, OPT_PRESETS, cost_table, existing_itemization, flops_existing, flops_refined, gflops_str
+from .flops import (
+    OPT_PRESETS, TABLE_B, TABLE_L, CostParams, cost_table, existing_itemization, flops_existing, flops_refined,
+    gflops_str,
+)
 from .jsonio import atomic_write_json
 from .model import generate_synthetic, load_calibration, load_checkpoint, save_calibration, save_checkpoint
 from .pipeline import (
@@ -61,11 +64,11 @@ def main():
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--d", "d", type=int, default=16, show_default=True, help="Hidden size.")
 @click.option("--dh", "d_h", type=int, default=4, show_default=True, help="Head dimension.")
 @click.option("--length", "-l", type=int, default=8, show_default=True, help="Tokens per sequence.")
-@click.option("--n-sequences", type=int, default=32, show_default=True)
+@click.option("--n-sequences", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--model-out", type=click.Path(dir_okay=False), required=True)
 @click.option("--calib-out", type=click.Path(dir_okay=False), required=True)
 @click.option("--n-eval", type=click.IntRange(min=0), default=0, show_default=True, help="Extra held-out sequences.")
@@ -83,25 +86,19 @@ def gen(seed, d, d_h, length, n_sequences, model_out, calib_out, n_eval, eval_ou
     click.echo(f"wrote {model_out} and {calib_out}" + (f" and {eval_out}" if n_eval else ""))
 
 
-def _given(**flags) -> dict:
-    """The flags that were given; a dataclass default applies to the rest."""
-    return {key: value for key, value in flags.items() if value is not None}
-
-
 @main.command()
 @click.option("--model", type=click.Path(dir_okay=False), required=True)
 @click.option("--calib", type=click.Path(dir_okay=False), required=True)
 @click.option("--output", type=click.Path(dir_okay=False), required=True)
 @click.option("--report-out", type=click.Path(dir_okay=False), default=None)
-@click.option("--bits", type=click.Choice(VALID_BITS), default=None)
-@click.option("--method", type=click.Choice(METHODS), default=None)
-@click.option("--iterations", type=int, default=None)
+@click.option("--bits", type=click.Choice(VALID_BITS), default=PipelineConfig.bits, show_default=True)
+@click.option("--method", type=click.Choice(METHODS), default=PipelineConfig.method, show_default=True)
+@click.option("--iterations", type=int, default=SoftQuantConfig.iterations, show_default=True)
 @click.option("--trace-prefix", type=str, default=None, help="Write per-projection loss traces as CSV (aespa only).")
 @_surface_errors
-def quantize(model, calib, output, report_out, trace_prefix, iterations, **flags):
+def quantize(model, calib, output, report_out, bits, method, iterations, trace_prefix):
     """Quantize a checkpoint against a calibration set."""
-    soft = SoftQuantConfig(**_given(iterations=iterations))
-    cfg = PipelineConfig(**_given(**flags), soft=soft)
+    cfg = PipelineConfig(bits=bits, method=method, soft=SoftQuantConfig(iterations=iterations))
     head = load_checkpoint(model)
     seqs = load_calibration(calib)
     doc, report = quantize_head(head, seqs, cfg, trace_prefix=trace_prefix)
@@ -131,8 +128,8 @@ def eval_cmd(model, quantized, data, report_out):
 @main.command()
 @click.option("--d", "d", type=int, default=None, help="Hidden size.")
 @click.option("--dh", "d_h", type=int, default=None, help="Head dimension.")
-@click.option("--L", "length", type=int, default=2048, show_default=True, help="Sequence length.")
-@click.option("--B", "batch", type=int, default=4, show_default=True, help="Sequences per iteration.")
+@click.option("--L", "length", type=int, default=TABLE_L, show_default=True, help="Sequence length.")
+@click.option("--B", "batch", type=int, default=TABLE_B, show_default=True, help="Sequences per iteration.")
 @click.option("--preset", "presets", multiple=True, type=click.Choice(list(OPT_PRESETS)))
 @click.option("--csv", "csv_out", type=click.Path(dir_okay=False), default=None)
 @_surface_errors

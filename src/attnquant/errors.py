@@ -28,5 +28,5 @@ class NonFiniteRounding(NumericalError):
 
 
 class SizeBudgetError(NumericalError):
-    """A dense intermediate (e.g. an explicit Kronecker product) would
-    exceed the caller-declared element budget."""
+    """A dense intermediate (an explicit Kronecker product) would exceed
+    the fixed element budget ``linalg.KRON_BUDGET``."""

@@ -20,7 +20,9 @@ def load_json(path: str | Path, what: str = "file") -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # JSON text is UTF-8; a nesting deeper than the parser's recursion limit
+    # is refused like any other file that cannot be decoded
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{what}: invalid JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{what}: expected a JSON object at top level in {path}")

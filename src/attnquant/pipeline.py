@@ -148,13 +148,10 @@ def quantize_head(
     reference's attention map). Each exact error is that of the weights the
     checkpoint holds. Each distinct curvature (Q and K share one) is
     fitted, factored and compensated once, over its group's stacked rows.
-    Only aespa's learned rounding, run for at least one iteration, writes a
-    loss trace per projection.
+    Only aespa's learned rounding writes a loss trace per projection.
     """
     if trace_prefix is not None and cfg.method != "aespa":
         raise DataError(f"trace_prefix: method {cfg.method} does no learned rounding, so it has no loss trace")
-    if trace_prefix is not None and cfg.soft.iterations == 0:
-        raise DataError("trace_prefix: learned rounding runs 0 iterations, so it has no loss trace")
     stats = accumulate_stats(head, sequences)
 
     # Phase 1: a grid fit and the column-compensated warm starts, once per
@@ -189,12 +186,11 @@ def quantize_head(
         )
 
     # Phase 3: the report, in V, Q, K order, with each number checked once.
-    # Each projection is dequantized once, into the array that the joint
-    # head and its own variant share; both share the reference's other arrays.
+    # Each projection is dequantized once; the joint head and each variant
+    # hold their own copy of it, and each variant holds the reference's
+    # other arrays.
     dequantized = {name: dequantize(quantized[name]) for name in names}
-    joint = head
-    for name in names:
-        joint = joint.replace(name, dequantized[name])
+    joint = AttentionHead.from_projections(head.d, head.d_h, dequantized)
     variants = [head.replace(name, dequantized[name]) for name in names]
     with np.errstate(all="ignore"):  # an overflow is reported by the checks below
         losses = [loss(contexts[name], dequantized[name] - weights[name]) for name in names]

@@ -48,7 +48,7 @@ from .flops import FlopCounter, trace_loss_flops
 from .objectives import LossContext
 # Not called here; bound because bench/spans.py PATCHES wraps these names.
 from .objectives import loss, loss_gradient  # noqa: F401
-from .quantizer import QuantSpec, QuantizedWeight, rtn_quantize
+from .quantizer import QuantSpec, QuantizedWeight
 
 __all__ = [
     "SoftQuantConfig",
@@ -97,21 +97,20 @@ _ONE_MINUS_BETA1, _ONE_MINUS_BETA2 = _scalar(1.0 - ADAM_BETA1), _scalar(1.0 - AD
 @dataclass
 class SoftQuantConfig:
     """The one setting of the rounding optimization: its iteration count
-    (default 2000). The learning rate, the rounding weight, the sigmoid
-    stretch, the annealed regularizer exponent and Adam's constants are the
-    module constants above.
+    (default 2000, at least 1). The learning rate, the rounding weight, the
+    sigmoid stretch, the annealed regularizer exponent and Adam's constants
+    are the module constants above.
     """
 
     iterations: int = 2000
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise DataError("iterations must be >= 0")
+        if self.iterations < 1:
+            raise DataError("iterations must be >= 1")
 
     def beta_at(self, iteration: int) -> float:
         """Regularizer exponent at ``iteration`` of this schedule."""
-        ramp = max(1.0, BETA_ANNEAL_FRAC * self.iterations)
-        t = min(1.0, iteration / ramp)
+        t = min(1.0, iteration / (BETA_ANNEAL_FRAC * self.iterations))
         return BETA_START + t * (BETA_END - BETA_START)
 
 
@@ -344,8 +343,7 @@ def optimize_rounding(
     deterministic: the objective is evaluated over pre-computed statistics
     with no sampling, so identical inputs give identical integer weights.
     The last bits of a trace's reconstruction column can change with the
-    BLAS thread count (seen at d = 128 and 768). ``iterations == 0`` returns
-    the plain nearest-rounding results.
+    BLAS thread count (seen at d = 128 and 768).
 
     The loop stops after the first iteration at which every entry of every
     slab is clamped (dh/db is 0 throughout; see the module docstring for
@@ -366,8 +364,8 @@ def optimize_rounding(
     # zip would silently drop the slabs past the shortest argument
     if any(arg is not None and len(arg) != len(w) for arg in (spec, ctx, w_reference, trace_csv)):
         raise DataError("spec, ctx, w_reference and trace_csv need one entry per slab of w")
-    if cfg.iterations == 0 or len(w) == 0:
-        return [rtn_quantize(x, sp) for x, sp in zip(w, spec)]
+    if len(w) == 0:
+        return []
     stack = RoundingStack(w, spec, ctx, w_reference)
     b = stack.logits
     m = np.zeros_like(b)

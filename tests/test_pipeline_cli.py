@@ -77,23 +77,6 @@ class TestPipeline:
         for row in report["projections"].values():
             assert row["exact_attention_error"] <= 1e-4 * fp_norm
 
-    def test_aespa_zero_iterations_equals_noround_byte_for_byte(self, tmp_path):
-        head, seqs, _, _ = make_files(tmp_path, seed=2)
-        soft = SoftQuantConfig(iterations=0)
-        doc_a, _ = quantize_head(head, seqs, PipelineConfig(bits=2, method="aespa", soft=soft))
-        doc_b, _ = quantize_head(head, seqs, PipelineConfig(bits=2, method="aespa-noround"))
-        assert json.dumps(doc_a["projections"], sort_keys=True) == json.dumps(
-            doc_b["projections"], sort_keys=True
-        )
-
-    def test_trace_prefix_at_zero_iterations_is_refused_before_any_work(self, tmp_path, monkeypatch):
-        head, seqs, _, _ = make_files(tmp_path, seed=2)
-        monkeypatch.setattr(pipeline, "accumulate_stats", lambda *a: pytest.fail("statistics gathered"))
-        cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=0))
-        with pytest.raises(DataError, match="learned rounding runs 0 iterations"):
-            quantize_head(head, seqs, cfg, trace_prefix=str(tmp_path / "tr"))
-        assert not list(tmp_path.glob("tr*"))
-
     def test_report_deterministic_across_runs(self, tmp_path):
         head, seqs, _, _ = make_files(tmp_path, seed=3)
         cfg = PipelineConfig(bits=2, method="aespa", soft=SoftQuantConfig(iterations=200))
@@ -691,7 +674,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, code",
         [(["--eval-out", "e.json"], 3), (["--n-eval", "0", "--eval-out", "e.json"], 3),
-         (["--n-eval", "3"], 3), (["--n-eval", "-5", "--eval-out", "e.json"], 2)],
+         (["--n-eval", "3"], 3), (["--n-eval", "-5", "--eval-out", "e.json"], 2),
+         (["--seed", "-1"], 2), (["--n-sequences", "-1", "--n-eval", "5", "--eval-out", "e.json"], 2),
+         (["--n-sequences", "0", "--n-eval", "2", "--eval-out", "e.json"], 2)],
     )
     def test_gen_rejects_mismatched_eval_flags(self, tmp_path, flags, code):
         model, calib = tmp_path / "m.json", tmp_path / "c.json"
@@ -891,12 +876,18 @@ class TestCli:
             ("model", "[1]", "checkpoint: expected a JSON object at top level in "),
             ("calib", json.dumps({"d": 8, "L": 0, "sequences": [[[]] * 8]}),
              "calibration file: sequences[0]: calibration sequence must contain at least one token"),
+            ("model", b'{"d": 8, "name": "\xff"}', "checkpoint: invalid JSON in "),
+            ("calib", "[" * 100_000, "calibration file: invalid JSON in "),
         ],
-        ids=["invalid-json", "top-level-list", "no-tokens"],
+        ids=["invalid-json", "top-level-list", "no-tokens", "not-utf8", "nested-too-deep"],
     )
     def test_malformed_files_exit_code_three(self, tmp_path, target, content, message):
         _, _, model, calib = make_files(tmp_path, seed=18)
-        {"model": model, "calib": calib}[target].write_text(content)
+        path = {"model": model, "calib": calib}[target]
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
         self.check_quantize_refused(tmp_path, model, calib, [], message)
 
     def test_eval_refuses_a_checkpoint_of_another_head_dimension(self, tmp_path):
@@ -934,7 +925,7 @@ class TestCli:
         # a refused configuration writes no checkpoint, trace or report
         _, _, model, calib = make_files(tmp_path, seed=18)
         args = ["--iterations", "-1", "--trace-prefix", str(tmp_path / "tr"), "--report-out", str(tmp_path / "r.json")]
-        self.check_quantize_refused(tmp_path, model, calib, args, "iterations must be >= 0")
+        self.check_quantize_refused(tmp_path, model, calib, args, "iterations must be >= 1")
         assert not list(tmp_path.glob("tr*")) and not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("method", ["rtn", "optq", "aespa-noround"])
@@ -944,26 +935,15 @@ class TestCli:
         self.check_quantize_refused(tmp_path, model, calib, args, f"method {method} does no learned rounding")
         assert not list(tmp_path.glob("tr*")) and not (tmp_path / "r.json").exists()
 
-    def test_trace_prefix_refused_at_zero_iterations(self, tmp_path):
-        # aespa at 0 iterations rounds to its warm start and writes no trace
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_iterations_refused_before_any_file_is_read(self, tmp_path, monkeypatch, method):
+        # aespa-noround is the method without learned rounding; an iteration
+        # count below 1 is refused whatever the method
         _, _, model, calib = make_files(tmp_path, seed=18)
-        args = ["--method", "aespa", "--iterations", "0", "--trace-prefix", str(tmp_path / "tr"),
-                "--report-out", str(tmp_path / "r.json")]
-        self.check_quantize_refused(tmp_path, model, calib, args, "learned rounding runs 0 iterations")
-        assert not list(tmp_path.glob("tr*")) and not (tmp_path / "r.json").exists()
-
-    def test_zero_iterations_without_trace_prefix_writes_the_warm_start(self, tmp_path):
-        # the refusal above is of the trace alone: aespa at 0 iterations
-        # still writes aespa-noround's checkpoint
-        _, _, model, calib = make_files(tmp_path, seed=18)
-        docs = []
-        for method, extra in (("aespa", ["--iterations", "0"]), ("aespa-noround", [])):
-            out = tmp_path / f"{method}.json"
-            res = CliRunner().invoke(main, ["quantize", "--model", str(model), "--calib", str(calib),
-                                            "--output", str(out), "--method", method, *extra])
-            assert res.exit_code == 0, res.output
-            docs.append(json.loads(out.read_text())["projections"])
-        assert docs[0] == docs[1]
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("checkpoint read"))
+        args = ["--method", method, "--iterations", "0", "--report-out", str(tmp_path / "r.json")]
+        self.check_quantize_refused(tmp_path, model, calib, args, "iterations must be >= 1")
+        assert not (tmp_path / "r.json").exists()
 
     def check_quantize_refused(self, tmp_path, model, calib, args, message):
         out = tmp_path / "q.json"

@@ -95,8 +95,6 @@ def reference_optimize_rounding(w, spec, ctx, cfg, w_reference=None, counter=Non
     the learning rate and the rounding weight at each call. ``h_log``, a
     list, receives each iteration's h."""
     w = np.asarray(w, dtype=np.float64)
-    if cfg.iterations == 0:
-        return rtn_quantize(w, spec)
     floor_grid = np.floor(w / spec.scale[:, None])
     frac = np.clip(w / spec.scale[:, None] - floor_grid, 0.01, 0.99)
     inner = np.clip((frac - GAMMA) / (ZETA - GAMMA), 1e-4, 1 - 1e-4)
@@ -275,11 +273,6 @@ def read_trace(path):
 
 
 class TestOptimizeRounding:
-    def test_zero_iterations_equals_rtn(self):
-        _, _, ctx, w, spec = value_setup(seed=4)
-        (qw,) = optimize_rounding([w], [spec], [ctx], SoftQuantConfig(iterations=0))
-        np.testing.assert_array_equal(qw.w_int, rtn_quantize(w, spec).w_int)
-
     def test_huge_rounding_weight_saturates_h(self, tmp_path):
         # every h ends exactly at 0 or 1: the last regularizer is exactly 0
         # and the last soft reconstruction is the hard assignment's loss
@@ -449,14 +442,14 @@ class TestStackedEqualsPerProjection:
     # the slabs saturate at iterations 17, 20 and 19, so the loop runs 21
     @example(d=4, d_h=2, kinds=["value", "query", "key"], bits=[2, 3, 4], iterations=25,
              learning_rate=0.5, lam=1.5, seed=1, traced=True)
-    @example(d=1, d_h=1, kinds=["other"], bits=[8], iterations=0, learning_rate=0.015, lam=0.0, seed=1,
+    @example(d=1, d_h=1, kinds=["other"], bits=[8], iterations=1, learning_rate=0.015, lam=0.0, seed=1,
              traced=True)
     @given(
         d=st.integers(1, 24),
         d_h=st.integers(1, 6),
         kinds=SLAB_KINDS,
         bits=st.lists(st.sampled_from(VALID_BITS), min_size=3, max_size=3),
-        iterations=st.integers(0, 25),
+        iterations=st.integers(1, 25),
         learning_rate=st.sampled_from([0.015, 0.5]),
         lam=st.sampled_from([0.0, 1.5, 1e6]) | st.floats(0.0, 10.0),
         seed=st.integers(0, 2**16),
@@ -484,9 +477,7 @@ class TestStackedEqualsPerProjection:
                 saturated.append(first_saturated(h_log))
                 np.testing.assert_array_equal(stacked[p].w_int, expected.w_int)
                 assert stacked[p].spec is spec
-                if not iterations:
-                    assert not paths[p].exists() and not path.exists()
-                elif traced:
+                if traced:
                     assert paths[p].read_text() == path.read_text()
                 else:
                     assert not paths[p].exists()
@@ -505,10 +496,10 @@ class TestStackedEqualsPerProjection:
         with pytest.raises(DataError):
             optimize_rounding([w[:, :-1]], [spec], [ctx], cfg)
 
-    @pytest.mark.parametrize("iterations", [0, 2])
+    @pytest.mark.parametrize("iterations", [1, 2])
     @pytest.mark.parametrize("short", ["spec", "ctx", "w_reference", "trace_csv"])
     def test_every_argument_needs_one_entry_per_slab(self, tmp_path, short, iterations):
-        # zip would drop the second slab silently, with or without a loop
+        # zip would drop the second slab silently, however many iterations run
         _, _, ctx, w, spec = value_setup()
         args = {"spec": [spec, spec], "ctx": [ctx, ctx], "w_reference": [w, w],
                 "trace_csv": [tmp_path / "a.csv", tmp_path / "b.csv"]}
@@ -695,10 +686,14 @@ class TestConfig:
         assert cfg.beta_at(999) == 2.0
         mid = cfg.beta_at(400)
         assert 2.0 < mid < 20.0
+        assert SoftQuantConfig(iterations=1).beta_at(0) == 20.0
 
     def test_validation(self):
         with pytest.raises(DataError):
             SoftQuantConfig(iterations=-1)
+        # aespa-noround is the method without learned rounding
+        with pytest.raises(DataError, match="iterations must be >= 1"):
+            SoftQuantConfig(iterations=0)
 
     def test_iterations_is_the_only_setting(self):
         assert [field.name for field in dataclasses.fields(SoftQuantConfig)] == ["iterations"]
